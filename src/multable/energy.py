@@ -7,9 +7,10 @@ product-side value against the quotient-side identity (representation
 counts over reduced fractions a1/a2), so the two routes must agree
 exactly before a result is returned.
 
-All arithmetic is exact: the fast paths run in int64 only when products
-and fraction encodings provably fit, and fall back to Python integers
-otherwise, so no result ever silently overflows.
+Both routes count sorted arrays, never dicts.  All arithmetic is exact:
+they run in int64 only when products and fraction keys provably fit, and
+on Python integers (``OBJECT_PAIR_BUDGET`` pairs at most) otherwise, so
+no result ever silently overflows.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import sqrt
 
@@ -30,6 +30,7 @@ from .sieve import divisors
 BITSET_BUDGET = 1 << 28   # max entries of the dense product bitmap
 BITSET_MIN_DENSITY = 2.0**-10
 BRUTEFORCE_BUDGET = 10**4  # max |A|*|B| for the quadratic oracle
+OBJECT_PAIR_BUDGET = 1 << 20  # max pairs per exact Python-int fallback
 
 
 @dataclass
@@ -53,46 +54,44 @@ def _check_nonzero(s: IntSet, name: str) -> None:
         raise PreconditionError(f"{name} must not contain 0 (drop it first)")
 
 
-def _int64_products_safe(A: IntSet, B: IntSet) -> bool:
-    ma = max(abs(A[0]), abs(A[-1]))
-    mb = max(abs(B[0]), abs(B[-1]))
-    return ma * mb < 1 << 62
+def _kernel_dtype(fits_int64: bool, pairs: int):
+    """int64 when the pair kernel's values provably fit, else exact Python
+    ints in object arrays, for at most OBJECT_PAIR_BUDGET pairs."""
+    if fits_int64:
+        return np.int64
+    if pairs > OBJECT_PAIR_BUDGET:
+        raise BudgetError(f"{pairs} pairs in exact object arithmetic exceed {OBJECT_PAIR_BUDGET}")
+    return object
 
 
-def _product_counts(A: IntSet, B: IntSet) -> tuple[list[int], list[int]]:
-    """Distinct products and their representation counts r_{A.B}."""
-    if _int64_products_safe(A, B):
-        prods = np.multiply.outer(
-            np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
-        ).ravel()
-        vals, cnts = np.unique(prods, return_counts=True)
-        return vals.tolist(), cnts.tolist()
-    c = Counter(a * b for a in A for b in B)
-    vals = sorted(c)
-    return vals, [c[v] for v in vals]
+def _pair_products(A: IntSet, B: IntSet) -> np.ndarray:
+    """All products a*b as one array, row by row."""
+    fits = max(-A[0], A[-1]) * max(-B[0], B[-1]) < 1 << 62
+    dt = _kernel_dtype(fits, len(A) * len(B))
+    return np.multiply.outer(np.array(A, dtype=dt), np.array(B, dtype=dt)).ravel()
 
 
-def _quotient_counts(S: IntSet) -> dict:
-    """Representation counts of reduced sign-normalized fractions a1/a2.
+def _quotient_counts(S: IntSet, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys and counts of the quotients s_i/s_j over pairs i < j.
 
-    Keys are packed into int64 when the elements fit in 32 bits, and fall
-    back to exact Fraction keys otherwise; either way the arithmetic is
-    exact so equal rationals always collide.
+    A pair is keyed on the reduced p/q with q > 0 and |p| <= q, which stands
+    for both s_i/s_j and s_j/s_i, as p*2^bits + q.  Every |s| < 2^bits, so
+    keys are distinct, and they fit int64 when bits <= 31.
     """
-    m = max(abs(S[0]), abs(S[-1]))
-    if m < 1 << 31:
-        arr = np.array(S, dtype=np.int64)
-        a1 = np.repeat(arr, len(S))
-        a2 = np.tile(arr, len(S))
-        g = np.gcd(a1, a2)
-        p, q = a1 // g, a2 // g
-        neg = q < 0
-        p = np.where(neg, -p, p)
-        q = np.where(neg, -q, q)
-        keys = p * (1 << 32) + q
-        vals, cnts = np.unique(keys, return_counts=True)
-        return dict(zip(vals.tolist(), cnts.tolist()))
-    return Counter(Fraction(a1, a2) for a1 in S for a2 in S)
+    dt = _kernel_dtype(bits <= 31, len(S) * (len(S) - 1) // 2)
+    arr = np.array(S, dtype=dt)
+    p, q = (arr[k] for k in np.triu_indices(len(S), 1))
+    g = np.gcd(p, q)
+    p //= g
+    q //= g
+    flip = np.abs(p) > np.abs(q)
+    p, q = np.where(flip, q, p), np.where(flip, p, q)
+    return np.unique(np.sign(q) * (p * (1 << bits) + q), return_counts=True)
+
+
+def _antipodes(S: IntSet) -> int:
+    """Number of pairs {s, -s} in S."""
+    return len({-s for s in S if s < 0}.intersection(S))
 
 
 def energy(A: IntSet, B: IntSet | None = None, with_histogram: bool = True) -> EnergyReport:
@@ -111,22 +110,27 @@ def energy(A: IntSet, B: IntSet | None = None, with_histogram: bool = True) -> E
     _check_nonzero(A, "A")
     _check_nonzero(B, "B")
 
-    vals, cnts = _product_counts(A, B)
-    e_prod = sum(c * c for c in cnts)
+    vals, cnts = np.unique(_pair_products(A, B), return_counts=True)
+    e_prod = int((cnts * cnts).sum())
 
-    qa = _quotient_counts(A)
+    # sum_x r_{A/A}(x) r_{B/B}(x): x = 1 gives |A||B|; every other x shares
+    # its key with 1/x, except x = -1, which both orientations of a pair
+    # {s, -s} hit, so that key counts twice more
+    bits = max(-A[0], A[-1], -B[0], B[-1]).bit_length()
+    ka, ca = _quotient_counts(A, bits)
     if B_same:
-        e_quot = sum(c * c for c in qa.values())
+        dot = int((ca * ca).sum())
     else:
-        qb = _quotient_counts(B)
-        small, big = (qa, qb) if len(qa) <= len(qb) else (qb, qa)
-        e_quot = sum(c * big.get(k, 0) for k, c in small.items())
+        kb, cb = _quotient_counts(B, bits)
+        _, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
+        dot = int((ca[ia] * cb[ib]).sum())
+    e_quot = len(A) * len(B) + 2 * dot + 2 * _antipodes(A) * _antipodes(B)
     if e_prod != e_quot:
         raise InternalCheckError(
             f"product-side energy {e_prod} != quotient-side energy {e_quot}"
         )
 
-    hist = dict(zip(vals, cnts)) if with_histogram else None
+    hist = dict(zip(vals.tolist(), cnts.tolist())) if with_histogram else None
     return EnergyReport(energy=e_prod, diag_bound=2 * len(A) * len(B), histogram=hist)
 
 
@@ -140,17 +144,12 @@ def energy_bruteforce(A: IntSet, B: IntSet | None = None) -> int:
     B = A if B is None else intset(B)
     if len(A) * len(B) > BRUTEFORCE_BUDGET:
         raise BudgetError(f"|A|*|B| = {len(A) * len(B)} exceeds {BRUTEFORCE_BUDGET}")
-    if _int64_products_safe(A, B):
-        p = np.multiply.outer(
-            np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
-        ).ravel()
-        total = 0
-        step = max(1, (1 << 24) // max(1, p.size))
-        for i in range(0, p.size, step):
-            total += int((p[i : i + step, None] == p[None, :]).sum())
-        return total
-    prods = [a * b for a in A for b in B]
-    return sum(1 for x in prods for y in prods if x == y)
+    p = _pair_products(A, B)
+    total = 0
+    step = max(1, (1 << 24) // max(1, p.size))
+    for i in range(0, p.size, step):
+        total += int((p[i : i + step, None] == p[None, :]).sum())
+    return total
 
 
 def product_set(A: IntSet, B: IntSet, strategy: str = "auto") -> IntSet:
@@ -200,12 +199,7 @@ def _product_bitset(A: IntSet, B: IntSet) -> IntSet:
 
 
 def _product_hash(A: IntSet, B: IntSet) -> IntSet:
-    if _int64_products_safe(A, B):
-        prods = np.multiply.outer(
-            np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
-        ).ravel()
-        return np.unique(prods).tolist()
-    return sorted({a * b for a in A for b in B})
+    return np.unique(_pair_products(A, B)).tolist()
 
 
 def _product_merge(A: IntSet, B: IntSet) -> IntSet:
@@ -219,13 +213,14 @@ def _product_merge(A: IntSet, B: IntSet) -> IntSet:
     return out
 
 
-def offdiag_tuples(A: IntSet, pair_budget: int = 10**7) -> int:
+def offdiag_tuples(A: IntSet, pair_budget: int = 10**7, energy_value: int | None = None) -> int:
     """Count of grids (x1, x2, y1, y2), x1 < x2, y1 < y2, all x_i*y_j in A.
 
     Enumerates x over divisors of elements of A (any valid x divides some
     element), counts co-occurrences of quotient pairs, and sums the ways to
     choose two common x values.  For |A| up to a few thousand the asserted
-    inequality E(A) <= 2|A|^2 + 4|X| is re-checked against the exact energy.
+    inequality E(A) <= 2|A|^2 + 4|X| is re-checked against the exact energy,
+    or against ``energy_value`` when the caller already has E(A).
     """
     A = intset(A)
     if not A or A[0] < 1:
@@ -241,12 +236,13 @@ def offdiag_tuples(A: IntSet, pair_budget: int = 10**7) -> int:
     for ys in quotients.values():
         common.update(combinations(sorted(ys), 2))
     x_count = sum(c * (c - 1) // 2 for c in common.values())
-    if len(A) <= 3000:
+    e = energy_value
+    if e is None and len(A) <= 3000:
         e = energy(A, with_histogram=False).energy
-        if e > 2 * len(A) ** 2 + 4 * x_count:
-            raise InternalCheckError(
-                f"E = {e} exceeds 2|A|^2 + 4|X| = {2 * len(A) ** 2 + 4 * x_count}"
-            )
+    if e is not None and e > 2 * len(A) ** 2 + 4 * x_count:
+        raise InternalCheckError(
+            f"E = {e} exceeds 2|A|^2 + 4|X| = {2 * len(A) ** 2 + 4 * x_count}"
+        )
     return x_count
 
 
@@ -256,11 +252,15 @@ def cs_product_lower_bound(A: IntSet, B: IntSet) -> float:
     _check_nonzero(A, "A")
     _check_nonzero(B, "B")
     e = energy(A, B, with_histogram=False).energy
-    n_prod = len(product_set(A, B))
-    # exact integer form of |A|^2 |B|^2 / E <= |A.B|
-    if len(A) ** 2 * len(B) ** 2 > e * n_prod:
+    return cs_floor(len(A), len(B), e, len(product_set(A, B)))
+
+
+def cs_floor(size_a: int, size_b: int, e: int, n_prod: int) -> float:
+    """|A|^2|B|^2 / E(A,B) from the sizes, the energy and |A.B|, after the
+    exact integer check that it does not exceed |A.B|."""
+    if size_a**2 * size_b**2 > e * n_prod:
         raise InternalCheckError("Cauchy-Schwarz product bound violated")
-    return len(A) ** 2 * len(B) ** 2 / e
+    return size_a**2 * size_b**2 / e
 
 
 def cs_energy_split(A: IntSet, B: IntSet) -> tuple[float, bool]:

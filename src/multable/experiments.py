@@ -22,7 +22,7 @@ from math import gcd, log
 import numpy as np
 
 from . import __version__
-from .energy import cs_product_lower_bound, energy, offdiag_tuples, product_set
+from .energy import cs_floor, energy, offdiag_tuples, product_set
 from .errors import BudgetError, PreconditionError
 from .progressions import ArithmeticProgression, intset
 from .reduction import DirectBound, Reduced, large_a_energy_bound, reduce, trimmed_set
@@ -154,13 +154,13 @@ def cmd_ap_product(a: int, d: int, L: int, seed: int = 0, threads: int = 1) -> E
     if a > 0 and gcd(a, d) == 1:
         rep.bound_rhs = large_a_energy_bound(ap, subset_size=len(A))
     if a > 0 and L <= 512:
-        rep.offdiag_tuples = offdiag_tuples(A)
+        rep.offdiag_tuples = offdiag_tuples(A, energy_value=rep.energy)
     row = {
         "a": a, "d": d, "L": L,
         "zeros_removed": zeros_removed,
         "product_count": len(prod),
         "energy": rep.energy,
-        "cs_lower_bound": cs_product_lower_bound(A, A),
+        "cs_lower_bound": cs_floor(len(A), len(A), rep.energy, len(prod)),
         "energy_upper_bound": rep.bound_rhs,
         "offdiag_tuples": rep.offdiag_tuples,
         "normalized_ratio": (

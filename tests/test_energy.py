@@ -21,6 +21,19 @@ nonzero_sets = st.sets(
     st.integers(-10**6, 10**6).filter(lambda x: x != 0), min_size=1, max_size=25
 ).map(sorted)
 
+# Small multiples of scales on both sides of 2^31 (the packed quotient keys)
+# and near 2^31.5 (products past 2^62), so sets straddle both int64 guards
+# and still share ratios and products.
+wide_sets = st.sets(
+    st.builds(
+        lambda k, s: k * s,
+        st.integers(-12, 12).filter(lambda x: x != 0),
+        st.sampled_from([1, 7, 2**31 - 1, 2**31, 3 * 2**30, int(2**31.5), 2**32 + 3]),
+    ),
+    min_size=1,
+    max_size=12,
+).map(sorted)
+
 
 def test_product_set_examples():
     assert product_set([1, 2, 3, 4], [1, 2, 3, 4]) == [1, 2, 3, 4, 6, 8, 9, 12, 16]
@@ -149,6 +162,29 @@ def test_quotient_product_identity_object_path():
     big = 1 << 33
     A = [big + 1, big + 2, big + 3]
     assert energy(A, with_histogram=False).energy == energy_bruteforce(A)
+
+
+def test_cross_energy_mixed_width():
+    # A fits the packed quotient keys and B does not; one encoding serves both
+    A, B = [1, 2], [2**31, 2**32]
+    assert energy(A, B, with_histogram=False).energy == energy_bruteforce(A, B) == 6
+    rhs, ok = cs_energy_split(A, B)
+    assert ok and rhs == pytest.approx(math.sqrt(6 * 6))
+
+
+@given(wide_sets, wide_sets)
+def test_energy_matches_bruteforce_across_int64_guards(A, B):
+    assert energy(A, with_histogram=False).energy == energy_bruteforce(A)
+    assert energy(A, B, with_histogram=False).energy == energy_bruteforce(A, B)
+
+
+def test_object_fallback_budget():
+    # products past 2^62 in Python integers: 1025^2 > 2^20 pairs
+    with pytest.raises(BudgetError):
+        energy([2**40 + i for i in range(1025)])
+    # int64 products, but B's quotient keys need Python integers: 1449*1448/2 > 2^20
+    with pytest.raises(BudgetError):
+        energy([1], [2**31 + i for i in range(1449)])
 
 
 def test_dilation_invariance_100_random_sets():

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from multable.energy import cs_product_lower_bound, energy_bruteforce, offdiag_tuples, product_set
 from multable.errors import BudgetError, PreconditionError
 from multable.experiments import (
     THETA,
@@ -70,6 +71,17 @@ def test_cmd_ap_product_examples():
     row = cmd_ap_product(5, 6, 5).results[0]
     assert row["product_count"] == 15
     assert row["energy"] <= row["energy_upper_bound"]
+
+
+def test_cmd_ap_product_matches_library():
+    for a, d, L in [(5, 6, 5), (7, 1000, 64), (720720, 60, 40), (-9, 4, 7)]:
+        A = [x for x in range(a, a + d * L, d) if x]
+        row = cmd_ap_product(a, d, L).results[0]
+        assert row["energy"] == energy_bruteforce(A)
+        assert row["product_count"] == len(product_set(A, A, "merge"))
+        assert row["cs_lower_bound"] == cs_product_lower_bound(A, A)
+        if a > 0:
+            assert row["offdiag_tuples"] == offdiag_tuples(A)
 
 
 def test_cmd_ap_product_strips_zero():
