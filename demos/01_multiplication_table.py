@@ -9,10 +9,11 @@ array, row by row.  The interesting quantity is the normalized ratio
 with theta = 1 - (1 + log log 4)/log 4 ~ 0.0430: the count is known to
 grow like N^2 divided by those log factors, so the ratio should hover
 around a constant while N doubles.  We print the ratio across a range of
-sizes and cross-check the small counts against the other two counting
+sizes and cross-check the small counts against the three product-set
 strategies.
 """
 
+from multable.energy import product_set
 from multable.experiments import THETA, normalized_ratio, table_count
 
 print(f"theta = {THETA.theta:.6f}, 2*theta = {THETA.two_theta:.6f}\n")
@@ -24,8 +25,9 @@ for e in range(2, 15):
     r = normalized_ratio(N, count)
     print(f"{N:>6} {count:>12} {r:>8.4f}")
 
-print("\nsmall-N cross-check across strategies:")
+print("\nsmall-N cross-check against the product-set strategies:")
 for N in (4, 10, 32):
-    counts = {s: table_count(N, strategy=s) for s in ("bitset", "hash", "merge")}
-    assert len(set(counts.values())) == 1
-    print(f"  N={N:>3}: {counts['bitset']} (all strategies agree)")
+    r = list(range(1, N + 1))
+    counts = {s: len(product_set(r, r, s)) for s in ("bitset", "hash", "merge")}
+    assert set(counts.values()) == {table_count(N)}
+    print(f"  N={N:>3}: {table_count(N)} (all strategies agree)")

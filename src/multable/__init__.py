@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .progressions import ArithmeticProgression, dilate, intset
 from .sieve import (
     FactorizationTable,
-    PrimeTable,
     build_table,
     count_large_square_divisible,
     mertens_sum,
@@ -56,7 +55,6 @@ __all__ = [
     "EnergyReport",
     "FactorizationTable",
     "NkQuery",
-    "PrimeTable",
     "Reduced",
     "ReductionTrace",
     "ShiuQuery",

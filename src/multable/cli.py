@@ -43,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("table", help="exact |[N].[N]| and its normalized ratio")
     p.add_argument("N", type=int)
-    p.add_argument("--strategy", choices=("bitset", "hash", "merge"), default="bitset")
 
     p = add_parser("ap-product", help="product set and energy of a progression")
     p.add_argument("a", type=int)
@@ -92,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(args) -> ex.ExperimentReport:
     seed, threads = args.seed, args.threads
     if args.cmd == "table":
-        return ex.cmd_table(args.N, strategy=args.strategy, seed=seed, threads=threads)
+        return ex.cmd_table(args.N, seed=seed, threads=threads)
     if args.cmd == "ap-product":
         return ex.cmd_ap_product(args.a, args.d, args.L, seed=seed, threads=threads)
     if args.cmd == "energy":

@@ -27,7 +27,7 @@ from .errors import BudgetError, InternalCheckError, PreconditionError, RetriesE
 from .progressions import IntSet, intset
 from .sieve import divisors
 
-BITSET_BUDGET = 1 << 28   # max entries of the dense product bitmap
+BITSET_BUDGET = 1 << 29   # max entries of the dense product bitmap
 BITSET_MIN_DENSITY = 2.0**-10
 BRUTEFORCE_BUDGET = 10**4  # max |A|*|B| for the quadratic oracle
 OBJECT_PAIR_BUDGET = 1 << 20  # max pairs per exact Python-int fallback
@@ -35,23 +35,24 @@ OBJECT_PAIR_BUDGET = 1 << 20  # max pairs per exact Python-int fallback
 
 @dataclass
 class EnergyReport:
-    """Exact energy plus the bookkeeping used by the bound checks.
-
-    ``diag_bound`` is the trivial 2|A||B| cap on tuples that reuse a pair;
-    ``offdiag_tuples`` and ``bound_rhs`` are filled in by the callers that
-    compute them (grid counting, progression bounds).
-    """
+    """Exact energy, the trivial 2|A||B| cap ``diag_bound`` on tuples that
+    reuse a pair, and the product histogram when it was asked for."""
 
     energy: int
     diag_bound: int
     histogram: dict[int, int] | None = None
-    offdiag_tuples: int | None = None
-    bound_rhs: float | None = None
 
 
-def _check_nonzero(s: IntSet, name: str) -> None:
-    if 0 in s:
-        raise PreconditionError(f"{name} must not contain 0 (drop it first)")
+def _energy_sets(A: IntSet, B: IntSet | None) -> tuple[IntSet, IntSet]:
+    """A and B (A again when B is None) as sorted sets, nonempty and free of 0."""
+    A = intset(A)
+    B = A if B is None else intset(B)
+    if not A or not B:
+        raise PreconditionError("energy needs nonempty sets")
+    for name, s in (("A", A), ("B", B)):
+        if 0 in s:
+            raise PreconditionError(f"{name} must not contain 0 (drop it first)")
+    return A, B
 
 
 def _kernel_dtype(fits_int64: bool, pairs: int):
@@ -64,11 +65,44 @@ def _kernel_dtype(fits_int64: bool, pairs: int):
     return object
 
 
+def _kernel_arrays(A: IntSet, B: IntSet) -> tuple[np.ndarray, np.ndarray]:
+    """A and B as arrays in which every product a*b is exact: int64 when
+    |a*b| < 2^62 for all pairs, else Python ints.  A magnitude counts as at
+    least 1, so a set {0} does not let its partner's elements pass as fitting."""
+    fits = max(1, -A[0], A[-1]) * max(1, -B[0], B[-1]) < 1 << 62
+    dt = _kernel_dtype(fits, len(A) * len(B))
+    return np.array(A, dtype=dt), np.array(B, dtype=dt)
+
+
 def _pair_products(A: IntSet, B: IntSet) -> np.ndarray:
     """All products a*b as one array, row by row."""
-    fits = max(-A[0], A[-1]) * max(-B[0], B[-1]) < 1 << 62
-    dt = _kernel_dtype(fits, len(A) * len(B))
-    return np.multiply.outer(np.array(A, dtype=dt), np.array(B, dtype=dt)).ravel()
+    return np.multiply.outer(*_kernel_arrays(A, B)).ravel()
+
+
+def _mark_entries(A: IntSet, B: IntSet) -> int:
+    """Length of the product bitmap over [0, A[-1]*B[-1]]; raises unless both
+    sets are nonnegative and it fits BITSET_BUDGET."""
+    if A[0] < 0 or B[0] < 0:
+        raise PreconditionError("the product bitmap needs nonnegative inputs")
+    entries = A[-1] * B[-1] + 1
+    if entries > BITSET_BUDGET:
+        raise BudgetError(f"product bitmap needs {entries} entries, budget {BITSET_BUDGET}")
+    return entries
+
+
+def _product_marks(A: IntSet, B: IntSet) -> np.ndarray:
+    """Bool array over [0, A[-1]*B[-1]] that marks every product a*b.
+
+    When A and B are the same set, row i marks only a_i*B[i:]: a_i*a_j with
+    j < i is already marked by row j.
+    """
+    marks = np.zeros(_mark_entries(A, B), dtype=bool)
+    a, b = _kernel_arrays(A, B)
+    same = A == B
+    for i in range(len(a)):
+        # an object row (one set is {0}) holds exact zeros; index with int64
+        marks[(a[i] * b[i if same else 0 :]).astype(np.int64, copy=False)] = True
+    return marks
 
 
 def _quotient_counts(S: IntSet, bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,34 +128,23 @@ def _antipodes(S: IntSet) -> int:
     return len({-s for s in S if s < 0}.intersection(S))
 
 
-def energy(A: IntSet, B: IntSet | None = None, with_histogram: bool = True) -> EnergyReport:
-    """Multiplicative energy of A (or of the pair A, B), via both routes.
+def _checked_energy(A: IntSet, B: IntSet, qa, qb) -> tuple[int, np.ndarray, np.ndarray]:
+    """E(A, B) with the sorted distinct products and their counts, after the
+    exact check of the product side against the quotient side.
 
-    Requires 0 absent from both sets.  The product-side sum of squared
-    representation counts is the returned value; the quotient-side sum
-    (same-set: sum of r_{A/A}^2; cross: dot of r_{A/A} with r_{B/B}) is
-    recomputed on every call and must match exactly.
+    ``qa`` and ``qb`` are the quotient keys and counts of A and of B from
+    ``_quotient_keys``; the same object twice for a same-set energy.
     """
-    A = intset(A)
-    B_same = B is None
-    B = A if B_same else intset(B)
-    if not A or not B:
-        raise PreconditionError("energy needs nonempty sets")
-    _check_nonzero(A, "A")
-    _check_nonzero(B, "B")
-
     vals, cnts = np.unique(_pair_products(A, B), return_counts=True)
     e_prod = int((cnts * cnts).sum())
 
     # sum_x r_{A/A}(x) r_{B/B}(x): x = 1 gives |A||B|; every other x shares
     # its key with 1/x, except x = -1, which both orientations of a pair
     # {s, -s} hit, so that key counts twice more
-    bits = max(-A[0], A[-1], -B[0], B[-1]).bit_length()
-    ka, ca = _quotient_counts(A, bits)
-    if B_same:
+    (ka, ca), (kb, cb) = qa, qb
+    if qa is qb:
         dot = int((ca * ca).sum())
     else:
-        kb, cb = _quotient_counts(B, bits)
         _, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
         dot = int((ca[ia] * cb[ib]).sum())
     e_quot = len(A) * len(B) + 2 * dot + 2 * _antipodes(A) * _antipodes(B)
@@ -129,9 +152,29 @@ def energy(A: IntSet, B: IntSet | None = None, with_histogram: bool = True) -> E
         raise InternalCheckError(
             f"product-side energy {e_prod} != quotient-side energy {e_quot}"
         )
+    return e_prod, vals, cnts
 
+
+def _quotient_keys(A: IntSet, B: IntSet):
+    """Quotient keys and counts of A and of B in one key width, as
+    ``_checked_energy`` takes them: one object when A is B."""
+    bits = max(-A[0], A[-1], -B[0], B[-1]).bit_length()
+    qa = _quotient_counts(A, bits)
+    return qa, qa if A is B else _quotient_counts(B, bits)
+
+
+def energy(A: IntSet, B: IntSet | None = None, with_histogram: bool = False) -> EnergyReport:
+    """Multiplicative energy of A (or of the pair A, B), via both routes.
+
+    Requires 0 absent from both sets.  The product-side sum of squared
+    representation counts is the returned value; the quotient-side sum
+    (same-set: sum of r_{A/A}^2; cross: dot of r_{A/A} with r_{B/B}) is
+    recomputed on every call and must match exactly.
+    """
+    A, B = _energy_sets(A, B)
+    e, vals, cnts = _checked_energy(A, B, *_quotient_keys(A, B))
     hist = dict(zip(vals.tolist(), cnts.tolist())) if with_histogram else None
-    return EnergyReport(energy=e_prod, diag_bound=2 * len(A) * len(B), histogram=hist)
+    return EnergyReport(energy=e, diag_bound=2 * len(A) * len(B), histogram=hist)
 
 
 def energy_bruteforce(A: IntSet, B: IntSet | None = None) -> int:
@@ -155,11 +198,11 @@ def energy_bruteforce(A: IntSet, B: IntSet | None = None) -> int:
 def product_set(A: IntSet, B: IntSet, strategy: str = "auto") -> IntSet:
     """Sorted distinct pairwise products of A and B.
 
-    Strategies: ``bitset`` (dense mark array, nonnegative inputs within the
-    memory budget), ``hash`` (distinct products via hashing/sorting), and
-    ``merge`` (k-way merge of the dilates a*B).  ``auto`` picks bitset when
-    its density and budget conditions hold, else hash.  All strategies
-    return identical sets.
+    Strategies: ``bitset`` (dense mark array, nonnegative inputs within
+    ``BITSET_BUDGET`` entries), ``hash`` (distinct products via sorting), and
+    ``merge`` (k-way merge of the dilates a*B, the oracle).  ``auto`` picks
+    bitset when its density rule holds, else hash.  All strategies return
+    identical sets.
     """
     A = intset(A)
     B = intset(B)
@@ -168,7 +211,7 @@ def product_set(A: IntSet, B: IntSet, strategy: str = "auto") -> IntSet:
     if strategy == "auto":
         strategy = "bitset" if _bitset_eligible(A, B) else "hash"
     if strategy == "bitset":
-        return _product_bitset(A, B)
+        return np.flatnonzero(_product_marks(A, B)).tolist()
     if strategy == "hash":
         return _product_hash(A, B)
     if strategy == "merge":
@@ -177,25 +220,13 @@ def product_set(A: IntSet, B: IntSet, strategy: str = "auto") -> IntSet:
 
 
 def _bitset_eligible(A: IntSet, B: IntSet) -> bool:
-    if A[0] < 0 or B[0] < 0:
+    """auto's choice: a bitmap that ``_mark_entries`` allows, with at most
+    1/BITSET_MIN_DENSITY entries a pair."""
+    try:
+        entries = _mark_entries(A, B)
+    except (PreconditionError, BudgetError):
         return False
-    top = A[-1] * B[-1]
-    if top + 1 > BITSET_BUDGET:
-        return False
-    return len(A) * len(B) >= (top + 1) * BITSET_MIN_DENSITY
-
-
-def _product_bitset(A: IntSet, B: IntSet) -> IntSet:
-    if A[0] < 0 or B[0] < 0:
-        raise PreconditionError("bitset strategy needs nonnegative inputs")
-    top = A[-1] * B[-1]
-    if top + 1 > BITSET_BUDGET:
-        raise BudgetError(f"product range {top + 1} exceeds bitset budget {BITSET_BUDGET}")
-    seen = np.zeros(top + 1, dtype=bool)
-    b = np.array(B, dtype=np.int64)
-    for a in A:
-        seen[a * b] = True
-    return np.nonzero(seen)[0].tolist()
+    return len(A) * len(B) >= entries * BITSET_MIN_DENSITY
 
 
 def _product_hash(A: IntSet, B: IntSet) -> IntSet:
@@ -238,7 +269,7 @@ def offdiag_tuples(A: IntSet, pair_budget: int = 10**7, energy_value: int | None
     x_count = sum(c * (c - 1) // 2 for c in common.values())
     e = energy_value
     if e is None and len(A) <= 3000:
-        e = energy(A, with_histogram=False).energy
+        e = energy(A).energy
     if e is not None and e > 2 * len(A) ** 2 + 4 * x_count:
         raise InternalCheckError(
             f"E = {e} exceeds 2|A|^2 + 4|X| = {2 * len(A) ** 2 + 4 * x_count}"
@@ -248,10 +279,8 @@ def offdiag_tuples(A: IntSet, pair_budget: int = 10**7, energy_value: int | None
 
 def cs_product_lower_bound(A: IntSet, B: IntSet) -> float:
     """The Cauchy-Schwarz floor |A|^2|B|^2 / E(A,B) for |A.B|; re-checked."""
-    A, B = intset(A), intset(B)
-    _check_nonzero(A, "A")
-    _check_nonzero(B, "B")
-    e = energy(A, B, with_histogram=False).energy
+    A, B = _energy_sets(A, B)
+    e = energy(A, B).energy
     return cs_floor(len(A), len(B), e, len(product_set(A, B)))
 
 
@@ -264,13 +293,15 @@ def cs_floor(size_a: int, size_b: int, e: int, n_prod: int) -> float:
 
 
 def cs_energy_split(A: IntSet, B: IntSet) -> tuple[float, bool]:
-    """sqrt(E(A) * E(B)) and whether E(A,B) is below it (exact check)."""
-    A, B = intset(A), intset(B)
-    _check_nonzero(A, "A")
-    _check_nonzero(B, "B")
-    e_ab = energy(A, B, with_histogram=False).energy
-    e_a = energy(A, with_histogram=False).energy
-    e_b = energy(B, with_histogram=False).energy
+    """sqrt(E(A) * E(B)) and whether E(A,B) is below it (exact check).
+
+    Each set's quotient keys are built once and serve all three energies.
+    """
+    A, B = _energy_sets(A, B)
+    qa, qb = _quotient_keys(A, B)
+    e_ab = _checked_energy(A, B, qa, qb)[0]
+    e_a = _checked_energy(A, A, qa, qa)[0]
+    e_b = _checked_energy(B, B, qb, qb)[0]
     ok = e_ab * e_ab <= e_a * e_b
     return sqrt(e_a * e_b), ok
 
@@ -282,9 +313,8 @@ def random_energy_subset(A: IntSet, seed: int, max_retries: int = 1000) -> IntSe
     retries until both certified inequalities hold; a positive fraction of
     draws succeeds in expectation, so exhausting the retries signals a bug.
     """
-    A = intset(A)
-    _check_nonzero(A, "A")
-    e_a = energy(A, with_histogram=False).energy
+    A, _ = _energy_sets(A, None)
+    e_a = energy(A).energy
     n = len(A)
     p = min(1.0, n * n / e_a)
     rng = np.random.default_rng(seed)
@@ -294,7 +324,7 @@ def random_energy_subset(A: IntSet, seed: int, max_retries: int = 1000) -> IntSe
         sub = [int(v) for v in arr[mask]]
         if not sub:
             continue
-        e_sub = energy(sub, with_histogram=False).energy
+        e_sub = energy(sub).energy
         # integer forms of E' <= 4|A'|^2 and |A'| >= |A|^3 / (2 E(A))
         if e_sub <= 4 * len(sub) ** 2 and 2 * e_a * len(sub) >= n**3:
             return sub

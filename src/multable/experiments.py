@@ -22,7 +22,7 @@ from math import gcd, log
 import numpy as np
 
 from . import __version__
-from .energy import cs_floor, energy, offdiag_tuples, product_set
+from .energy import _product_marks, cs_floor, energy, offdiag_tuples, product_set
 from .errors import BudgetError, PreconditionError
 from .progressions import ArithmeticProgression, intset
 from .reduction import DirectBound, Reduced, large_a_energy_bound, reduce, trimmed_set
@@ -35,7 +35,6 @@ from .smirnov import (
 )
 
 TABLE_MAX_N = 1 << 16
-TABLE_BITSET_BUDGET = 1 << 29
 PAIRS_BUDGET = 1 << 26
 
 
@@ -106,24 +105,12 @@ def _finish(command: str, params: dict, results: list[dict], seed: int, threads:
     )
 
 
-def table_count(N: int, strategy: str = "bitset", bitset_budget: int = TABLE_BITSET_BUDGET) -> int:
-    """|[N].[N]| exactly.  The bitset strategy marks achieved products in a
-    dense array row by row; hash/merge reuse the product-set strategies."""
+def table_count(N: int) -> int:
+    """|[N].[N]| exactly: the marked entries of the product bitmap of [N]."""
     if not 1 <= N <= TABLE_MAX_N:
         raise PreconditionError(f"N must be in [1, {TABLE_MAX_N}]")
-    if strategy == "bitset":
-        entries = N * N + 1
-        if entries > bitset_budget:
-            raise BudgetError(f"bitset needs {entries} entries, budget {bitset_budget}")
-        seen = np.zeros(entries, dtype=bool)
-        arr = np.arange(1, N + 1, dtype=np.int64)
-        for a in range(1, N + 1):
-            seen[a * arr[a - 1 :]] = True
-        return int(np.count_nonzero(seen))
-    if N * N > PAIRS_BUDGET:
-        raise BudgetError(f"{strategy} strategy budget is {PAIRS_BUDGET} pairs")
-    rng = list(range(1, N + 1))
-    return len(product_set(rng, rng, strategy=strategy))
+    r = list(range(1, N + 1))
+    return int(np.count_nonzero(_product_marks(r, r)))
 
 
 def normalized_ratio(N: int, count: int) -> float | None:
@@ -133,11 +120,11 @@ def normalized_ratio(N: int, count: int) -> float | None:
     return count * log(N) ** THETA.two_theta * log(log(N)) ** 1.5 / (N * N)
 
 
-def cmd_table(N: int, strategy: str = "bitset", seed: int = 0, threads: int = 1) -> ExperimentReport:
+def cmd_table(N: int, seed: int = 0, threads: int = 1) -> ExperimentReport:
     t0 = time.perf_counter()
-    count = table_count(N, strategy=strategy)
+    count = table_count(N)
     row = {"N": N, "count": count, "normalized_ratio": normalized_ratio(N, count)}
-    params = {"N": N, "strategy": strategy, "two_theta": THETA.two_theta}
+    params = {"N": N, "two_theta": THETA.two_theta}
     return _finish("table", params, [row], seed, threads, t0)
 
 
@@ -150,19 +137,17 @@ def cmd_ap_product(a: int, d: int, L: int, seed: int = 0, threads: int = 1) -> E
     zeros_removed = int(0 in A)
     A = [x for x in A if x != 0]
     prod = product_set(A, A)
-    rep = energy(A, with_histogram=False)
-    if a > 0 and gcd(a, d) == 1:
-        rep.bound_rhs = large_a_energy_bound(ap, subset_size=len(A))
-    if a > 0 and L <= 512:
-        rep.offdiag_tuples = offdiag_tuples(A, energy_value=rep.energy)
+    e = energy(A).energy
+    bound_rhs = large_a_energy_bound(ap, subset_size=len(A)) if a > 0 and gcd(a, d) == 1 else None
+    tuples = offdiag_tuples(A, energy_value=e) if a > 0 and L <= 512 else None
     row = {
         "a": a, "d": d, "L": L,
         "zeros_removed": zeros_removed,
         "product_count": len(prod),
-        "energy": rep.energy,
-        "cs_lower_bound": cs_floor(len(A), len(A), rep.energy, len(prod)),
-        "energy_upper_bound": rep.bound_rhs,
-        "offdiag_tuples": rep.offdiag_tuples,
+        "energy": e,
+        "cs_lower_bound": cs_floor(len(A), len(A), e, len(prod)),
+        "energy_upper_bound": bound_rhs,
+        "offdiag_tuples": tuples,
         "normalized_ratio": (
             len(prod) * log(L) ** THETA.two_theta / (L * L) if L >= 2 else None
         ),
@@ -178,7 +163,7 @@ def cmd_energy(values, seed: int = 0, threads: int = 1) -> ExperimentReport:
     A = [x for x in A if x != 0]
     if len(A) * len(A) > PAIRS_BUDGET:
         raise BudgetError("set too large for the energy budget")
-    rep = energy(A, with_histogram=False)
+    rep = energy(A)
     row = {
         "size": len(A),
         "zeros_removed": zeros_removed,

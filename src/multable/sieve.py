@@ -37,35 +37,6 @@ def sieve_primes(limit: int) -> np.ndarray:
     return np.nonzero(flags)[0].astype(np.int64)
 
 
-class PrimeTable:
-    """Primes up to a fixed bound: a bool bitmap plus the prime array."""
-
-    def __init__(self, limit: int):
-        if limit < 2:
-            raise PreconditionError("prime table needs limit >= 2")
-        self.limit = limit
-        self.flags = np.ones(limit + 1, dtype=bool)
-        self.flags[:2] = False
-        for p in range(2, isqrt(limit) + 1):
-            if self.flags[p]:
-                self.flags[p * p :: p] = False
-        self.primes = np.nonzero(self.flags)[0].astype(np.int64)
-
-    def is_prime(self, n: int) -> bool:
-        if not 0 <= n <= self.limit:
-            raise PreconditionError(f"{n} outside table range [0, {self.limit}]")
-        return bool(self.flags[n])
-
-    def count_upto(self, x: int) -> int:
-        return int(np.searchsorted(self.primes, x, side="right"))
-
-    def __iter__(self):
-        return iter(self.primes.tolist())
-
-    def __len__(self):
-        return len(self.primes)
-
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

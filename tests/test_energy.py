@@ -50,10 +50,11 @@ def test_product_strategies_agree_random():
         else:
             A = sorted(rnd.sample(range(-10**5, 10**5), rnd.randrange(1, 15)))
             B = sorted(rnd.sample(range(-10**5, 10**5), rnd.randrange(1, 15)))
-        ref = product_set(A, B, "hash")
-        assert product_set(A, B, "merge") == ref
-        if A[0] >= 0 and B[0] >= 0 and A[-1] * B[-1] < (1 << 22):
-            assert product_set(A, B, "bitset") == ref
+        for X, Y in ((A, B), (A, A)):  # (A, A) takes the bitset's same-set triangle
+            ref = product_set(X, Y, "hash")
+            assert product_set(X, Y, "merge") == ref
+            if X[0] >= 0 and Y[0] >= 0 and X[-1] * Y[-1] < (1 << 22):
+                assert product_set(X, Y, "bitset") == ref
 
 
 def test_energy_examples():
@@ -67,7 +68,7 @@ def test_energy_examples():
 
 
 def test_energy_histogram():
-    hist = energy([1, 2, 3]).histogram
+    hist = energy([1, 2, 3], with_histogram=True).histogram
     assert hist == {1: 1, 2: 2, 3: 2, 4: 1, 6: 2, 9: 1}
     assert sum(c * c for c in hist.values()) == 15
 
@@ -158,10 +159,18 @@ def test_random_energy_subset_examples():
 
 
 def test_quotient_product_identity_object_path():
-    # elements beyond the packed-key range exercise the Fraction fallback
+    # elements beyond the packed-key range take the exact object-array keys
     big = 1 << 33
     A = [big + 1, big + 2, big + 3]
     assert energy(A, with_histogram=False).energy == energy_bruteforce(A)
+
+
+def test_zero_set_partner_past_int64():
+    # {0} times anything is {0}; the int64 guard must not let 2^70 through
+    for strategy in ("auto", "bitset", "hash", "merge"):
+        assert product_set([0], [2**70], strategy) == [0]
+        assert product_set([2**70], [0], strategy) == [0]
+    assert energy_bruteforce([0], [2**70]) == 1
 
 
 def test_cross_energy_mixed_width():

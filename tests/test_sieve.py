@@ -7,7 +7,6 @@ import pytest
 from multable.errors import BudgetError, PreconditionError
 from multable.progressions import ArithmeticProgression as AP
 from multable.sieve import (
-    PrimeTable,
     build_table,
     count_large_square_divisible,
     divisors,
@@ -134,10 +133,7 @@ def test_mertens_examples():
         mertens_sum(1)
 
 
-def test_prime_table_and_flags():
-    pt = PrimeTable(100)
-    assert len(pt) == 25 and pt.is_prime(97) and not pt.is_prime(91)
-    assert pt.count_upto(10) == 4
+def test_prime_flags_interval():
     flags = prime_flags_interval(90, 110)
     marked = [n for n in range(90, 110) if flags[n - 90]]
     assert marked == [97, 101, 103, 107, 109]
