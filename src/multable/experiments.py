@@ -219,10 +219,14 @@ def _omega_trim_row(A, ap) -> dict:
     prime factors, at the cutoff loglog(a+dL) + loglog(a+dL)^(2/3)."""
     pos = [x for x in A if x > 0]
     hull_hi = ap.last + 1
-    if not pos or hull_hi - pos[0] > 1 << 24 or hull_hi < 16:
-        return {"step": "omega-trim", "note": "skipped (hull outside sieve budget)"}
+    skipped = {"step": "omega-trim", "note": "skipped (hull outside sieve budget)"}
+    if not pos or hull_hi < 16:
+        return skipped
+    try:
+        table = build_table(pos[0], hull_hi, factor_lists=False)
+    except BudgetError:
+        return skipped
     cut = log(log(hull_hi)) + log(log(hull_hi)) ** (2 / 3)
-    table = build_table(pos[0], hull_hi, factor_lists=False)
     kept = len(trimmed_set(pos, table, cut))
     return {
         "step": "omega-trim",

@@ -2,9 +2,13 @@
 
 ``FactorizationTable`` holds per-element arithmetic data for a half-open
 interval [lo, hi): number of distinct prime factors, square-free flag,
-largest square divisor, and the sorted list of distinct prime factors.
-It is built by sieving the interval with primes up to sqrt(hi); whatever
-cofactor survives is itself prime and recorded as such.
+largest square divisor, and the ascending distinct prime factors.
+``build_table`` sieves the interval with the primes up to sqrt(hi - 1) in
+two regimes: primes below 2^10 that hit several elements walk it by
+strides of p, p^2, p^3, ...; all other primes go in batches of
+(position, prime) pairs, so no Python loop runs per prime.  Whatever
+cofactor survives is itself prime.  Prime factors are stored flat (CSR):
+one int64 array plus offsets, not a list per element.
 
 Also here: one-off factorization helpers (numpy-assisted trial division,
 deterministic Miller-Rabin), vectorized largest-square-divisor extraction
@@ -22,7 +26,14 @@ import numpy as np
 from .errors import BudgetError, InternalCheckError, PreconditionError
 from .progressions import ArithmeticProgression
 
-SEGMENT_BUDGET = 1 << 24  # max elements per built interval
+SEGMENT_BUDGET = 1 << 24  # max elements per built interval, and max sieving prime
+
+_STRIDE_SPLIT = 1 << 10  # primes below this are sieved by stride
+_PAIR_BATCH = 1 << 22  # max (position, prime) pairs held at once
+# a sort key packs position << _KEY_SHIFT | prime; primes are at most
+# SEGMENT_BUDGET, so _COFACTOR is above all of them and sorts last
+_KEY_SHIFT = SEGMENT_BUDGET.bit_length()
+_COFACTOR = (1 << _KEY_SHIFT) - 1
 
 
 def sieve_primes(limit: int) -> np.ndarray:
@@ -156,14 +167,18 @@ def square_parts(values: np.ndarray) -> np.ndarray:
 
 
 class FactorizationTable:
-    """Per-element factorization data over [lo, hi), built by interval sieve."""
+    """Per-element factorization data over [lo, hi), built by interval sieve.
 
-    def __init__(self, lo, hi, omega, square_divisor, factor_lists):
+    ``factors`` is None or the pair (flat, offsets): the prime factors of
+    lo + i, ascending, are ``flat[offsets[i]:offsets[i + 1]]``.
+    """
+
+    def __init__(self, lo, hi, omega, square_divisor, factors):
         self.lo = lo
         self.hi = hi
         self._omega = omega
         self._sqdiv = square_divisor
-        self._factors = factor_lists
+        self._factors = factors
 
     def _index(self, n: int) -> int:
         if not self.lo <= n < self.hi:
@@ -185,7 +200,9 @@ class FactorizationTable:
     def prime_factors(self, n: int) -> list[int]:
         if self._factors is None:
             raise PreconditionError("table was built with factor_lists=False")
-        return list(self._factors[self._index(n)])
+        i = self._index(n)
+        flat, offsets = self._factors
+        return flat[offsets[i] : offsets[i + 1]].tolist()
 
     @property
     def omega_array(self) -> np.ndarray:
@@ -200,89 +217,125 @@ class FactorizationTable:
         return self._sqdiv == 1
 
 
-def build_table(lo: int, hi: int, factor_lists: bool = True) -> FactorizationTable:
-    """Factorization table for [lo, hi); requires 1 <= lo < hi.
+def _sieving_primes(lo: int, hi: int) -> np.ndarray:
+    """Primes up to sqrt(hi - 1) for sieving [lo, hi), checked against the
+    budget before anything is allocated: at most SEGMENT_BUDGET elements,
+    and sieving primes up to at most SEGMENT_BUDGET (so hi is below about
+    2^48)."""
+    if hi - lo > SEGMENT_BUDGET:
+        raise BudgetError(f"interval length {hi - lo} exceeds budget {SEGMENT_BUDGET}")
+    root = isqrt(hi - 1)
+    if root > SEGMENT_BUDGET:
+        raise BudgetError(f"sieving primes up to {root} exceed budget {SEGMENT_BUDGET}")
+    return _primes_upto(root)
 
-    Primes up to sqrt(hi) are applied in two regimes: primes below the
-    interval length are sieved with stride indexing (several multiples
-    each), larger primes hit at most one element and are located in a
-    single vectorized pass.  Leftover cofactors above sqrt(hi) are prime.
-    """
-    if lo < 1 or hi <= lo:
-        raise PreconditionError(f"need 1 <= lo < hi, got [{lo}, {hi})")
+
+def _hit_batches(lo: int, length: int, primes: np.ndarray):
+    """Every multiple of each prime in [lo, lo + length), as (position, prime)
+    int64 arrays in batches of at most _PAIR_BATCH pairs, primes ascending."""
+    off = (-lo) % primes
+    hit = np.flatnonzero(off < length)
+    primes, off = primes[hit], off[hit]
+    cnt = (length - 1 - off) // primes + 1
+    ends = np.cumsum(cnt)
+    b0 = 0
+    while b0 < primes.size:
+        base = int(ends[b0 - 1]) if b0 else 0
+        b1 = max(int(np.searchsorted(ends, base + _PAIR_BATCH, side="right")), b0 + 1)
+        c = cnt[b0:b1]
+        p = np.repeat(primes[b0:b1], c)
+        pos = np.arange(p.size, dtype=np.int64)
+        pos -= np.repeat(ends[b0:b1] - c - base, c)  # hit number within its prime
+        pos *= p
+        pos += np.repeat(off[b0:b1], c)
+        yield pos, p
+        b0 = b1
+
+
+def _sieve(lo: int, hi: int, primes: np.ndarray, factor_lists: bool):
+    """omega, largest square divisor and (if asked) CSR prime factors over
+    [lo, hi), sieved with ``primes`` (all primes up to sqrt(hi - 1))."""
     length = hi - lo
-    if length > SEGMENT_BUDGET:
-        raise BudgetError(f"interval length {length} exceeds budget {SEGMENT_BUDGET}")
-    if hi > 1 << 62:
-        raise BudgetError("interval endpoint too large for int64 sieving")
-
     omega = np.zeros(length, dtype=np.int16)
     sqdiv = np.ones(length, dtype=np.int64)
     residual = np.arange(lo, hi, dtype=np.int64)
-    factors: list[list[int]] | None = [[] for _ in range(length)] if factor_lists else None
+    keys = []  # position << _KEY_SHIFT | prime, one per prime hit
 
-    primes = _primes_upto(isqrt(hi - 1))
-    split = int(np.searchsorted(primes, length, side="right"))
+    cut = int(np.searchsorted(primes, min(_STRIDE_SPLIT, length)))
+    for p in primes[:cut].tolist():
+        first = (-lo) % p
+        omega[first::p] += 1
+        if factor_lists:
+            keys.append(np.arange(first, length, p, dtype=np.int64) << _KEY_SHIFT | p)
+        # the multiples of p^k are a stride too: each loses one factor p,
+        # and at even k the square divisor gains p^2
+        q, k = p, 1
+        while first < length:
+            residual[first::q] //= p
+            if k % 2 == 0:
+                sqdiv[first::q] *= p * p
+            q, k = q * p, k + 1
+            first = (-lo) % q
 
-    for p in primes[:split].tolist():
-        first = -(-lo // p) * p
-        pos = np.arange(first - lo, length, p)
-        if pos.size == 0:
-            continue
-        omega[pos] += 1
-        if factors is not None:
-            for i in pos.tolist():
-                factors[i].append(p)
-        e = np.ones(pos.size, dtype=np.int64)
-        residual[pos] //= p
-        live = np.nonzero(residual[pos] % p == 0)[0]
-        while live.size:
-            at = pos[live]
-            residual[at] //= p
-            e[live] += 1
-            live = live[residual[at] % p == 0]
-        k = e >> 1
-        big = k > 0
-        if big.any():
-            sqdiv[pos[big]] *= np.int64(p) ** (2 * k[big])
+    for pos, p in _hit_batches(lo, length, primes[cut:]):
+        omega += np.bincount(pos, minlength=length).astype(np.int16)
+        if factor_lists:
+            keys.append(pos << _KEY_SHIFT | p)
+        # round k divides out the k-th power of p from the pairs it still
+        # divides; .at because several primes can share a position
+        k = 1
+        while pos.size:
+            np.floor_divide.at(residual, pos, p)
+            if k % 2 == 0:
+                np.multiply.at(sqdiv, pos, p * p)
+            live = residual[pos] % p == 0
+            pos, p, k = pos[live], p[live], k + 1
 
-    large = primes[split:]
-    if large.size:
-        first = -(-lo // large) * large
-        off = first - lo
-        sel = off < length
-        for p, i in zip(large[sel].tolist(), off[sel].tolist()):
-            m = int(residual[i])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            residual[i] = m
-            omega[i] += 1
-            if factors is not None:
-                factors[i].append(p)
-            if e >= 2:
-                sqdiv[i] *= p ** (2 * (e // 2))
-
-    left = np.nonzero(residual > 1)[0]
+    left = np.flatnonzero(residual > 1)  # each such cofactor is one prime above sqrt(hi - 1)
     omega[left] += 1
-    if factors is not None:
-        for i in left.tolist():
-            factors[i].append(int(residual[i]))
+    if not factor_lists:
+        return omega, sqdiv, None
+    keys.append(left << _KEY_SHIFT | _COFACTOR)
+    flat = np.concatenate(keys)
+    del keys  # free the pieces before the sort
+    flat.sort()  # by position, then prime, with the cofactor last
+    flat &= _COFACTOR
+    flat[flat == _COFACTOR] = residual[left]
+    offsets = np.zeros(length + 1, dtype=np.int64)
+    np.cumsum(omega, out=offsets[1:])
+    return omega, sqdiv, (flat, offsets)
 
-    return FactorizationTable(lo, hi, omega, sqdiv, factors)
+
+def build_table(lo: int, hi: int, factor_lists: bool = True) -> FactorizationTable:
+    """Factorization table for [lo, hi); requires 1 <= lo < hi.
+
+    Sieves with every prime up to sqrt(hi - 1), in two regimes.  Primes
+    below 2^10 that can hit twice (p < hi - lo) walk the interval by
+    strides of p, p^2, p^3, ...; every other prime is expanded with its
+    multiples into (position, prime) pairs, in batches of at most 2^22
+    pairs, which are counted and divided out with numpy's ``bincount`` and
+    ``ufunc.at``.  The cofactor left at each position is 1 or a prime above
+    sqrt(hi - 1).  With ``factor_lists`` the prime factors are kept as one
+    flat int64 array plus offsets (CSR), not a list per element.
+
+    Raises ``BudgetError`` past SEGMENT_BUDGET elements or past sieving
+    primes above SEGMENT_BUDGET (hi above about 2^48).
+    """
+    if lo < 1 or hi <= lo:
+        raise PreconditionError(f"need 1 <= lo < hi, got [{lo}, {hi})")
+    primes = _sieving_primes(lo, hi)
+    return FactorizationTable(lo, hi, *_sieve(lo, hi, primes, factor_lists))
 
 
 def prime_flags_interval(lo: int, hi: int) -> np.ndarray:
     """Bool array over [lo, hi): True exactly at primes."""
     if hi <= lo:
         raise PreconditionError("empty interval")
-    if hi - lo > SEGMENT_BUDGET:
-        raise BudgetError(f"interval length {hi - lo} exceeds budget {SEGMENT_BUDGET}")
+    primes = _sieving_primes(lo, hi)
     flags = np.ones(hi - lo, dtype=bool)
     for n in range(lo, min(hi, 2)):
         flags[n - lo] = False
-    for p in _primes_upto(isqrt(hi - 1)).tolist():
+    for p in primes.tolist():
         start = max(p * p, -(-lo // p) * p)
         if start < hi:
             flags[start - lo :: p] = False

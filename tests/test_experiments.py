@@ -100,6 +100,14 @@ def test_cmd_reduce_deterministic():
     assert a.results != c.results or a.params == c.params
 
 
+def test_cmd_reduce_skips_omega_trim_past_sieve_budget():
+    # the hull ends past 2^48, where the sieve refuses its primes
+    rep = cmd_reduce(2**49 + 1, 2, 64, delta="1/2", seed=0)
+    assert rep.results[-1] == {"step": "omega-trim", "note": "skipped (hull outside sieve budget)"}
+    trimmed = cmd_reduce(1, 3, 500, delta="1/2", seed=11).results[-1]
+    assert trimmed["step"] == "omega-trim" and "retained_fraction" in trimmed
+
+
 def test_cmd_nk_reports_asymptotic_k():
     rep = cmd_nk(0.0, 1.0, 2, a=101, d=1, L=100, witness=True)
     row = rep.results[0]

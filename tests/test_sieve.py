@@ -3,10 +3,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from multable.errors import BudgetError, PreconditionError
 from multable.progressions import ArithmeticProgression as AP
 from multable.sieve import (
+    SEGMENT_BUDGET,
     build_table,
     count_large_square_divisible,
     divisors,
@@ -63,6 +66,56 @@ def test_sieve_oracle_equivalence_1e12():
         n = rnd.randrange(2, 10**12)
         t = build_table(n, n + 1)
         _check_against_trial_division(t, n)
+
+
+# the primes on either side of the 2^10 split between strided and batched sieving
+_BELOW_SPLIT, _ABOVE_SPLIT = 1021, 1031
+# the largest hi whose sieving primes stay within budget
+_TOP = (SEGMENT_BUDGET + 1) ** 2
+
+
+@given(st.integers(1, 10**12), st.integers(1, 4096))
+@example(1, 4096)
+@example(_BELOW_SPLIT**2 - 700, 1200)
+@example(_ABOVE_SPLIT**2 - 2, 4)
+@example(_BELOW_SPLIT**3 - 1500, 2048)
+@example(_ABOVE_SPLIT**3 - 1, 2)
+@example(_BELOW_SPLIT**2 * _ABOVE_SPLIT**2 - 1, 1)
+@example(2**39, 1)
+@example(2**39 - 2000, 4096)
+@example(_TOP - 4096, 4096)
+def test_build_table_matches_factorization(lo, length):
+    hi = lo + length
+    t = build_table(lo, hi)
+    # every element: the listed primes are prime, ascending, and divide n
+    # out completely; omega and the square divisor follow from the exponents
+    for n in range(lo, hi):
+        pf = t.prime_factors(n)
+        assert all(type(p) is int for p in pf)
+        assert pf == sorted(set(pf)) and all(is_prime(p) for p in pf)
+        m, sq = n, 1
+        for p in pf:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            assert e >= 1
+            sq *= p ** (2 * (e // 2))
+        assert m == 1
+        assert t.omega(n) == len(pf)
+        assert t.largest_square_divisor(n) == sq
+        assert t.is_squarefree(n) == (sq == 1)
+    # a spread of elements against trial division
+    for n in range(lo, hi, max(1, length // 16)):
+        _check_against_trial_division(t, n)
+    _check_against_trial_division(t, hi - 1)
+
+
+def test_prime_flags_agree_with_table():
+    for lo, hi in ((1, 10**5), (10**12, 10**12 + (1 << 16))):
+        t = build_table(lo, hi, factor_lists=False)
+        want = (t.omega_array == 1) & t.squarefree_array
+        assert np.array_equal(prime_flags_interval(lo, hi), want)
 
 
 def test_omega_multiplicative_on_coprime_pairs():
@@ -157,5 +210,11 @@ def test_divisors():
 def test_budget_errors():
     with pytest.raises(BudgetError):
         build_table(1, 2 + (1 << 24))
+    # sieving primes past SEGMENT_BUDGET: refused before anything is allocated
+    for lo in (_TOP, 1 << 50):
+        with pytest.raises(BudgetError):
+            build_table(lo, lo + 10)
+        with pytest.raises(BudgetError):
+            prime_flags_interval(lo, lo + 10)
     with pytest.raises(PreconditionError):
         build_table(0, 5)
