@@ -8,9 +8,17 @@ counts over reduced fractions a1/a2), so the two routes must agree
 exactly before a result is returned.
 
 Both routes count sorted arrays, never dicts.  All arithmetic is exact:
-they run in int64 only when products and fraction keys provably fit, and
-on Python integers (``OBJECT_PAIR_BUDGET`` pairs at most) otherwise, so
-no result ever silently overflows.
+products run in int64 only when they provably fit, and on Python integers
+(``OBJECT_PAIR_BUDGET`` pairs at most) otherwise, so no result ever
+silently overflows.  A same-set energy sorts only the products a_i*a_j
+with i <= j and recovers the counts over ordered pairs from them.
+
+Quotient keys are float64 when every element of both sets is below 2^26
+(``FLOAT_KEY_BITS``).  That is exact: such integers convert to float
+exactly and division is correctly rounded, so equal fractions give equal
+keys; and two distinct fractions in [-1, 1] with denominators below 2^26
+differ by more than 2^-52, over two ulps, so they never share a key.
+Larger elements are keyed on the reduced fraction in integers.
 """
 
 from __future__ import annotations
@@ -31,15 +39,18 @@ BITSET_BUDGET = 1 << 29   # max entries of the dense product bitmap
 BITSET_MIN_DENSITY = 2.0**-10
 BRUTEFORCE_BUDGET = 10**4  # max |A|*|B| for the quadratic oracle
 OBJECT_PAIR_BUDGET = 1 << 20  # max pairs per exact Python-int fallback
+FLOAT_KEY_BITS = 26  # quotient keys are float64 for elements below 2^26
 
 
 @dataclass
 class EnergyReport:
     """Exact energy, the trivial 2|A||B| cap ``diag_bound`` on tuples that
-    reuse a pair, and the product histogram when it was asked for."""
+    reuse a pair, the number of distinct products |A.B|, and the product
+    histogram when it was asked for."""
 
     energy: int
     diag_bound: int
+    product_count: int
     histogram: dict[int, int] | None = None
 
 
@@ -75,8 +86,33 @@ def _kernel_arrays(A: IntSet, B: IntSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_products(A: IntSet, B: IntSet) -> np.ndarray:
-    """All products a*b as one array, row by row."""
-    return np.multiply.outer(*_kernel_arrays(A, B)).ravel()
+    """All products a*b as one array, row by row.
+
+    When A and B are the same set, only the a_i*a_j with i <= j: row i is
+    a_i*A[i:], written in place, so no n x n array is ever allocated.
+    """
+    a, b = _kernel_arrays(A, B)
+    if A != B:
+        return np.multiply.outer(a, b).ravel()
+    n = len(a)
+    out = np.empty(n * (n + 1) // 2, dtype=a.dtype)
+    k = 0
+    for i in range(n):
+        np.multiply(a[i], a[i:], out=out[k : k + n - i])
+        k += n - i
+    return out
+
+
+def _product_counts(A: IntSet, B: IntSet) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct products a*b and their counts over ordered pairs."""
+    vals, cnts = np.unique(_pair_products(A, B), return_counts=True)
+    if A == B:
+        # r(x) = 2c(x) - d(x): a pair i < j stands for (i, j) and (j, i), and
+        # d(x) counts the i with a_i^2 = x, which is 2 when s and -s are in A
+        sq, d = np.unique(np.square(np.array(A, dtype=vals.dtype)), return_counts=True)
+        cnts *= 2
+        cnts[np.searchsorted(vals, sq)] -= d
+    return vals, cnts
 
 
 def _mark_entries(A: IntSet, B: IntSet) -> int:
@@ -108,10 +144,20 @@ def _product_marks(A: IntSet, B: IntSet) -> np.ndarray:
 def _quotient_counts(S: IntSet, bits: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted keys and counts of the quotients s_i/s_j over pairs i < j.
 
-    A pair is keyed on the reduced p/q with q > 0 and |p| <= q, which stands
-    for both s_i/s_j and s_j/s_i, as p*2^bits + q.  Every |s| < 2^bits, so
-    keys are distinct, and they fit int64 when bits <= 31.
+    A pair is keyed on its quotient p/q with |p/q| <= 1, which stands for
+    both s_i/s_j and s_j/s_i.  Every |s| < 2^bits.  For bits <=
+    FLOAT_KEY_BITS the key is the float64 value of p/q (exact, see the
+    module docstring): the ordered pairs with -1 < s_i/s_j < 1 give one key
+    each, and each pair {s, -s} adds the key -1.  Otherwise the key is the
+    reduced p/q with q > 0 packed as p*2^bits + q, in int64 when bits <= 31.
     """
+    if bits <= FLOAT_KEY_BITS:
+        arr = np.array(S, dtype=np.float64)
+        r = np.divide.outer(arr, arr)
+        inside = r < 1
+        inside &= r > -1
+        keys = np.concatenate((r[inside], np.full(_antipodes(S), -1.0)))
+        return np.unique(keys, return_counts=True)
     dt = _kernel_dtype(bits <= 31, len(S) * (len(S) - 1) // 2)
     arr = np.array(S, dtype=dt)
     p, q = (arr[k] for k in np.triu_indices(len(S), 1))
@@ -135,7 +181,7 @@ def _checked_energy(A: IntSet, B: IntSet, qa, qb) -> tuple[int, np.ndarray, np.n
     ``qa`` and ``qb`` are the quotient keys and counts of A and of B from
     ``_quotient_keys``; the same object twice for a same-set energy.
     """
-    vals, cnts = np.unique(_pair_products(A, B), return_counts=True)
+    vals, cnts = _product_counts(A, B)
     e_prod = int((cnts * cnts).sum())
 
     # sum_x r_{A/A}(x) r_{B/B}(x): x = 1 gives |A||B|; every other x shares
@@ -174,20 +220,22 @@ def energy(A: IntSet, B: IntSet | None = None, with_histogram: bool = False) -> 
     A, B = _energy_sets(A, B)
     e, vals, cnts = _checked_energy(A, B, *_quotient_keys(A, B))
     hist = dict(zip(vals.tolist(), cnts.tolist())) if with_histogram else None
-    return EnergyReport(energy=e, diag_bound=2 * len(A) * len(B), histogram=hist)
+    return EnergyReport(
+        energy=e, diag_bound=2 * len(A) * len(B), product_count=len(vals), histogram=hist
+    )
 
 
 def energy_bruteforce(A: IntSet, B: IntSet | None = None) -> int:
     """Quadratic pair-against-pair oracle for the energy; independent path.
 
-    Compares every (a1, b1) product against every (a2, b2) product, so the
-    cost is (|A||B|)^2 comparisons; guarded at |A||B| <= 10^4.
+    Compares every ordered (a1, b1) product against every (a2, b2) product,
+    so the cost is (|A||B|)^2 comparisons; guarded at |A||B| <= 10^4.
     """
     A = intset(A)
     B = A if B is None else intset(B)
     if len(A) * len(B) > BRUTEFORCE_BUDGET:
         raise BudgetError(f"|A|*|B| = {len(A) * len(B)} exceeds {BRUTEFORCE_BUDGET}")
-    p = _pair_products(A, B)
+    p = np.multiply.outer(*_kernel_arrays(A, B)).ravel()
     total = 0
     step = max(1, (1 << 24) // max(1, p.size))
     for i in range(0, p.size, step):

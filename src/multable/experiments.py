@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .energy import _product_marks, cs_floor, energy, offdiag_tuples, product_set
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, InternalCheckError, PreconditionError
 from .progressions import ArithmeticProgression, intset
 from .reduction import DirectBound, Reduced, large_a_energy_bound, reduce, trimmed_set
 from .primestats import NkQuery, ShiuQuery, nk_last_prime_extension, nk_set, shiu_mean
@@ -137,7 +137,12 @@ def cmd_ap_product(a: int, d: int, L: int, seed: int = 0, threads: int = 1) -> E
     zeros_removed = int(0 in A)
     A = [x for x in A if x != 0]
     prod = product_set(A, A)
-    e = energy(A).energy
+    rep = energy(A)
+    if rep.product_count != len(prod):
+        raise InternalCheckError(
+            f"product_set gives {len(prod)} products, the energy kernel {rep.product_count}"
+        )
+    e = rep.energy
     bound_rhs = large_a_energy_bound(ap, subset_size=len(A)) if a > 0 and gcd(a, d) == 1 else None
     tuples = offdiag_tuples(A, energy_value=e) if a > 0 and L <= 512 else None
     row = {

@@ -88,14 +88,17 @@ def _primes_upto(limit: int) -> np.ndarray:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} by trial division up to sqrt(n).
 
-    The remainder scan over the cached prime array is vectorized, so this
-    stays usable up to n around 1e13 or so.
+    The remainder scan over the cached prime array is vectorized.  Trial
+    primes are capped at SEGMENT_BUDGET, so n must be below about 2^48;
+    larger n raises ``BudgetError`` before anything is allocated.
     """
     if n < 1:
         raise PreconditionError("factorize needs n >= 1")
     if n == 1:
         return {}
     root = isqrt(n)
+    if root > SEGMENT_BUDGET:
+        raise BudgetError(f"trial primes up to {root} exceed budget {SEGMENT_BUDGET}")
     primes = _primes_upto(root)
     hits = primes[n % primes == 0] if len(primes) else primes
     fac: dict[int, int] = {}
@@ -113,7 +116,8 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def divisors(n: int) -> list[int]:
-    """Sorted list of all positive divisors of n."""
+    """Sorted list of all positive divisors of n; n below about 2^48, as for
+    ``factorize``."""
     divs = [1]
     for p, e in factorize(n).items():
         divs = [d * p**k for d in divs for k in range(e + 1)]

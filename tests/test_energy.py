@@ -1,11 +1,13 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from multable.energy import (
+    _quotient_counts,
     cs_energy_split,
     cs_product_lower_bound,
     energy,
@@ -33,6 +35,26 @@ wide_sets = st.sets(
     min_size=1,
     max_size=12,
 ).map(sorted)
+
+
+def _key_sets(scales):
+    """Sets of small multiples k*s, |k| <= 6, of the given scales, with the
+    negatives of up to three elements added, so antipodes {s, -s} occur and
+    a square s^2 is the product of two diagonal pairs."""
+    elems = st.sets(
+        st.builds(lambda k, s: k * s, st.integers(-6, 6).filter(lambda x: x != 0),
+                  st.sampled_from(scales)),
+        min_size=1,
+        max_size=10,
+    )
+    return st.tuples(elems, st.integers(0, 3)).map(
+        lambda t: sorted(t[0] | {-x for x in sorted(t[0])[: t[1]]})
+    )
+
+
+# every |k*s| < 2^26 (float64 quotient keys), and scales from 2^26 on (integer keys)
+small_key_sets = _key_sets([1, 3, 7, 2**26 // 6 - 1])
+any_key_sets = _key_sets([1, 3, 7, 2**26 // 6 - 1, 2**26, 2**26 + 1, 3 * 2**25])
 
 
 def test_product_set_examples():
@@ -212,3 +234,47 @@ def test_energy_diagonal_floor():
         e = energy(A, with_histogram=False).energy
         n = len(A)
         assert e >= max(n * n, 2 * n * n - n)
+
+
+@given(small_key_sets, any_key_sets)
+def test_energy_matches_bruteforce_across_key_routes(A, B):
+    # both sets below 2^26 key on floats, a partner from 2^26 on switches both to integers
+    e_a, e_b, e_ab = energy_bruteforce(A), energy_bruteforce(B), energy_bruteforce(A, B)
+    assert energy(A).energy == e_a
+    assert energy(B).energy == e_b
+    assert energy(A, B).energy == energy(B, A).energy == e_ab
+    rhs, ok = cs_energy_split(A, B)
+    assert ok and rhs == math.sqrt(e_a * e_b)
+
+
+@given(any_key_sets)
+def test_energy_histogram_counts_ordered_pairs(A):
+    want = Counter(a * b for a in A for b in A)
+    rep = energy(A, with_histogram=True)
+    assert rep.histogram == want
+    assert rep.product_count == len(want)
+
+
+@given(small_key_sets)
+def test_float_quotient_keys_match_integer_keys(A):
+    # the packed integer keys p*2^31 + q, decoded to the float of p/q
+    keys, counts = _quotient_counts(A, 26)
+    int_keys, int_counts = _quotient_counts(A, 31)
+    decoded = {}
+    for k, c in zip(int_keys.tolist(), int_counts.tolist()):
+        q = k % 2**31
+        decoded[((k - q) >> 31) / q] = c
+    assert dict(zip(keys.tolist(), counts.tolist())) == decoded
+
+
+def test_energy_at_float_key_bound():
+    # max |s| = 2^26 - 1 keys the quotients on floats and 2^26 on reduced
+    # fractions; the sets share every multiplicative relation, so they agree
+    results = set()
+    for top in (2**26 - 1, 2**26):
+        A = [-top, -3, -1, 1, 3, top]
+        B = [1, 3, 9, top]
+        got = (energy(A).energy, energy(A, B).energy, cs_energy_split(A, B))
+        assert got[:2] == (energy_bruteforce(A), energy_bruteforce(A, B))
+        results.add(got)
+    assert len(results) == 1

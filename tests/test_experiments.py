@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from multable.energy import cs_product_lower_bound, energy_bruteforce, offdiag_tuples, product_set
-from multable.errors import BudgetError, PreconditionError
+import multable.experiments as ex
+from multable.errors import BudgetError, InternalCheckError, PreconditionError
 from multable.experiments import (
     THETA,
     cmd_ap_product,
@@ -82,6 +83,13 @@ def test_cmd_ap_product_matches_library():
             assert row["offdiag_tuples"] == offdiag_tuples(A)
 
 
+def test_cmd_ap_product_checks_product_count(monkeypatch):
+    # product_count comes from product_set and again from the energy kernel
+    monkeypatch.setattr(ex, "product_set", lambda A, B: product_set(A, B)[1:])
+    with pytest.raises(InternalCheckError):
+        cmd_ap_product(7, 3, 40)
+
+
 def test_cmd_ap_product_strips_zero():
     row = cmd_ap_product(-2, 2, 3).results[0]  # {-2, 0, 2}
     assert row["zeros_removed"] == 1
@@ -151,6 +159,15 @@ def test_cli_json_roundtrip(tmp_path):
     assert r.returncode == 0
     payload = json.loads(out.read_text())
     assert payload["results"][0]["count"] == 42
+
+
+def test_cli_runs_as_package():
+    r = subprocess.run(
+        [sys.executable, "-m", "multable", "energy", "--set", "1,2,3"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["results"][0]["energy"] == 15
 
 
 def test_cli_exit_codes():

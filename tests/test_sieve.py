@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import multable.sieve as sieve
 from multable.errors import BudgetError, PreconditionError
 from multable.progressions import ArithmeticProgression as AP
 from multable.sieve import (
@@ -205,6 +206,14 @@ def test_divisors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
     assert divisors(97) == [1, 97]
+
+
+def test_factorize_budget(monkeypatch):
+    # n = 2^62 + 1 needs trial primes up to 2^31, a 2 GiB sieve: refused first
+    monkeypatch.setattr(sieve, "_primes_upto", lambda limit: pytest.fail("sieved past the budget"))
+    for f in (factorize, divisors):
+        with pytest.raises(BudgetError):
+            f(2**62 + 1)
 
 
 def test_budget_errors():
