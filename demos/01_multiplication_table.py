@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """How many distinct products does an N x N multiplication table hold?
 
-The exact count is computed by marking achieved products in a dense bit
-array, row by row.  The interesting quantity is the normalized ratio
+The exact count is computed by sweeping the values in fixed-size windows
+and marking, row by row, the products that fall in each one.  The interesting quantity is the normalized ratio
 
     count * (log N)^(2 theta) * (log log N)^(3/2) / N^2
 

@@ -17,12 +17,12 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, log
+from math import gcd, isqrt, log
 
 import numpy as np
 
 from . import __version__
-from .energy import _product_marks, cs_floor, energy, offdiag_tuples, product_set
+from .energy import cs_floor, energy, offdiag_tuples, product_set
 from .errors import BudgetError, InternalCheckError, PreconditionError
 from .progressions import ArithmeticProgression, intset
 from .reduction import DirectBound, Reduced, large_a_energy_bound, reduce, trimmed_set
@@ -35,6 +35,7 @@ from .smirnov import (
 )
 
 TABLE_MAX_N = 1 << 16
+TABLE_WINDOW = 1 << 21  # values per window of the table counter, about L2-sized
 PAIRS_BUDGET = 1 << 26
 
 
@@ -106,11 +107,33 @@ def _finish(command: str, params: dict, results: list[dict], seed: int, threads:
 
 
 def table_count(N: int) -> int:
-    """|[N].[N]| exactly: the marked entries of the product bitmap of [N]."""
+    """|[N].[N]| exactly, by a sweep over value windows [v, v + W).
+
+    In a window, row i of the table (i <= j) holds the products i*j with j
+    in [max(i, ceil(v/i)), min(N, (v + W - 1)//i)], one progression of step
+    i, so each row is one strided slice of a reused bool buffer of
+    W = TABLE_WINDOW entries.  Memory is O(W) for every N.
+    """
     if not 1 <= N <= TABLE_MAX_N:
         raise PreconditionError(f"N must be in [1, {TABLE_MAX_N}]")
-    r = list(range(1, N + 1))
-    return int(np.count_nonzero(_product_marks(r, r)))
+    W = min(TABLE_WINDOW, N * N)
+    win = np.empty(W, dtype=bool)
+    total = 0
+    for v in range(1, N * N + 1, W):
+        end = v + W - 1
+        win[:] = False
+        for i in range((v + N - 1) // N, min(N, isqrt(end)) + 1):
+            # plain comparisons: this loop runs about N^3 / (6W) times
+            lo = (v + i - 1) // i
+            if lo < i:
+                lo = i
+            hi = end // i
+            if hi > N:
+                hi = N
+            # no multiple of i in the window: i*lo > end, so the slice is empty
+            win[i * lo - v : i * hi - v + 1 : i] = True
+        total += int(np.count_nonzero(win))
+    return total
 
 
 def normalized_ratio(N: int, count: int) -> float | None:

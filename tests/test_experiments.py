@@ -3,9 +3,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from multable.energy import cs_product_lower_bound, energy_bruteforce, offdiag_tuples, product_set
+from multable.energy import _product_marks, cs_product_lower_bound, energy_bruteforce, offdiag_tuples, product_set
 import multable.experiments as ex
 from multable.errors import BudgetError, InternalCheckError, PreconditionError
 from multable.experiments import (
@@ -36,6 +37,30 @@ def test_table_counts():
     assert table_count(10) == 42
     r = list(range(1, 13))
     assert table_count(12) == len(product_set(r, r, "merge"))
+    # OEIS A027424
+    assert [table_count(N) for N in range(1, 11)] == [1, 3, 6, 9, 14, 18, 25, 30, 36, 42]
+    assert table_count(1 << 14) == 59415059
+
+
+def _bitmap_count(N):
+    r = list(range(1, N + 1))
+    return int(np.count_nonzero(_product_marks(r, r)))
+
+
+# The windowed counter visits about N^3 / (6W) rows, so the narrowest windows
+# run on the smaller tables; every window but the default makes rows straddle
+# window edges, and the default does from N = 1449 on.
+@pytest.mark.parametrize("window, sizes", [
+    (1, range(1, 41)),
+    (7, range(1, 61)),
+    (64, range(1, 201)),
+    (1000, [*range(1, 201), 257, 509, 1000, 1024]),
+    (ex.TABLE_WINDOW, [1448, 1449, 2047, 3001, 4096]),
+])
+def test_windowed_table_matches_bitmap(monkeypatch, window, sizes):
+    monkeypatch.setattr(ex, "TABLE_WINDOW", window)
+    for N in sizes:
+        assert table_count(N) == _bitmap_count(N), (window, N)
 
 
 def test_table_oracle_enumeration():
@@ -48,7 +73,8 @@ def test_table_bounds():
     with pytest.raises(PreconditionError):
         table_count(1 << 17)
     with pytest.raises(BudgetError):
-        table_count(1 << 15)  # the product bitmap stops at 2^29 entries
+        r = list(range(1, (1 << 15) + 1))
+        product_set(r, r, "bitset")  # the product bitmap stops at 2^29 entries
 
 
 def test_normalized_ratio_small_N_undefined():
@@ -172,7 +198,7 @@ def test_cli_runs_as_package():
 
 def test_cli_exit_codes():
     assert _run_cli("mertens", "1").returncode == 2
-    assert _run_cli("table", "40000").returncode == 3  # bitset budget
+    assert _run_cli("smirnov", "-n", "401", "-u", "5", "-w", "5").returncode == 3  # EXACT_BUDGET
     assert _run_cli("table", "90000").returncode == 2  # beyond the N cap
     assert _run_cli("energy", "--set", "1,2,3").returncode == 0
 
