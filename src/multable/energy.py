@@ -13,6 +13,9 @@ products run in int64 only when they provably fit, and on Python integers
 silently overflows.  A same-set energy sorts only the products a_i*a_j
 with i <= j and recovers the counts over ordered pairs from them.
 
+Every pair-kernel array is sized before it is allocated, and one past
+``PAIRS_BUDGET`` entries raises ``BudgetError``.
+
 Quotient keys are float64 when every element of both sets is below 2^26
 (``FLOAT_KEY_BITS``).  That is exact: such integers convert to float
 exactly and division is correctly rounded, so equal fractions give equal
@@ -35,18 +38,26 @@ from .errors import BudgetError, InternalCheckError, PreconditionError, RetriesE
 from .progressions import IntSet, intset
 from .sieve import divisors
 
-BITSET_BUDGET = 1 << 29   # max entries of the dense product bitmap
-BITSET_MIN_DENSITY = 2.0**-10
 BRUTEFORCE_BUDGET = 10**4  # max |A|*|B| for the quadratic oracle
+PAIRS_BUDGET = 1 << 26  # max entries of one pair-kernel array
 OBJECT_PAIR_BUDGET = 1 << 20  # max pairs per exact Python-int fallback
 FLOAT_KEY_BITS = 26  # quotient keys are float64 for elements below 2^26
+OFFDIAG_PAIR_BUDGET = 10**7  # max co-occurring quotient pairs in offdiag_tuples
 
 
 @dataclass
 class EnergyReport:
     """Exact energy, the trivial 2|A||B| cap ``diag_bound`` on tuples that
     reuse a pair, the number of distinct products |A.B|, and the product
-    histogram when it was asked for."""
+    histogram when it was asked for.
+
+    ``product_count`` is the number of distinct keys of the product-side
+    histogram and has no second route of its own, because it needs none:
+    on every call the quotient side checks that histogram's sum of r(x)^2
+    exactly, and a lost product, or a product class wrongly split or
+    merged, changes that sum.  ``cs_floor`` also checks |A|^2|B|^2 <=
+    E |A.B| exactly, in integers.
+    """
 
     energy: int
     diag_bound: int
@@ -66,11 +77,16 @@ def _energy_sets(A: IntSet, B: IntSet | None) -> tuple[IntSet, IntSet]:
     return A, B
 
 
-def _kernel_dtype(fits_int64: bool, pairs: int):
-    """int64 when the pair kernel's values provably fit, else exact Python
-    ints in object arrays, for at most OBJECT_PAIR_BUDGET pairs."""
-    if fits_int64:
-        return np.int64
+def _kernel_dtype(fast, pairs: int):
+    """The dtype of a pair-kernel array of ``pairs`` entries: ``fast``, a
+    numpy dtype that provably holds every value exactly, or exact Python ints
+    in object arrays when ``fast`` is None.  Raises BudgetError, before
+    anything is allocated, past PAIRS_BUDGET pairs, or past
+    OBJECT_PAIR_BUDGET pairs in objects."""
+    if pairs > PAIRS_BUDGET:
+        raise BudgetError(f"{pairs} pairs exceed the pair budget {PAIRS_BUDGET}")
+    if fast is not None:
+        return fast
     if pairs > OBJECT_PAIR_BUDGET:
         raise BudgetError(f"{pairs} pairs in exact object arithmetic exceed {OBJECT_PAIR_BUDGET}")
     return object
@@ -81,7 +97,7 @@ def _kernel_arrays(A: IntSet, B: IntSet) -> tuple[np.ndarray, np.ndarray]:
     |a*b| < 2^62 for all pairs, else Python ints.  A magnitude counts as at
     least 1, so a set {0} does not let its partner's elements pass as fitting."""
     fits = max(1, -A[0], A[-1]) * max(1, -B[0], B[-1]) < 1 << 62
-    dt = _kernel_dtype(fits, len(A) * len(B))
+    dt = _kernel_dtype(np.int64 if fits else None, len(A) * len(B))
     return np.array(A, dtype=dt), np.array(B, dtype=dt)
 
 
@@ -135,32 +151,6 @@ def _product_counts(A: IntSet, B: IntSet) -> tuple[np.ndarray, np.ndarray]:
     return vals, cnts
 
 
-def _mark_entries(A: IntSet, B: IntSet) -> int:
-    """Length of the product bitmap over [0, A[-1]*B[-1]]; raises unless both
-    sets are nonnegative and it fits BITSET_BUDGET."""
-    if A[0] < 0 or B[0] < 0:
-        raise PreconditionError("the product bitmap needs nonnegative inputs")
-    entries = A[-1] * B[-1] + 1
-    if entries > BITSET_BUDGET:
-        raise BudgetError(f"product bitmap needs {entries} entries, budget {BITSET_BUDGET}")
-    return entries
-
-
-def _product_marks(A: IntSet, B: IntSet) -> np.ndarray:
-    """Bool array over [0, A[-1]*B[-1]] that marks every product a*b.
-
-    When A and B are the same set, row i marks only a_i*B[i:]: a_i*a_j with
-    j < i is already marked by row j.
-    """
-    marks = np.zeros(_mark_entries(A, B), dtype=bool)
-    a, b = _kernel_arrays(A, B)
-    same = A == B
-    for i in range(len(a)):
-        # an object row (one set is {0}) holds exact zeros; index with int64
-        marks[(a[i] * b[i if same else 0 :]).astype(np.int64, copy=False)] = True
-    return marks
-
-
 def _quotient_counts(S: IntSet, bits: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted keys and counts of the quotients s_i/s_j over pairs i < j.
 
@@ -172,13 +162,13 @@ def _quotient_counts(S: IntSet, bits: int) -> tuple[np.ndarray, np.ndarray]:
     reduced p/q with q > 0 packed as p*2^bits + q, in int64 when bits <= 31.
     """
     if bits <= FLOAT_KEY_BITS:
-        arr = np.array(S, dtype=np.float64)
+        arr = np.array(S, dtype=_kernel_dtype(np.float64, len(S) ** 2))  # the n x n quotients
         r = np.divide.outer(arr, arr)
         inside = r < 1
         inside &= r > -1
         keys = np.concatenate((r[inside], np.full(_antipodes(S), -1.0)))
         return _sorted_counts(keys)
-    dt = _kernel_dtype(bits <= 31, len(S) * (len(S) - 1) // 2)
+    dt = _kernel_dtype(np.int64 if bits <= 31 else None, len(S) * (len(S) - 1) // 2)
     arr = np.array(S, dtype=dt)
     p, q = (arr[k] for k in np.triu_indices(len(S), 1))
     g = np.gcd(p, q)
@@ -263,41 +253,15 @@ def energy_bruteforce(A: IntSet, B: IntSet | None = None) -> int:
     return total
 
 
-def product_set(A: IntSet, B: IntSet, strategy: str = "auto") -> IntSet:
-    """Sorted distinct pairwise products of A and B.
-
-    Strategies: ``bitset`` (dense mark array, nonnegative inputs within
-    ``BITSET_BUDGET`` entries), ``hash`` (distinct products via sorting), and
-    ``merge`` (k-way merge of the dilates a*B, the oracle).  ``auto`` picks
-    bitset when its density rule holds, else hash.  All strategies return
-    identical sets.
-    """
+def product_set(A: IntSet, B: IntSet) -> IntSet:
+    """Sorted distinct pairwise products of A and B, from one sort of the
+    pair products (only the a_i*a_j with i <= j when A and B are the same
+    set); raises BudgetError past PAIRS_BUDGET pairs.  ``_product_merge``, a
+    k-way merge of the dilates a*B, is the oracle for it in tests."""
     A = intset(A)
     B = intset(B)
     if not A or not B:
         raise PreconditionError("product_set needs nonempty sets")
-    if strategy == "auto":
-        strategy = "bitset" if _bitset_eligible(A, B) else "hash"
-    if strategy == "bitset":
-        return np.flatnonzero(_product_marks(A, B)).tolist()
-    if strategy == "hash":
-        return _product_hash(A, B)
-    if strategy == "merge":
-        return _product_merge(A, B)
-    raise PreconditionError(f"unknown strategy {strategy!r}")
-
-
-def _bitset_eligible(A: IntSet, B: IntSet) -> bool:
-    """auto's choice: a bitmap that ``_mark_entries`` allows, with at most
-    1/BITSET_MIN_DENSITY entries a pair."""
-    try:
-        entries = _mark_entries(A, B)
-    except (PreconditionError, BudgetError):
-        return False
-    return len(A) * len(B) >= entries * BITSET_MIN_DENSITY
-
-
-def _product_hash(A: IntSet, B: IntSet) -> IntSet:
     return _sorted_counts(_pair_products(A, B))[0].tolist()
 
 
@@ -312,7 +276,7 @@ def _product_merge(A: IntSet, B: IntSet) -> IntSet:
     return out
 
 
-def offdiag_tuples(A: IntSet, pair_budget: int = 10**7, energy_value: int | None = None) -> int:
+def offdiag_tuples(A: IntSet, energy_value: int | None = None) -> int:
     """Count of grids (x1, x2, y1, y2), x1 < x2, y1 < y2, all x_i*y_j in A.
 
     Enumerates x over divisors of elements of A (any valid x divides some
@@ -329,8 +293,8 @@ def offdiag_tuples(A: IntSet, pair_budget: int = 10**7, energy_value: int | None
         for x in divisors(a):
             quotients.setdefault(x, []).append(a // x)
     work = sum(len(ys) * (len(ys) - 1) // 2 for ys in quotients.values())
-    if work > pair_budget:
-        raise BudgetError(f"co-occurrence work {work} exceeds budget {pair_budget}")
+    if work > OFFDIAG_PAIR_BUDGET:
+        raise BudgetError(f"co-occurrence work {work} exceeds budget {OFFDIAG_PAIR_BUDGET}")
     common = Counter()
     for ys in quotients.values():
         common.update(combinations(sorted(ys), 2))
@@ -348,8 +312,8 @@ def offdiag_tuples(A: IntSet, pair_budget: int = 10**7, energy_value: int | None
 def cs_product_lower_bound(A: IntSet, B: IntSet) -> float:
     """The Cauchy-Schwarz floor |A|^2|B|^2 / E(A,B) for |A.B|; re-checked."""
     A, B = _energy_sets(A, B)
-    e = energy(A, B).energy
-    return cs_floor(len(A), len(B), e, len(product_set(A, B)))
+    rep = energy(A, B)
+    return cs_floor(len(A), len(B), rep.energy, rep.product_count)
 
 
 def cs_floor(size_a: int, size_b: int, e: int, n_prod: int) -> float:

@@ -22,8 +22,8 @@ from math import gcd, isqrt, log
 import numpy as np
 
 from . import __version__
-from .energy import cs_floor, energy, offdiag_tuples, product_set
-from .errors import BudgetError, InternalCheckError, PreconditionError
+from .energy import PAIRS_BUDGET, cs_floor, energy, offdiag_tuples
+from .errors import BudgetError, PreconditionError
 from .progressions import ArithmeticProgression, intset
 from .reduction import DirectBound, Reduced, large_a_energy_bound, reduce, trimmed_set
 from .primestats import NkQuery, ShiuQuery, nk_last_prime_extension, nk_set, shiu_mean
@@ -36,7 +36,6 @@ from .smirnov import (
 
 TABLE_MAX_N = 1 << 16
 TABLE_WINDOW = 1 << 21  # values per window of the table counter, about L2-sized
-PAIRS_BUDGET = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -153,31 +152,28 @@ def cmd_table(N: int, seed: int = 0, threads: int = 1) -> ExperimentReport:
 
 def cmd_ap_product(a: int, d: int, L: int, seed: int = 0, threads: int = 1) -> ExperimentReport:
     t0 = time.perf_counter()
-    if L * L > PAIRS_BUDGET:
-        raise BudgetError(f"L^2 = {L * L} exceeds pair budget {PAIRS_BUDGET}")
     ap = ArithmeticProgression(a, d, L)
-    A = ap.elements()
-    zeros_removed = int(0 in A)
-    A = [x for x in A if x != 0]
-    prod = product_set(A, A)
+    zeros_removed = int(0 in ap)
+    n = L - zeros_removed
+    # L comes from outside: refuse before the elements are built, on the
+    # budget the energy kernel enforces once they exist
+    if n * n > PAIRS_BUDGET:
+        raise BudgetError(f"{n}^2 pairs exceed the pair budget {PAIRS_BUDGET}")
+    A = [x for x in ap.elements() if x != 0]
     rep = energy(A)
-    if rep.product_count != len(prod):
-        raise InternalCheckError(
-            f"product_set gives {len(prod)} products, the energy kernel {rep.product_count}"
-        )
-    e = rep.energy
+    e, n_prod = rep.energy, rep.product_count
     bound_rhs = large_a_energy_bound(ap, subset_size=len(A)) if a > 0 and gcd(a, d) == 1 else None
     tuples = offdiag_tuples(A, energy_value=e) if a > 0 and L <= 512 else None
     row = {
         "a": a, "d": d, "L": L,
         "zeros_removed": zeros_removed,
-        "product_count": len(prod),
+        "product_count": n_prod,
         "energy": e,
-        "cs_lower_bound": cs_floor(len(A), len(A), e, len(prod)),
+        "cs_lower_bound": cs_floor(len(A), len(A), e, n_prod),
         "energy_upper_bound": bound_rhs,
         "offdiag_tuples": tuples,
         "normalized_ratio": (
-            len(prod) * log(L) ** THETA.two_theta / (L * L) if L >= 2 else None
+            n_prod * log(L) ** THETA.two_theta / (L * L) if L >= 2 else None
         ),
     }
     params = {"a": a, "d": d, "L": L, "two_theta": THETA.two_theta}
@@ -189,8 +185,6 @@ def cmd_energy(values, seed: int = 0, threads: int = 1) -> ExperimentReport:
     A = intset(values)
     zeros_removed = int(0 in A)
     A = [x for x in A if x != 0]
-    if len(A) * len(A) > PAIRS_BUDGET:
-        raise BudgetError("set too large for the energy budget")
     rep = energy(A)
     row = {
         "size": len(A),

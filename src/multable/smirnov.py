@@ -180,9 +180,6 @@ class SandwichReport:
     factor: float
     probability: float
 
-    def astuple(self):
-        return self.lower, self.upper, self.volume, self.hypotheses_met
-
 
 def volume_sandwich(
     n: int, N: float, alpha: float, beta: float, C: float = 8.0, budget: int = EXACT_BUDGET

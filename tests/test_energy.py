@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from collections import Counter
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multable.energy import (
+    _product_merge,
     _quotient_counts,
     cs_energy_split,
     cs_product_lower_bound,
@@ -18,6 +20,9 @@ from multable.energy import (
 )
 from multable.errors import BudgetError, PreconditionError
 from multable.progressions import dilate
+
+# multable.energy is also the name of the function the package re-exports
+en = importlib.import_module("multable.energy")
 
 nonzero_sets = st.sets(
     st.integers(-10**6, 10**6).filter(lambda x: x != 0), min_size=1, max_size=25
@@ -72,11 +77,8 @@ def test_product_strategies_agree_random():
         else:
             A = sorted(rnd.sample(range(-10**5, 10**5), rnd.randrange(1, 15)))
             B = sorted(rnd.sample(range(-10**5, 10**5), rnd.randrange(1, 15)))
-        for X, Y in ((A, B), (A, A)):  # (A, A) takes the bitset's same-set triangle
-            ref = product_set(X, Y, "hash")
-            assert product_set(X, Y, "merge") == ref
-            if X[0] >= 0 and Y[0] >= 0 and X[-1] * Y[-1] < (1 << 22):
-                assert product_set(X, Y, "bitset") == ref
+        for X, Y in ((A, B), (A, A)):  # (A, A) takes the same-set triangle
+            assert product_set(X, Y) == _product_merge(X, Y)
 
 
 def test_energy_examples():
@@ -189,9 +191,8 @@ def test_quotient_product_identity_object_path():
 
 def test_zero_set_partner_past_int64():
     # {0} times anything is {0}; the int64 guard must not let 2^70 through
-    for strategy in ("auto", "bitset", "hash", "merge"):
-        assert product_set([0], [2**70], strategy) == [0]
-        assert product_set([2**70], [0], strategy) == [0]
+    assert product_set([0], [2**70]) == _product_merge([0], [2**70]) == [0]
+    assert product_set([2**70], [0]) == _product_merge([2**70], [0]) == [0]
     assert energy_bruteforce([0], [2**70]) == 1
 
 
@@ -216,6 +217,28 @@ def test_object_fallback_budget():
     # int64 products, but B's quotient keys need Python integers: 1449*1448/2 > 2^20
     with pytest.raises(BudgetError):
         energy([1], [2**31 + i for i in range(1449)])
+
+
+def test_pair_budget(monkeypatch):
+    # a budget of 64 pairs: 8 elements fit it and 9 do not, on every route
+    monkeypatch.setattr(en, "PAIRS_BUDGET", 64)
+    small, large = list(range(1, 9)), list(range(1, 10))
+    big = [2**26 + i for i in range(12)]  # integer quotient keys: 66 pairs i < j
+    assert energy(small).energy == energy_bruteforce(small)
+    assert product_set(small, small) == _product_merge(small, small)
+    for call in (
+        # each quotient side on its own, as energy builds it before the products
+        lambda: _quotient_counts(large, en.FLOAT_KEY_BITS),
+        lambda: _quotient_counts(big, 27),
+        lambda: energy(large),
+        lambda: energy(big),
+        lambda: energy([1, 2], large),
+        lambda: cs_energy_split([1, 2], large),
+        lambda: product_set(large, large),
+        lambda: product_set([1], list(range(1, 66))),
+    ):
+        with pytest.raises(BudgetError):
+            call()
 
 
 def test_dilation_invariance_100_random_sets():

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from multable.energy import _product_marks, cs_product_lower_bound, energy_bruteforce, offdiag_tuples, product_set
+from multable.energy import _product_merge, cs_product_lower_bound, energy_bruteforce, offdiag_tuples, product_set
 import multable.experiments as ex
 from multable.errors import BudgetError, InternalCheckError, PreconditionError
 from multable.experiments import (
@@ -23,6 +24,9 @@ from multable.experiments import (
     table_count,
 )
 
+# multable.energy is also the name of the function the package re-exports
+en = importlib.import_module("multable.energy")
+
 
 def test_theta_constants():
     assert abs(THETA.theta - 0.0430) < 5e-4
@@ -36,18 +40,19 @@ def test_table_counts():
     assert table_count(4) == 9
     assert table_count(10) == 42
     r = list(range(1, 13))
-    assert table_count(12) == len(product_set(r, r, "merge"))
+    assert table_count(12) == len(_product_merge(r, r))
     # OEIS A027424
     assert [table_count(N) for N in range(1, 11)] == [1, 3, 6, 9, 14, 18, 25, 30, 36, 42]
     assert table_count(1 << 14) == 59415059
 
 
-def _bitmap_count(N):
+def _sorted_count(N):
     r = list(range(1, N + 1))
-    return int(np.count_nonzero(_product_marks(r, r)))
+    return len(product_set(r, r))
 
 
-# The windowed counter visits about N^3 / (6W) rows, so the narrowest windows
+# The reference counts the sorted products, sharing no code with the windowed
+# counter.  That counter visits about N^3 / (6W) rows, so the narrowest windows
 # run on the smaller tables; every window but the default makes rows straddle
 # window edges, and the default does from N = 1449 on.
 @pytest.mark.parametrize("window, sizes", [
@@ -60,7 +65,7 @@ def _bitmap_count(N):
 def test_windowed_table_matches_bitmap(monkeypatch, window, sizes):
     monkeypatch.setattr(ex, "TABLE_WINDOW", window)
     for N in sizes:
-        assert table_count(N) == _bitmap_count(N), (window, N)
+        assert table_count(N) == _sorted_count(N), (window, N)
 
 
 def test_table_oracle_enumeration():
@@ -74,7 +79,7 @@ def test_table_bounds():
         table_count(1 << 17)
     with pytest.raises(BudgetError):
         r = list(range(1, (1 << 15) + 1))
-        product_set(r, r, "bitset")  # the product bitmap stops at 2^29 entries
+        product_set(r, r)  # 2^30 pairs exceed PAIRS_BUDGET
 
 
 def test_normalized_ratio_small_N_undefined():
@@ -103,17 +108,33 @@ def test_cmd_ap_product_matches_library():
         A = [x for x in range(a, a + d * L, d) if x]
         row = cmd_ap_product(a, d, L).results[0]
         assert row["energy"] == energy_bruteforce(A)
-        assert row["product_count"] == len(product_set(A, A, "merge"))
+        assert row["product_count"] == len(_product_merge(A, A))
         assert row["cs_lower_bound"] == cs_product_lower_bound(A, A)
         if a > 0:
             assert row["offdiag_tuples"] == offdiag_tuples(A)
 
 
-def test_cmd_ap_product_checks_product_count(monkeypatch):
-    # product_count comes from product_set and again from the energy kernel
-    monkeypatch.setattr(ex, "product_set", lambda A, B: product_set(A, B)[1:])
+def test_quotient_check_guards_product_count(monkeypatch):
+    # product_count has no second route: a product lost from the pair kernel
+    # must fail the quotient side's exact check of the sum of r(x)^2
+    pair_products = en._pair_products
+    # entry 1 of the same-set triangle is a_0*a_1, off the diagonal
+    monkeypatch.setattr(en, "_pair_products", lambda A, B: np.delete(pair_products(A, B), 1))
+    with pytest.raises(InternalCheckError):
+        en.energy(list(range(7, 127, 3)))
     with pytest.raises(InternalCheckError):
         cmd_ap_product(7, 3, 40)
+
+
+def test_pair_budget_counts_nonzero_elements(monkeypatch):
+    # a budget of 64 pairs: 8 nonzero elements fit it, 9 do not
+    monkeypatch.setattr(en, "PAIRS_BUDGET", 64)
+    monkeypatch.setattr(ex, "PAIRS_BUDGET", 64)
+    row = cmd_ap_product(-4, 1, 9).results[0]  # {-4, ..., 4}
+    assert row["zeros_removed"] == 1 and row["energy"] == energy_bruteforce([-4, -3, -2, -1, 1, 2, 3, 4])
+    for call in (lambda: cmd_ap_product(1, 1, 9), lambda: cmd_energy(range(1, 10))):
+        with pytest.raises(BudgetError):
+            call()
 
 
 def test_cmd_ap_product_strips_zero():
@@ -200,6 +221,9 @@ def test_cli_exit_codes():
     assert _run_cli("mertens", "1").returncode == 2
     assert _run_cli("smirnov", "-n", "401", "-u", "5", "-w", "5").returncode == 3  # EXACT_BUDGET
     assert _run_cli("table", "90000").returncode == 2  # beyond the N cap
+    # 8193^2 pairs exceed PAIRS_BUDGET = 2^26
+    assert _run_cli("ap-product", "1", "1", "8193").returncode == 3
+    assert _run_cli("energy", "--set", ",".join(map(str, range(1, 8194)))).returncode == 3
     assert _run_cli("energy", "--set", "1,2,3").returncode == 0
 
 
