@@ -3,9 +3,10 @@
 
 P(U_(j) >= c_j for all j) is the chance that n sorted uniforms stay above
 a staircase.  The exact conditioning recursion handles any non-decreasing
-boundary; a counter-based Monte Carlo cross-checks it; and the special
-line boundary c_j = (j - u)/(n + w - u) admits the classic approximation
-1 - exp(-2uw/n).  The same probability, scaled by N^n / n!, is the volume
+boundary; a Monte Carlo that draws batch i from SFC64 seeded with
+SeedSequence((seed, i)) cross-checks it (its estimates differ from 0.1.0's
+Philox stream at the same seed); and the special line boundary
+c_j = (j - u)/(n + w - u) admits the classic approximation 1 - exp(-2uw/n).  The same probability, scaled by N^n / n!, is the volume
 of the ordered region {0 <= x_1 <= ... <= x_n <= N, x_j >= alpha j - beta},
 and a closed-form envelope pins that volume within [X/4, 3X] once the
 slack parameters are large enough.

@@ -90,6 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> ex.ExperimentReport:
     seed, threads = args.seed, args.threads
+    if seed < 0:
+        raise PreconditionError("--seed must be non-negative")
     if args.cmd == "table":
         return ex.cmd_table(args.N, seed=seed, threads=threads)
     if args.cmd == "ap-product":

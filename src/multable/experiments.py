@@ -35,6 +35,7 @@ from .smirnov import (
 )
 
 TABLE_MAX_N = 1 << 16
+REDUCE_MAX_L = 1 << 22
 TABLE_WINDOW = 1 << 21  # values per window of the table counter, about L2-sized
 
 
@@ -199,6 +200,9 @@ def cmd_reduce(
     a: int, d: int, L: int, delta: str = "1", seed: int = 0, threads: int = 1
 ) -> ExperimentReport:
     t0 = time.perf_counter()
+    # L comes from outside: refuse before the L elements are built
+    if L > REDUCE_MAX_L:
+        raise BudgetError(f"L = {L} beyond the reduce budget {REDUCE_MAX_L}")
     dlt = Fraction(delta)
     ap = ArithmeticProgression(a, d, L)
     elems = ap.elements()

@@ -13,8 +13,10 @@ points uniform on [0, s],
 and the answer is G(n, 1).  The binomial weights are evaluated as stable
 binomial pmf values and the tables accumulate in extended precision.
 
-Monte Carlo estimates use a counter-based generator keyed by (seed, batch),
-so results are bit-identical under any parallel schedule.
+Monte Carlo draws batch i from its own SFC64 stream seeded with
+SeedSequence((seed, i)), so results are bit-identical under any parallel
+schedule.  This stream replaced 0.1.0's Philox keyed (seed, batch): Monte
+Carlo estimates differ from 0.1.0 at the same seed, exact values do not.
 """
 
 from __future__ import annotations
@@ -91,6 +93,9 @@ def noncrossing_probability_exact(b: SmirnovBoundary, budget: int = EXACT_BUDGET
     # F[r, m] = G(r, c_m) for r < m <= n+1
     F = np.zeros((n + 1, n + 2), dtype=np.longdouble)
     F[0, :] = 1.0
+    # the binomial weights of one step, widened to extended precision in
+    # place; the largest step holds (n + 1 - r) * r <= (n + 2)^2 / 4 weights
+    wbuf = np.empty((n + 2) ** 2 // 4, dtype=np.longdouble)
     for r in range(1, n + 1):
         cr = carr[r]
         if cr == 0.0:
@@ -106,7 +111,12 @@ def noncrossing_probability_exact(b: SmirnovBoundary, budget: int = EXACT_BUDGET
                 + np.outer(np.log(x), rr)
                 + np.outer(np.log1p(-x), r - rr)
             )
-        F[r, r + 1 :] = np.exp(logs) @ F[:r, r]
+        # exp stays in float64 (a longdouble exp would change the weights'
+        # bits); np.dot adds each row's products in index order in one
+        # extended-precision accumulator
+        w = wbuf[: logs.size].reshape(logs.shape)
+        np.exp(logs, out=w, dtype=np.float64)
+        np.dot(w, F[:r, r], out=F[r, r + 1 :])
     return float(F[n, n + 1])
 
 
@@ -114,23 +124,22 @@ def noncrossing_probability_mc(
     b: SmirnovBoundary, samples: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo estimate and binomial standard error of the non-crossing
-    probability; batch i draws from Philox keyed (seed, counter i << 128),
-    so the result is independent of scheduling and thread count."""
+    probability.  Batch i of MC_BATCH rows draws from SFC64 seeded with
+    SeedSequence((seed, i)), so the result is independent of scheduling and
+    thread count; the batches share one reused buffer."""
     if samples < MC_MIN_SAMPLES:
         raise PreconditionError(f"needs at least {MC_MIN_SAMPLES} samples")
-    n = b.n
+    if seed < 0:
+        raise PreconditionError("needs seed >= 0")
     c = np.asarray(b.c, dtype=np.float64)
+    buf = np.empty((min(MC_BATCH, samples), b.n))
     hits = 0
-    done = 0
-    batch_index = 0
-    while done < samples:
-        take = min(MC_BATCH, samples - done)
-        bitgen = np.random.Philox(key=seed, counter=batch_index << 128)
-        u = np.random.Generator(bitgen).random((take, n))
+    for i, start in enumerate(range(0, samples, MC_BATCH)):
+        u = buf[: min(MC_BATCH, samples - start)]
+        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, i))))
+        gen.random(out=u)
         u.sort(axis=1)
         hits += int((u >= c).all(axis=1).sum())
-        done += take
-        batch_index += 1
     est = hits / samples
     return est, math.sqrt(est * (1.0 - est) / samples)
 

@@ -9,6 +9,7 @@ import pytest
 
 from multable.energy import _product_merge, cs_product_lower_bound, energy_bruteforce, offdiag_tuples, product_set
 import multable.experiments as ex
+from multable import cli
 from multable.errors import BudgetError, InternalCheckError, PreconditionError
 from multable.experiments import (
     THETA,
@@ -225,6 +226,26 @@ def test_cli_exit_codes():
     assert _run_cli("ap-product", "1", "1", "8193").returncode == 3
     assert _run_cli("energy", "--set", ",".join(map(str, range(1, 8194)))).returncode == 3
     assert _run_cli("energy", "--set", "1,2,3").returncode == 0
+
+
+def test_cli_rejects_negative_seed(capsys):
+    assert cli.main(["smirnov", "-n", "50", "-u", "5", "-w", "5",
+                     "--samples", "10000", "--seed", "-1"]) == 2
+    assert cli.main(["reduce", "1", "1", "100", "--delta", "1/2", "--seed", "-1"]) == 2
+    assert cli.main(["reduce", "1", "1", "100", "--seed", "-1"]) == 2
+    assert cli.main(["--seed", "-1", "table", "10"]) == 2
+
+
+def test_cli_reduce_budget(monkeypatch, capsys):
+    # refused before the elements are built: building them would exit 4
+    def no_elements(self):
+        raise AssertionError("elements built past the budget")
+    monkeypatch.setattr(ex.ArithmeticProgression, "elements", no_elements)
+    assert cli.main(["reduce", "1", "1", str(ex.REDUCE_MAX_L + 1)]) == 3
+    monkeypatch.undo()
+    monkeypatch.setattr(ex, "REDUCE_MAX_L", 100)
+    assert cli.main(["reduce", "1", "1", "100"]) == 0
+    assert cli.main(["reduce", "1", "1", "101"]) == 3
 
 
 def test_cli_csv_format():

@@ -7,6 +7,7 @@ import pytest
 
 from multable.errors import BudgetError, PreconditionError
 from multable.smirnov import (
+    MC_BATCH,
     SmirnovBoundary,
     volume_sandwich,
     noncrossing_probability_exact,
@@ -92,6 +93,26 @@ def test_mc_is_deterministic():
     assert a != c
 
 
+@pytest.mark.parametrize("samples", [MC_BATCH + 17, 2 * MC_BATCH])
+def test_mc_stream_contract(samples):
+    # batch i draws its rows from SFC64 seeded with SeedSequence((seed, i));
+    # MC_BATCH + 17 ends in a partial batch of the reused buffer
+    b = SmirnovBoundary.from_line(30, 3.0, 4.0)
+    seed = 12345
+    hits = 0
+    for i, start in enumerate(range(0, samples, MC_BATCH)):
+        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, i))))
+        u = np.sort(gen.random((min(MC_BATCH, samples - start), b.n)), axis=1)
+        hits += int(np.all(u >= np.asarray(b.c), axis=1).sum())
+    est = hits / samples
+    assert noncrossing_probability_mc(b, samples, seed) == (est, math.sqrt(est * (1 - est) / samples))
+
+
+def test_mc_rejects_negative_seed():
+    with pytest.raises(PreconditionError):
+        noncrossing_probability_mc(B([0.2, 0.5]), 10**4, seed=-1)
+
+
 def test_qn_examples():
     assert q_n(3, 2, 2) == 1.0  # u >= n: boundary vacuous
     assert q_n(1, 1, 2) == pytest.approx(0.75, abs=1e-10)
@@ -117,6 +138,18 @@ def test_qn_deviation_statistic_grid():
             dev = abs(v - (1 - math.exp(-2 * u * w / n))) * n / (u + w)
             worst = max(worst, dev)
     assert worst <= 2.0, f"deviation statistic reached {worst}"
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                    reason="values recorded with x87 extended precision")
+def test_exact_route_bits_pinned():
+    # float-for-float values of the recursion; a change in the order or
+    # precision of its sums shows here before any tolerance test notices
+    with pytest.warns(RuntimeWarning):  # n = 400 > PRECISION_WARN_AT
+        assert q_n(5.0, 5.0, 400) == 0.12476760926455362
+    assert q_n(2.0, 7.0, 123) == 0.22779307874239502
+    a = math.log(4)
+    assert volume_sandwich(100, a * (100 - 8 + 16), a, 8 * a).probability == 0.9207007946006824
 
 
 def test_region_volume_examples():
