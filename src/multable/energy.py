@@ -13,6 +13,13 @@ products run in int64 only when they provably fit, and on Python integers
 silently overflows.  A same-set energy sorts only the products a_i*a_j
 with i <= j and recovers the counts over ordered pairs from them.
 
+The quotient side orders each set by |s| and keys every pair i < j of that
+order on t_i/t_j, so every key lies in [-1, 1] and a pair {s, -s} gives -1.
+Both sides write their pairs by triangle rows into one array and sort it in
+place, so nothing n x n is allocated; ``energy`` reduces its product side
+to numbers before it builds the quotient keys, so the two sides' arrays are
+never alive together.
+
 Every pair-kernel array is sized before it is allocated, and one past
 ``PAIRS_BUDGET`` entries raises ``BudgetError``.
 
@@ -101,42 +108,59 @@ def _kernel_arrays(A: IntSet, B: IntSet) -> tuple[np.ndarray, np.ndarray]:
     return np.array(A, dtype=dt), np.array(B, dtype=dt)
 
 
-def _pair_products(A: IntSet, B: IntSet) -> np.ndarray:
-    """All products a*b as one array, row by row.
-
-    When A and B are the same set, only the a_i*a_j with i <= j: row i is
-    a_i*A[i:], written in place, so no n x n array is ever allocated.
-    """
-    a, b = _kernel_arrays(A, B)
-    if A != B:
-        return np.multiply.outer(a, b).ravel()
-    n = len(a)
-    out = np.empty(n * (n + 1) // 2, dtype=a.dtype)
+def _triangle(op, t: np.ndarray, diagonal: bool) -> np.ndarray:
+    """op(t_i, t_j) over the pairs i < j (i <= j with ``diagonal``) as one
+    array of t's dtype, row by row: row i is op(t_i, t[i + 1:]) (or
+    op(t_i, t[i:])), written in place, so no n x n array is ever allocated."""
+    n = len(t)
+    off = 0 if diagonal else 1
+    out = np.empty(n * (n + 1) // 2 - off * n, dtype=t.dtype)
     k = 0
-    for i in range(n):
-        np.multiply(a[i], a[i:], out=out[k : k + n - i])
-        k += n - i
+    for i in range(n - off):
+        w = n - i - off
+        op(t[i], t[i + off :], out=out[k : k + w])
+        k += w
     return out
 
 
+def _pair_products(A: IntSet, B: IntSet) -> np.ndarray:
+    """All products a*b as one array; when A and B are the same set, only
+    the a_i*a_j with i <= j, by triangle rows."""
+    a, b = _kernel_arrays(A, B)
+    if A != B:
+        return np.multiply.outer(a, b).ravel()
+    return _triangle(np.multiply, a, diagonal=True)
+
+
+COMPACT_BLOCK = 1 << 16  # distinct values moved to the front of x per step
+
+
 def _sorted_counts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values of x and how often each occurs.
+    """Sorted distinct values of x and how often each occurs.  Sorts x in
+    place; the values returned are a view of its front.
 
     One sort and a change-point mask.  In numpy 2.4, ``np.unique`` with
     counts costs about twice a bare sort, and without them it takes a hash
-    path many times slower than a sort on int64 data.  Works on object
-    arrays too.
+    path many times slower than a sort on int64 data.  The values are
+    compacted over x and the counts over the change points, so beside x the
+    peak is one bool an entry, then one int64 a distinct value.  Works on
+    object arrays too.
     """
-    s = np.sort(x)
-    start = np.empty(s.size, dtype=bool)
+    x.sort()
+    start = np.empty(x.size, dtype=bool)
     start[:1] = True
-    np.not_equal(s[1:], s[:-1], out=start[1:])
+    np.not_equal(x[1:], x[:-1], out=start[1:])
     idx = np.flatnonzero(start)
-    # counts written in place: a temporary here would raise energy's peak
-    cnts = np.empty_like(idx)
-    np.subtract(idx[1:], idx[:-1], out=cnts[:-1])
-    cnts[-1:] = s.size - idx[-1:]
-    return s[idx], cnts
+    del start
+    # idx[k] >= k, so a block reads only entries that no earlier block has
+    # overwritten; x[idx] in one go would copy every distinct value
+    for lo in range(0, idx.size, COMPACT_BLOCK):
+        block = idx[lo : lo + COMPACT_BLOCK]
+        x[lo : lo + block.size] = x[block]
+    # the output trails the input, so numpy runs this forward with no copy
+    np.subtract(idx[1:], idx[:-1], out=idx[:-1])
+    idx[-1:] = x.size - idx[-1:]
+    return x[: idx.size], idx
 
 
 def _product_counts(A: IntSet, B: IntSet) -> tuple[np.ndarray, np.ndarray]:
@@ -152,31 +176,27 @@ def _product_counts(A: IntSet, B: IntSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _quotient_counts(S: IntSet, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted keys and counts of the quotients s_i/s_j over pairs i < j.
+    """Sorted keys and counts of the quotients t_i/t_j over the pairs i < j
+    of S ordered by |s|, built by triangle rows.
 
-    A pair is keyed on its quotient p/q with |p/q| <= 1, which stands for
-    both s_i/s_j and s_j/s_i.  Every |s| < 2^bits.  For bits <=
-    FLOAT_KEY_BITS the key is the float64 value of p/q (exact, see the
-    module docstring): the ordered pairs with -1 < s_i/s_j < 1 give one key
-    each, and each pair {s, -s} adds the key -1.  Otherwise the key is the
-    reduced p/q with q > 0 packed as p*2^bits + q, in int64 when bits <= 31.
+    Such a pair has |t_i/t_j| <= 1, and its key stands for both t_i/t_j and
+    t_j/t_i; a pair {s, -s} gives -1.  Every |s| < 2^bits.  For bits <=
+    FLOAT_KEY_BITS the key is the float64 value of t_i/t_j (exact, see the
+    module docstring), and the budget is checked at n*n entries before
+    anything is allocated.  Otherwise the key is the reduced p/q with q > 0
+    packed as p*2^bits + q, in int64 when bits <= 31.
     """
+    t = sorted(S, key=abs)
     if bits <= FLOAT_KEY_BITS:
-        arr = np.array(S, dtype=_kernel_dtype(np.float64, len(S) ** 2))  # the n x n quotients
-        r = np.divide.outer(arr, arr)
-        inside = r < 1
-        inside &= r > -1
-        keys = np.concatenate((r[inside], np.full(_antipodes(S), -1.0)))
-        return _sorted_counts(keys)
+        arr = np.array(t, dtype=_kernel_dtype(np.float64, len(S) ** 2))
+        return _sorted_counts(_triangle(np.divide, arr, diagonal=False))
     dt = _kernel_dtype(np.int64 if bits <= 31 else None, len(S) * (len(S) - 1) // 2)
-    arr = np.array(S, dtype=dt)
-    p, q = (arr[k] for k in np.triu_indices(len(S), 1))
-    g = np.gcd(p, q)
-    p //= g
-    q //= g
-    flip = np.abs(p) > np.abs(q)
-    p, q = np.where(flip, q, p), np.where(flip, p, q)
-    return _sorted_counts(np.sign(q) * (p * (1 << bits) + q))
+
+    def packed(p, q, out):
+        g = np.gcd(p, q) * np.sign(q)  # divides p/q to lowest terms with q > 0
+        np.add(p // g * (1 << bits), q // g, out=out)
+
+    return _sorted_counts(_triangle(packed, np.array(t, dtype=dt), diagonal=False))
 
 
 def _antipodes(S: IntSet) -> int:
@@ -184,36 +204,40 @@ def _antipodes(S: IntSet) -> int:
     return len({-s for s in S if s < 0}.intersection(S))
 
 
-def _checked_energy(A: IntSet, B: IntSet, qa, qb) -> tuple[int, np.ndarray, np.ndarray]:
-    """E(A, B) with the sorted distinct products and their counts, after the
-    exact check of the product side against the quotient side.
+def _product_energy(A: IntSet, B: IntSet, with_histogram: bool = False):
+    """E(A, B) from the product side, |A.B|, and the product histogram when
+    asked for; the pair arrays are freed when it returns."""
+    vals, cnts = _product_counts(A, B)
+    hist = dict(zip(vals.tolist(), cnts.tolist())) if with_histogram else None
+    return int(np.dot(cnts, cnts)), len(vals), hist
+
+
+def _check_quotient_side(e_prod: int, A: IntSet, B: IntSet, qa, qb) -> None:
+    """Raise InternalCheckError unless the quotient side gives E(A, B) =
+    ``e_prod`` exactly.
 
     ``qa`` and ``qb`` are the quotient keys and counts of A and of B from
     ``_quotient_keys``; the same object twice for a same-set energy.
     """
-    vals, cnts = _product_counts(A, B)
-    e_prod = int((cnts * cnts).sum())
-
     # sum_x r_{A/A}(x) r_{B/B}(x): x = 1 gives |A||B|; every other x shares
     # its key with 1/x, except x = -1, which both orientations of a pair
     # {s, -s} hit, so that key counts twice more
     (ka, ca), (kb, cb) = qa, qb
     if qa is qb:
-        dot = int((ca * ca).sum())
+        dot = int(np.dot(ca, ca))
     else:
         _, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
-        dot = int((ca[ia] * cb[ib]).sum())
+        dot = int(np.dot(ca[ia], cb[ib]))
     e_quot = len(A) * len(B) + 2 * dot + 2 * _antipodes(A) * _antipodes(B)
     if e_prod != e_quot:
         raise InternalCheckError(
             f"product-side energy {e_prod} != quotient-side energy {e_quot}"
         )
-    return e_prod, vals, cnts
 
 
 def _quotient_keys(A: IntSet, B: IntSet):
     """Quotient keys and counts of A and of B in one key width, as
-    ``_checked_energy`` takes them: one object when A is B."""
+    ``_check_quotient_side`` takes them: one object when A is B."""
     bits = max(-A[0], A[-1], -B[0], B[-1]).bit_length()
     qa = _quotient_counts(A, bits)
     return qa, qa if A is B else _quotient_counts(B, bits)
@@ -225,13 +249,14 @@ def energy(A: IntSet, B: IntSet | None = None, with_histogram: bool = False) -> 
     Requires 0 absent from both sets.  The product-side sum of squared
     representation counts is the returned value; the quotient-side sum
     (same-set: sum of r_{A/A}^2; cross: dot of r_{A/A} with r_{B/B}) is
-    recomputed on every call and must match exactly.
+    recomputed on every call and must match exactly.  The product side is
+    reduced to its numbers before the quotient keys are built.
     """
     A, B = _energy_sets(A, B)
-    e, vals, cnts = _checked_energy(A, B, *_quotient_keys(A, B))
-    hist = dict(zip(vals.tolist(), cnts.tolist())) if with_histogram else None
+    e, count, hist = _product_energy(A, B, with_histogram)
+    _check_quotient_side(e, A, B, *_quotient_keys(A, B))
     return EnergyReport(
-        energy=e, diag_bound=2 * len(A) * len(B), product_count=len(vals), histogram=hist
+        energy=e, diag_bound=2 * len(A) * len(B), product_count=count, histogram=hist
     )
 
 
@@ -327,13 +352,15 @@ def cs_floor(size_a: int, size_b: int, e: int, n_prod: int) -> float:
 def cs_energy_split(A: IntSet, B: IntSet) -> tuple[float, bool]:
     """sqrt(E(A) * E(B)) and whether E(A,B) is below it (exact check).
 
-    Each set's quotient keys are built once and serve all three energies.
+    The three product sides are reduced to numbers first; then each set's
+    quotient keys are built once and serve all three checks.
     """
     A, B = _energy_sets(A, B)
+    e_ab, e_a, e_b = (_product_energy(X, Y)[0] for X, Y in ((A, B), (A, A), (B, B)))
     qa, qb = _quotient_keys(A, B)
-    e_ab = _checked_energy(A, B, qa, qb)[0]
-    e_a = _checked_energy(A, A, qa, qa)[0]
-    e_b = _checked_energy(B, B, qb, qb)[0]
+    _check_quotient_side(e_ab, A, B, qa, qb)
+    _check_quotient_side(e_a, A, A, qa, qa)
+    _check_quotient_side(e_b, B, B, qb, qb)
     ok = e_ab * e_ab <= e_a * e_b
     return sqrt(e_a * e_b), ok
 
@@ -346,6 +373,8 @@ def random_energy_subset(A: IntSet, seed: int, max_retries: int = 1000) -> IntSe
     draws succeeds in expectation, so exhausting the retries signals a bug.
     """
     A, _ = _energy_sets(A, None)
+    if seed < 0:
+        raise PreconditionError("needs seed >= 0")
     e_a = energy(A).energy
     n = len(A)
     p = min(1.0, n * n / e_a)

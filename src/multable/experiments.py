@@ -210,6 +210,8 @@ def cmd_reduce(
         A = elems
     else:
         want = math.ceil(dlt * L)
+        if seed < 0:
+            raise PreconditionError("needs seed >= 0")
         rng = np.random.default_rng(seed)
         A = sorted(elems[i] for i in rng.choice(L, size=want, replace=False))
     trace = reduce(A, ap, dlt)

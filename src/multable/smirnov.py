@@ -93,9 +93,12 @@ def noncrossing_probability_exact(b: SmirnovBoundary, budget: int = EXACT_BUDGET
     # F[r, m] = G(r, c_m) for r < m <= n+1
     F = np.zeros((n + 1, n + 2), dtype=np.longdouble)
     F[0, :] = 1.0
-    # the binomial weights of one step, widened to extended precision in
-    # place; the largest step holds (n + 1 - r) * r <= (n + 2)^2 / 4 weights
-    wbuf = np.empty((n + 2) ** 2 // 4, dtype=np.longdouble)
+    # the binomial weights of one step: their logs in two float64 buffers,
+    # then widened to extended precision in a third; the largest step holds
+    # (n + 1 - r) * r <= (n + 2)^2 / 4 weights
+    size = (n + 2) ** 2 // 4
+    lbuf, tbuf = np.empty(size), np.empty(size)
+    wbuf = np.empty(size, dtype=np.longdouble)
     for r in range(1, n + 1):
         cr = carr[r]
         if cr == 0.0:
@@ -105,17 +108,21 @@ def noncrossing_probability_exact(b: SmirnovBoundary, budget: int = EXACT_BUDGET
         # binomial pmf over counts 0..r-1, log-space for stability near x = 1
         rr = np.arange(r, dtype=np.float64)
         lcomb = lgam[r + 1] - lgam[1 : r + 1] - lgam[r + 1 : 1 : -1]
+        shape = (x.size, r)
+        logs = lbuf[: x.size * r].reshape(shape)
+        term = tbuf[: x.size * r].reshape(shape)
+        # logs = (lcomb + log(x) rr) + log1p(-x) (r - rr), in that order
         with np.errstate(divide="ignore"):
-            logs = (
-                lcomb
-                + np.outer(np.log(x), rr)
-                + np.outer(np.log1p(-x), r - rr)
-            )
+            np.outer(np.log(x), rr, out=logs)
+            np.outer(np.log1p(-x), r - rr, out=term)
+        logs += lcomb
+        logs += term
         # exp stays in float64 (a longdouble exp would change the weights'
         # bits); np.dot adds each row's products in index order in one
         # extended-precision accumulator
-        w = wbuf[: logs.size].reshape(logs.shape)
-        np.exp(logs, out=w, dtype=np.float64)
+        np.exp(logs, out=logs)
+        w = wbuf[: x.size * r].reshape(shape)
+        np.copyto(w, logs)
         np.dot(w, F[:r, r], out=F[r, r + 1 :])
     return float(F[n, n + 1])
 

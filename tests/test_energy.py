@@ -1,8 +1,10 @@
 import importlib
 import math
 import random
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -288,6 +290,40 @@ def test_float_quotient_keys_match_integer_keys(A):
         q = k % 2**31
         decoded[((k - q) >> 31) / q] = c
     assert dict(zip(keys.tolist(), counts.tolist())) == decoded
+
+
+def _nxn_float_keys(S):
+    """The float keys as the n x n construction built them: every ordered pair
+    with -1 < s_i/s_j < 1 once, and -1 once for each pair {s, -s}."""
+    arr = np.array(S, dtype=np.float64)
+    r = np.divide.outer(arr, arr)
+    antipodes = len({-s for s in S if s < 0}.intersection(S))
+    keys = np.concatenate((r[(r < 1) & (r > -1)], np.full(antipodes, -1.0)))
+    return np.unique(keys, return_counts=True)
+
+
+@given(small_key_sets)
+def test_float_quotient_triangle_matches_nxn(A):
+    keys, counts = _quotient_counts(A, 26)
+    want_keys, want_counts = _nxn_float_keys(A)
+    assert keys.tolist() == want_keys.tolist()
+    assert counts.tolist() == want_counts.tolist()
+
+
+def test_quotient_counts_peak_below_one_nxn_array():
+    # 1024 x 1024 float64 is 8 MiB; the triangle rows, sorted in place, stay below it
+    tracemalloc.start()
+    try:
+        _quotient_counts(list(range(1, 1025)), 26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024 * 8
+
+
+def test_random_energy_subset_rejects_negative_seed():
+    with pytest.raises(PreconditionError):
+        random_energy_subset([1, 2, 3, 4], seed=-1)
 
 
 def test_energy_at_float_key_bound():

@@ -156,6 +156,12 @@ def test_cmd_reduce_deterministic():
     assert a.results != c.results or a.params == c.params
 
 
+def test_cmd_reduce_rejects_negative_seed():
+    # the subset draw takes the seed; a library caller gets the CLI's refusal
+    with pytest.raises(PreconditionError):
+        cmd_reduce(1, 1, 100, delta="1/2", seed=-1)
+
+
 def test_cmd_reduce_skips_omega_trim_past_sieve_budget():
     # the hull ends past 2^48, where the sieve refuses its primes
     rep = cmd_reduce(2**49 + 1, 2, 64, delta="1/2", seed=0)
