@@ -1,17 +1,36 @@
 """Command line front end.
 
 One experiment per invocation; reports go to stdout (or --out) as JSON or
-CSV.  Exit codes: 0 success, 2 precondition violation, 3 budget exceeded,
-4 internal assertion failure.
+CSV.  Exit codes: 0 success, 2 precondition violation or malformed value,
+3 budget exceeded, 4 internal assertion failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 from . import experiments as ex
 from .errors import BudgetError, InternalCheckError, PreconditionError
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
+def _delta(text: str) -> Fraction:
+    try:
+        dlt = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+    if not 0 < dlt <= 1:
+        raise argparse.ArgumentTypeError(f"delta must be in (0, 1], got {text}")
+    return dlt
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,29 +55,33 @@ def build_parser() -> argparse.ArgumentParser:
     global_flags(parser, defaults=True)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_parser(name, **kw):
+    # every dest is a keyword of the subcommand's cmd_* function
+    def add_parser(name, run, **kw):
         p = sub.add_parser(name, **kw)
         global_flags(p, defaults=False)
+        p.set_defaults(run=run)
         return p
 
-    p = add_parser("table", help="exact |[N].[N]| and its normalized ratio")
+    p = add_parser("table", ex.cmd_table, help="exact |[N].[N]| and its normalized ratio")
     p.add_argument("N", type=int)
 
-    p = add_parser("ap-product", help="product set and energy of a progression")
+    p = add_parser("ap-product", ex.cmd_ap_product, help="product set and energy of a progression")
     p.add_argument("a", type=int)
     p.add_argument("d", type=int)
     p.add_argument("L", type=int)
 
-    p = add_parser("energy", help="multiplicative energy of an explicit set")
-    p.add_argument("--set", required=True, help="comma-separated integers")
+    p = add_parser("energy", ex.cmd_energy, help="multiplicative energy of an explicit set")
+    p.add_argument("--set", dest="values", type=_int_list, required=True,
+                   help="comma-separated integers")
 
-    p = add_parser("reduce", help="run the reduction pipeline")
+    p = add_parser("reduce", ex.cmd_reduce, help="run the reduction pipeline")
     p.add_argument("a", type=int)
     p.add_argument("d", type=int)
     p.add_argument("L", type=int)
-    p.add_argument("--delta", default="1", help="density as a fraction, e.g. 3/10")
+    p.add_argument("--delta", type=_delta, default="1",
+                   help="density in (0, 1] as a fraction, e.g. 3/10")
 
-    p = add_parser("nk", help="constrained square-free counts N_k")
+    p = add_parser("nk", ex.cmd_nk, help="constrained square-free counts N_k")
     p.add_argument("a", type=int)
     p.add_argument("d", type=int)
     p.add_argument("L", type=int)
@@ -68,17 +91,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true",
                    help="also count last-prime-extension witnesses")
 
-    p = add_parser("smirnov", help="order-statistic boundary probability")
+    p = add_parser("smirnov", ex.cmd_smirnov, help="order-statistic boundary probability")
     p.add_argument("-n", type=int, default=None)
-    p.add_argument("--c", default=None, help="comma-separated boundary values")
+    p.add_argument("--c", type=_float_list, default=None, help="comma-separated boundary values")
     p.add_argument("-u", type=float, default=None)
     p.add_argument("-w", type=float, default=None)
     p.add_argument("--samples", type=int, default=0, help="Monte Carlo samples (0 = exact only)")
 
-    p = add_parser("mertens", help="sum of prime reciprocals up to x")
+    p = add_parser("mertens", ex.cmd_mertens, help="sum of prime reciprocals up to x")
     p.add_argument("x", type=int)
 
-    p = add_parser("shiu", help="short-interval mean of z^omega(n) vs envelope")
+    p = add_parser("shiu", ex.cmd_shiu, help="short-interval mean of z^omega(n) vs envelope")
     p.add_argument("x", type=int)
     p.add_argument("y", type=int)
     p.add_argument("-k", type=int, default=1)
@@ -89,30 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> ex.ExperimentReport:
-    seed, threads = args.seed, args.threads
-    if seed < 0:
+    if args.seed < 0:
         raise PreconditionError("--seed must be non-negative")
-    if args.cmd == "table":
-        return ex.cmd_table(args.N, seed=seed, threads=threads)
-    if args.cmd == "ap-product":
-        return ex.cmd_ap_product(args.a, args.d, args.L, seed=seed, threads=threads)
-    if args.cmd == "energy":
-        values = [int(v) for v in args.set.split(",") if v.strip()]
-        return ex.cmd_energy(values, seed=seed, threads=threads)
-    if args.cmd == "reduce":
-        return ex.cmd_reduce(args.a, args.d, args.L, delta=args.delta, seed=seed, threads=threads)
-    if args.cmd == "nk":
-        return ex.cmd_nk(args.alpha, args.beta, args.k, args.a, args.d, args.L,
-                         witness=args.witness, seed=seed, threads=threads)
-    if args.cmd == "smirnov":
-        c = [float(v) for v in args.c.split(",")] if args.c else None
-        return ex.cmd_smirnov(n=args.n, c=c, u=args.u, w=args.w,
-                              samples=args.samples, seed=seed, threads=threads)
-    if args.cmd == "mertens":
-        return ex.cmd_mertens(args.x, seed=seed, threads=threads)
-    if args.cmd == "shiu":
-        return ex.cmd_shiu(args.x, args.y, args.k, args.a, args.z, seed=seed, threads=threads)
-    raise PreconditionError(f"unknown command {args.cmd}")
+    kwargs = {k: v for k, v in vars(args).items() if k not in ("cmd", "run", "format", "out")}
+    return args.run(**kwargs)
 
 
 def main(argv=None) -> int:

@@ -50,6 +50,7 @@ PAIRS_BUDGET = 1 << 26  # max entries of one pair-kernel array
 OBJECT_PAIR_BUDGET = 1 << 20  # max pairs per exact Python-int fallback
 FLOAT_KEY_BITS = 26  # quotient keys are float64 for elements below 2^26
 OFFDIAG_PAIR_BUDGET = 10**7  # max co-occurring quotient pairs in offdiag_tuples
+SUBSET_MAX_DRAWS = 1000  # draws of random_energy_subset before it gives up
 
 
 @dataclass
@@ -225,9 +226,13 @@ def _check_quotient_side(e_prod: int, A: IntSet, B: IntSet, qa, qb) -> None:
     (ka, ca), (kb, cb) = qa, qb
     if qa is qb:
         dot = int(np.dot(ca, ca))
+    elif kb.size:
+        at = np.searchsorted(kb, ka)  # sorted distinct keys: B holds ka there or nowhere
+        np.minimum(at, kb.size - 1, out=at)
+        same = kb[at] == ka
+        dot = int(np.dot(ca[same], cb[at[same]]))
     else:
-        _, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
-        dot = int(np.dot(ca[ia], cb[ib]))
+        dot = 0  # a one-element set has no off-diagonal quotients
     e_quot = len(A) * len(B) + 2 * dot + 2 * _antipodes(A) * _antipodes(B)
     if e_prod != e_quot:
         raise InternalCheckError(
@@ -365,12 +370,12 @@ def cs_energy_split(A: IntSet, B: IntSet) -> tuple[float, bool]:
     return sqrt(e_a * e_b), ok
 
 
-def random_energy_subset(A: IntSet, seed: int, max_retries: int = 1000) -> IntSet:
+def random_energy_subset(A: IntSet, seed: int) -> IntSet:
     """A random subset A' with E(A') <= 4|A'|^2 and |A'| >= |A|^3 / (2 E(A)).
 
     Keeps each element independently with probability |A|^2 / E(A) and
     retries until both certified inequalities hold; a positive fraction of
-    draws succeeds in expectation, so exhausting the retries signals a bug.
+    draws succeeds in expectation, so exhausting SUBSET_MAX_DRAWS signals a bug.
     """
     A, _ = _energy_sets(A, None)
     if seed < 0:
@@ -380,7 +385,7 @@ def random_energy_subset(A: IntSet, seed: int, max_retries: int = 1000) -> IntSe
     p = min(1.0, n * n / e_a)
     rng = np.random.default_rng(seed)
     arr = np.array(A, dtype=object)
-    for _ in range(max_retries):
+    for _ in range(SUBSET_MAX_DRAWS):
         mask = rng.random(n) < p
         sub = [int(v) for v in arr[mask]]
         if not sub:
@@ -390,5 +395,5 @@ def random_energy_subset(A: IntSet, seed: int, max_retries: int = 1000) -> IntSe
         if e_sub <= 4 * len(sub) ** 2 and 2 * e_a * len(sub) >= n**3:
             return sub
     raise RetriesExhaustedError(
-        f"no qualifying subset in {max_retries} draws at p = {p:.4g}"
+        f"no qualifying subset in {SUBSET_MAX_DRAWS} draws at p = {p:.4g}"
     )

@@ -204,6 +204,8 @@ def cmd_reduce(
     if L > REDUCE_MAX_L:
         raise BudgetError(f"L = {L} beyond the reduce budget {REDUCE_MAX_L}")
     dlt = Fraction(delta)
+    if not 0 < dlt <= 1:
+        raise PreconditionError(f"delta must be in (0, 1], got {delta}")
     ap = ArithmeticProgression(a, d, L)
     elems = ap.elements()
     if dlt == 1:

@@ -24,12 +24,13 @@ from .sieve import (
     is_prime,
     factorize,
     mertens_sum,
-    prime_flags_interval,
-    sieve_primes,
+    prime_flags,
+    primes_upto,
 )
 
 RECIPROCAL_MAX_K = 5
 RECIPROCAL_MAX_X = 10**7
+RECIPROCAL_MAX_NODES = 10**7  # DFS nodes per reciprocal_sum_lower call
 PRIME_BOUND_MIN_LENGTH = 10**4  # below this the density floor is only reported
 
 
@@ -99,13 +100,7 @@ def prime_count_ap(ap: ArithmeticProgression) -> int:
     dL / (2 phi(d) log L).
     """
     a, d, L = ap.a, ap.d, ap.L
-    if ap.last < 2:
-        return 0
-    i0 = 0 if a >= 2 else -(-(2 - a) // d)
-    lo = a + i0 * d
-    hi = ap.last + 1
-    flags = prime_flags_interval(lo, hi)
-    count = int(flags[::d].sum())
+    count = int(prime_flags(ap).sum())
     if (
         L >= PRIME_BOUND_MIN_LENGTH
         and 0 < d * L < a < 10 * L * math.sqrt(log(L))
@@ -119,9 +114,7 @@ def prime_count_ap(ap: ArithmeticProgression) -> int:
     return count
 
 
-def reciprocal_sum_lower(
-    x: int, k: int, d: int, beta: float, alpha: float, node_budget: int = 10**7
-) -> float:
+def reciprocal_sum_lower(x: int, k: int, d: int, beta: float, alpha: float) -> float:
     """Sum of 1/(p_1 ... p_k) over ascending prime tuples with product < x,
     no p_j dividing d, and log log p_j >= alpha*j - beta, by exhaustive DFS.
 
@@ -133,7 +126,7 @@ def reciprocal_sum_lower(
         return 1.0
     if x < 3:
         return 0.0
-    primes = [p for p in sieve_primes(x - 1).tolist() if d % p != 0]
+    primes = [p for p in primes_upto(x - 1).tolist() if d % p != 0]
     if not primes:
         return 0.0
     # first admissible prime index per depth (log log is increasing)
@@ -161,8 +154,8 @@ def reciprocal_sum_lower(
             if new >= x:
                 return
             nodes += 1
-            if nodes > node_budget:
-                raise BudgetError(f"DFS exceeded {node_budget} nodes")
+            if nodes > RECIPROCAL_MAX_NODES:
+                raise BudgetError(f"DFS exceeded {RECIPROCAL_MAX_NODES} nodes")
             if depth == k:
                 terms.append(1.0 / new)
             else:
@@ -248,7 +241,7 @@ def nk_last_prime_extension(q: NkQuery, table: FactorizationTable) -> int:
 def _extension_count(q: NkQuery, ap: ArithmeticProgression) -> int:
     a, d, L = ap.a, ap.d, ap.L
     # prefixes must satisfy p_1 ... p_{k-1} < sqrt(a), exactly
-    primes = [p for p in sieve_primes(isqrt(a)).tolist() if p * p < a and d % p != 0]
+    primes = [p for p in primes_upto(isqrt(a)).tolist() if p * p < a and d % p != 0]
     kk = q.k
     last_bound = q.alpha * kk - q.beta
 

@@ -39,11 +39,6 @@ class ArithmeticProgression:
         if self.L < 1:
             raise PreconditionError(f"length must be >= 1, got {self.L}")
 
-    def element(self, i: int) -> int:
-        if not 0 <= i < self.L:
-            raise PreconditionError(f"index {i} outside [0, {self.L})")
-        return self.a + i * self.d
-
     @property
     def last(self) -> int:
         return self.a + (self.L - 1) * self.d
@@ -105,13 +100,6 @@ class ArithmeticProgression:
             blocks.append((t, lo, hi))
             t += 1
         return blocks
-
-    def dyadic_blocks(self) -> list["ArithmeticProgression"]:
-        """The dyadic sub-progressions I_t, largest indices first."""
-        return [
-            ArithmeticProgression(self.a + lo * self.d, self.d, hi - lo)
-            for _, lo, hi in self.dyadic_index_blocks()
-        ]
 
 
 def dilate(s: IntSet, m: int) -> IntSet:

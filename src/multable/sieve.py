@@ -1,8 +1,8 @@
 """Prime tables and segmented factorization over integer intervals.
 
 ``FactorizationTable`` holds per-element arithmetic data for a half-open
-interval [lo, hi): number of distinct prime factors, square-free flag,
-largest square divisor, and the ascending distinct prime factors.
+interval [lo, hi): number of distinct prime factors, largest square
+divisor, and the ascending distinct prime factors.
 ``build_table`` sieves the interval with the primes up to sqrt(hi - 1) in
 two regimes: primes below 2^10 that hit several elements walk it by
 strides of p, p^2, p^3, ...; all other primes go in batches of
@@ -10,9 +10,11 @@ strides of p, p^2, p^3, ...; all other primes go in batches of
 cofactor survives is itself prime.  Prime factors are stored flat (CSR):
 one int64 array plus offsets, not a list per element.
 
-Also here: one-off factorization helpers (numpy-assisted trial division,
-deterministic Miller-Rabin), vectorized largest-square-divisor extraction
-for arbitrary integer arrays, interval primality bitmaps, and the
+The one primality sieve, ``prime_flags``, runs in index space over the
+elements of a progression; the one prime list, ``primes_upto``, is a
+cache that grows through it.  Also here: one-off factorization helpers
+(numpy-assisted trial division, deterministic Miller-Rabin), vectorized
+largest-square-divisor extraction for integer arrays, and the
 prime-reciprocal sum used as an empirical Mertens check.
 """
 
@@ -34,18 +36,6 @@ _PAIR_BATCH = 1 << 22  # max (position, prime) pairs held at once
 # SEGMENT_BUDGET, so _COFACTOR is above all of them and sorts last
 _KEY_SHIFT = SEGMENT_BUDGET.bit_length()
 _COFACTOR = (1 << _KEY_SHIFT) - 1
-
-
-def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (Eratosthenes on a bool array)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.nonzero(flags)[0].astype(np.int64)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -74,15 +64,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_prime_cache = sieve_primes(1 << 10)
+# (bound, every prime up to it); primes_upto grows it through prime_flags
+_prime_cache = (47, np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47], dtype=np.int64))
+_prime_cache[1].flags.writeable = False
 
 
-def _primes_upto(limit: int) -> np.ndarray:
-    """Cached, growing prime array for the trial-division helpers."""
+def primes_upto(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending: a read-only int64 view of one module
+    cache, which a larger limit grows to at least twice its bound through
+    ``prime_flags``.  A limit above SEGMENT_BUDGET raises ``BudgetError``
+    before anything is allocated."""
     global _prime_cache
-    if limit > int(_prime_cache[-1]):
-        _prime_cache = sieve_primes(max(limit, 2 * int(_prime_cache[-1])))
-    return _prime_cache[: np.searchsorted(_prime_cache, limit, side="right")]
+    if limit > SEGMENT_BUDGET:
+        raise BudgetError(f"primes up to {limit} exceed budget {SEGMENT_BUDGET}")
+    bound, primes = _prime_cache
+    if limit > bound:
+        bound = min(max(limit, 2 * bound), SEGMENT_BUDGET)
+        primes = np.flatnonzero(prime_flags(ArithmeticProgression(2, 1, bound - 1))) + 2
+        primes.flags.writeable = False
+        _prime_cache = bound, primes
+    return primes[: np.searchsorted(primes, limit, side="right")]
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -99,8 +100,8 @@ def factorize(n: int) -> dict[int, int]:
     root = isqrt(n)
     if root > SEGMENT_BUDGET:
         raise BudgetError(f"trial primes up to {root} exceed budget {SEGMENT_BUDGET}")
-    primes = _primes_upto(root)
-    hits = primes[n % primes == 0] if len(primes) else primes
+    primes = primes_upto(root)
+    hits = primes[n % primes == 0]
     fac: dict[int, int] = {}
     m = n
     for p in hits.tolist():
@@ -145,7 +146,7 @@ def square_parts(values: np.ndarray) -> np.ndarray:
     sq = np.ones_like(values)
     top = int(values.max())
     cbrt = int(round(top ** (1 / 3))) + 2
-    for p in _primes_upto(cbrt).tolist():
+    for p in primes_upto(cbrt).tolist():
         sel = np.nonzero(residual % p == 0)[0]
         if sel.size == 0:
             continue
@@ -195,12 +196,6 @@ class FactorizationTable:
     def largest_square_divisor(self, n: int) -> int:
         return int(self._sqdiv[self._index(n)])
 
-    def is_squarefree(self, n: int) -> bool:
-        return int(self._sqdiv[self._index(n)]) == 1
-
-    def squarefree_part(self, n: int) -> int:
-        return n // self.largest_square_divisor(n)
-
     def prime_factors(self, n: int) -> list[int]:
         if self._factors is None:
             raise PreconditionError("table was built with factor_lists=False")
@@ -216,22 +211,15 @@ class FactorizationTable:
     def square_divisor_array(self) -> np.ndarray:
         return self._sqdiv
 
-    @property
-    def squarefree_array(self) -> np.ndarray:
-        return self._sqdiv == 1
 
-
-def _sieving_primes(lo: int, hi: int) -> np.ndarray:
-    """Primes up to sqrt(hi - 1) for sieving [lo, hi), checked against the
-    budget before anything is allocated: at most SEGMENT_BUDGET elements,
-    and sieving primes up to at most SEGMENT_BUDGET (so hi is below about
-    2^48)."""
-    if hi - lo > SEGMENT_BUDGET:
-        raise BudgetError(f"interval length {hi - lo} exceeds budget {SEGMENT_BUDGET}")
-    root = isqrt(hi - 1)
-    if root > SEGMENT_BUDGET:
-        raise BudgetError(f"sieving primes up to {root} exceed budget {SEGMENT_BUDGET}")
-    return _primes_upto(root)
+def _sieving_primes(count: int, largest: int) -> np.ndarray:
+    """Primes up to sqrt(largest) for sieving ``count`` numbers no larger
+    than ``largest``, checked against the budget before anything is
+    allocated: at most SEGMENT_BUDGET numbers, and sieving primes up to at
+    most SEGMENT_BUDGET (so ``largest`` is below about 2^48)."""
+    if count > SEGMENT_BUDGET:
+        raise BudgetError(f"{count} numbers to sieve exceed budget {SEGMENT_BUDGET}")
+    return primes_upto(isqrt(max(largest, 0)))
 
 
 def _hit_batches(lo: int, length: int, primes: np.ndarray):
@@ -327,22 +315,42 @@ def build_table(lo: int, hi: int, factor_lists: bool = True) -> FactorizationTab
     """
     if lo < 1 or hi <= lo:
         raise PreconditionError(f"need 1 <= lo < hi, got [{lo}, {hi})")
-    primes = _sieving_primes(lo, hi)
+    primes = _sieving_primes(hi - lo, hi - 1)
     return FactorizationTable(lo, hi, *_sieve(lo, hi, primes, factor_lists))
 
 
-def prime_flags_interval(lo: int, hi: int) -> np.ndarray:
-    """Bool array over [lo, hi): True exactly at primes."""
-    if hi <= lo:
-        raise PreconditionError("empty interval")
-    primes = _sieving_primes(lo, hi)
-    flags = np.ones(hi - lo, dtype=bool)
-    for n in range(lo, min(hi, 2)):
-        flags[n - lo] = False
-    for p in primes.tolist():
-        start = max(p * p, -(-lo // p) * p)
-        if start < hi:
-            flags[start - lo :: p] = False
+def prime_flags(ap: ArithmeticProgression) -> np.ndarray:
+    """Bool array over the elements of ap: True exactly at primes.
+
+    Eratosthenes in index space: for a prime p not dividing d, the
+    elements divisible by p are the indices i = -a d^-1 (mod p), one
+    strided slice.  Elements below 2 are False.  An interval [lo, hi) is
+    AP(lo, 1, hi - lo).  Raises ``BudgetError`` past SEGMENT_BUDGET
+    elements or past sieving primes above SEGMENT_BUDGET.
+    """
+    primes = _sieving_primes(ap.L, ap.last)
+    flags = np.zeros(ap.L, dtype=bool)
+    i0 = 0 if ap.a >= 2 else min(ap.L, -(-(2 - ap.a) // ap.d))  # first element >= 2
+    live = flags[i0:]
+    live[:] = True
+    n = live.size  # n < 2: at most the last element is left, and any step will do
+    a, d = (ap.a + i0 * ap.d, ap.d) if n > 1 else (max(ap.last, 2), 1)
+    dp = d % primes  # every offset at once: d^-1 = d^(p - 2) mod p by square-and-multiply
+    inv, base, e = np.ones_like(primes), dp, (primes - 2) * (d > 1)
+    while e.any():
+        inv = np.where(e & 1, inv * base % primes, inv)
+        base = base * base % primes
+        e >>= 1
+    am = (-a) % primes
+    # p | d: p divides every element (p | a), a stride of 1, or none (p not | a)
+    off = np.where((dp == 0) & (am != 0), n, am * inv % primes)
+    step = np.where(dp == 0, 1, primes)
+    many = off + step < n  # two hits or more: one strided slice each
+    live[off[(off < n) & ~many]] = False  # one hit: all of them at once
+    for r, s in zip(off[many].tolist(), step[many].tolist()):
+        live[r::s] = False
+    own = (primes - a) // d  # set back the sieving primes that are elements
+    live[own[(primes >= a) & ((primes - a) % d == 0) & (own < n)]] = True
     return flags
 
 
@@ -367,11 +375,11 @@ def count_large_square_divisible(ap: ArithmeticProgression, T: int) -> int:
 
 
 def mertens_sum(x: int) -> float:
-    """Sum of 1/p over primes p <= x, accumulated with compensated summation.
+    """Sum of 1/p over primes p <= x, correctly rounded by ``math.fsum``;
+    x above SEGMENT_BUDGET raises ``BudgetError``.
 
     Tracks log log x to within a bounded constant (about 0.2615 plus a
-    small positive remainder for x in the desk range).
-    """
+    small positive remainder for x in the desk range)."""
     if x < 2:
         raise PreconditionError("mertens_sum needs x >= 2")
-    return math.fsum(1.0 / p for p in sieve_primes(x).tolist())
+    return math.fsum((1.0 / primes_upto(x)).tolist())

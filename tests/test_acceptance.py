@@ -300,7 +300,7 @@ def test_criterion_12_energy_subset_sampler():
             else:
                 base = rnd.randrange(2, 4)
                 A = sorted({base**j for j in range(min(n, 40))})
-            sub = random_energy_subset(A, seed=i, max_retries=1000)
+            sub = random_energy_subset(A, seed=i)
             e_sub = energy_bruteforce(sub)
             e_a = energy_bruteforce(A)
             assert e_sub <= 4 * len(sub) ** 2

@@ -321,6 +321,20 @@ def test_quotient_counts_peak_below_one_nxn_array():
     assert peak < 1024 * 1024 * 8
 
 
+def test_cross_energy_key_match_peak():
+    # the cross keys are matched by a search of A's keys in B's, with no merged copy
+    A = list(range(7, 7 + 1000 * 2048, 1000))
+    B = list(range(11, 11 + 999 * 2048, 999))
+    tracemalloc.start()
+    try:
+        e = energy(A, B).energy
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e == 4194310  # as matched by np.intersect1d before
+    assert peak < 128 * 1024 * 1024
+
+
 def test_random_energy_subset_rejects_negative_seed():
     with pytest.raises(PreconditionError):
         random_energy_subset([1, 2, 3, 4], seed=-1)

@@ -162,6 +162,12 @@ def test_cmd_reduce_rejects_negative_seed():
         cmd_reduce(1, 1, 100, delta="1/2", seed=-1)
 
 
+def test_cmd_reduce_rejects_delta_outside_unit_interval():
+    for delta in ("2", "0", "-1/2"):
+        with pytest.raises(PreconditionError):
+            cmd_reduce(1, 1, 100, delta=delta, seed=0)
+
+
 def test_cmd_reduce_skips_omega_trim_past_sieve_budget():
     # the hull ends past 2^48, where the sieve refuses its primes
     rep = cmd_reduce(2**49 + 1, 2, 64, delta="1/2", seed=0)
@@ -232,6 +238,19 @@ def test_cli_exit_codes():
     assert _run_cli("ap-product", "1", "1", "8193").returncode == 3
     assert _run_cli("energy", "--set", ",".join(map(str, range(1, 8194)))).returncode == 3
     assert _run_cli("energy", "--set", "1,2,3").returncode == 0
+    assert cli.main(["mertens", "10000000000000"]) == 3  # primes past SEGMENT_BUDGET
+    # malformed values: the parser exits 2
+    for args in (
+        ["energy", "--set", "1,x"],
+        ["smirnov", "--c", "0.1,x"],
+        ["smirnov", "--c", "0.1,"],
+        ["reduce", "1", "1", "100", "--delta", "abc"],
+        ["reduce", "1", "1", "100", "--delta", "3/0"],
+        ["reduce", "1", "1", "100", "--delta", "2"],
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(args)
+        assert exit_.value.code == 2, args
 
 
 def test_cli_rejects_negative_seed(capsys):

@@ -81,6 +81,11 @@ def test_prime_count_matches_trial_division():
         assert got == want
 
 
+def test_prime_count_ap_sieves_elements_not_hull():
+    # the hull of this progression holds about 10^8 numbers, past the sieve budget
+    assert prime_count_ap(AP(1, 1000, 10**5)) == 14433
+
+
 def test_prime_count_density_floor_cell():
     L, d = 10**4, 3
     a = 200003  # in (dL, 10 L sqrt(log L)), gcd(a, 3) = 1
@@ -99,9 +104,9 @@ def test_reciprocal_sum_examples():
 def test_reciprocal_sum_constrained_matches_enumeration():
     # k = 2, alpha = log 4, beta = 2: brute force over prime pairs
     alpha, beta, x = LOG4, 2.0, 500
-    from multable.sieve import sieve_primes
+    from multable.sieve import primes_upto
 
-    primes = sieve_primes(x).tolist()
+    primes = primes_upto(x).tolist()
     want = 0.0
     for i, p in enumerate(primes):
         for q in primes[i + 1 :]:

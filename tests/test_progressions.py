@@ -52,7 +52,7 @@ def test_dyadic_examples():
 
 def test_dyadic_blocks_are_progressions():
     ap = AP(3, 4, 11)
-    blocks = ap.dyadic_blocks()
+    blocks = [AP(ap.a + lo * ap.d, ap.d, hi - lo) for _, lo, hi in ap.dyadic_index_blocks()]
     covered = sorted(x for b in blocks for x in b.elements())
     assert covered == ap.elements()[1:]
 

@@ -17,8 +17,8 @@ from multable.sieve import (
     factorize,
     is_prime,
     mertens_sum,
-    prime_flags_interval,
-    sieve_primes,
+    prime_flags,
+    primes_upto,
     square_part,
 )
 
@@ -29,7 +29,7 @@ def test_build_small():
     assert t.omega(6) == 2
     assert t.omega(8) == 1
     assert t.prime_factors(10) == [2, 5]
-    assert t.is_squarefree(10) and not t.is_squarefree(8)
+    assert t.largest_square_divisor(10) == 1 and t.largest_square_divisor(8) == 4
 
 
 def test_build_72():
@@ -44,7 +44,7 @@ def _check_against_trial_division(t, n):
     assert t.omega(n) == len(fac)
     sq = math.prod(p ** (2 * (e // 2)) for p, e in fac.items())
     assert t.largest_square_divisor(n) == sq
-    assert t.is_squarefree(n) == all(e == 1 for e in fac.values())
+    assert (sq == 1) == all(e == 1 for e in fac.values())
 
 
 def test_build_1e9_window_invariants():
@@ -105,7 +105,6 @@ def test_build_table_matches_factorization(lo, length):
         assert m == 1
         assert t.omega(n) == len(pf)
         assert t.largest_square_divisor(n) == sq
-        assert t.is_squarefree(n) == (sq == 1)
     # a spread of elements against trial division
     for n in range(lo, hi, max(1, length // 16)):
         _check_against_trial_division(t, n)
@@ -115,8 +114,27 @@ def test_build_table_matches_factorization(lo, length):
 def test_prime_flags_agree_with_table():
     for lo, hi in ((1, 10**5), (10**12, 10**12 + (1 << 16))):
         t = build_table(lo, hi, factor_lists=False)
-        want = (t.omega_array == 1) & t.squarefree_array
-        assert np.array_equal(prime_flags_interval(lo, hi), want)
+        want = (t.omega_array == 1) & (t.square_divisor_array == 1)
+        assert np.array_equal(prime_flags(AP(lo, 1, hi - lo)), want)
+
+
+@given(
+    st.integers(-50, 10**12),
+    st.integers(1, 5000),
+    st.integers(1, 2000),
+    st.integers(1, 6),
+)
+@example(3, 3, 5, 1)  # 3 divides a and d: only the element 3 is prime
+@example(-50, 7, 2000, 1)  # elements below 2 first
+@example(1, 1, 1, 1)
+@example(2, 1, 1, 1)
+@example(10**12 - 1, 2, 1, 1)  # one element, d irrelevant
+@example(30, 4, 2000, 2)
+def test_prime_flags_match_is_prime(a, d, L, g):
+    # scaling d by g makes gcd(a, d) > 1 whenever g divides a
+    a, d = a - a % g, d * g
+    flags = prime_flags(AP(a, d, L))
+    assert flags.tolist() == [is_prime(a + i * d) for i in range(L)]
 
 
 def test_omega_multiplicative_on_coprime_pairs():
@@ -188,15 +206,46 @@ def test_mertens_examples():
 
 
 def test_prime_flags_interval():
-    flags = prime_flags_interval(90, 110)
+    flags = prime_flags(AP(90, 1, 20))
     marked = [n for n in range(90, 110) if flags[n - 90]]
     assert marked == [97, 101, 103, 107, 109]
-    low = prime_flags_interval(0, 5)
+    low = prime_flags(AP(0, 1, 5))
     assert [n for n in range(5) if low[n]] == [2, 3]
+    # far below 2, with a step far past the budget: nothing to sieve
+    assert prime_flags(AP(-10**30, 10**25, 3)).tolist() == [False] * 3
+    assert prime_flags(AP(-10**30, 10**30 + 3, 2)).tolist() == [False, True]
+
+
+def _plain_sieve(limit):
+    flags = [True] * (limit + 1)
+    flags[:2] = [False] * min(2, limit + 1)
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = [False] * len(range(p * p, limit + 1, p))
+    return [n for n in range(limit + 1) if flags[n]]
+
+
+def test_primes_upto_matches_plain_sieve_in_any_order(monkeypatch):
+    # start from a small cache, so the shuffled limits grow it step by step
+    monkeypatch.setattr(sieve, "_prime_cache", (7, primes_upto(7)))
+    limits = [0, 1, 2, 3, 10, 47, 48, 1000, 4096, 10**5, 200003, 3 * 10**5]
+    random.Random(4).shuffle(limits)
+    for limit in limits:
+        got = primes_upto(limit)
+        assert got.tolist() == _plain_sieve(limit)
+        assert got.dtype == np.int64 and not got.flags.writeable
+
+
+def test_primes_upto_sieves_each_bound_once(monkeypatch):
+    # a limit between the largest cached prime and the cache's bound is served
+    # from the cache, also at the budget, where the cache stops growing
+    primes_upto(SEGMENT_BUDGET)
+    monkeypatch.setattr(sieve, "prime_flags", lambda ap: pytest.fail("sieved again"))
+    assert primes_upto(SEGMENT_BUDGET)[-1] == 16777213
 
 
 def test_is_prime_against_sieve():
-    flags = sieve_primes(10**4)
+    flags = primes_upto(10**4)
     marks = set(flags.tolist())
     for n in range(2, 10**4):
         assert is_prime(n) == (n in marks)
@@ -210,7 +259,7 @@ def test_divisors():
 
 def test_factorize_budget(monkeypatch):
     # n = 2^62 + 1 needs trial primes up to 2^31, a 2 GiB sieve: refused first
-    monkeypatch.setattr(sieve, "_primes_upto", lambda limit: pytest.fail("sieved past the budget"))
+    monkeypatch.setattr(sieve, "primes_upto", lambda limit: pytest.fail("sieved past the budget"))
     for f in (factorize, divisors):
         with pytest.raises(BudgetError):
             f(2**62 + 1)
@@ -224,6 +273,13 @@ def test_budget_errors():
         with pytest.raises(BudgetError):
             build_table(lo, lo + 10)
         with pytest.raises(BudgetError):
-            prime_flags_interval(lo, lo + 10)
+            prime_flags(AP(lo, 1, 10))
+    with pytest.raises(BudgetError):
+        prime_flags(AP(1, 1, SEGMENT_BUDGET + 1))
+    # the prime list stops at the budget, but a factorize root may reach it
+    for f in (primes_upto, mertens_sum):
+        with pytest.raises(BudgetError):
+            f(SEGMENT_BUDGET + 1)
+    assert factorize(SEGMENT_BUDGET**2) == {2: 48}
     with pytest.raises(PreconditionError):
         build_table(0, 5)
