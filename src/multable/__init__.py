@@ -11,6 +11,7 @@ from .sieve import (
     build_table,
     count_large_square_divisible,
     mertens_sum,
+    progression_table,
 )
 from .energy import (
     EnergyReport,
@@ -77,6 +78,7 @@ __all__ = [
     "offdiag_tuples",
     "prime_count_ap",
     "product_set",
+    "progression_table",
     "q_n",
     "random_energy_subset",
     "reduce",

@@ -1,13 +1,15 @@
 """Command line front end.
 
 One experiment per invocation; reports go to stdout (or --out) as JSON or
-CSV.  Exit codes: 0 success, 2 precondition violation or malformed value,
-3 budget exceeded, 4 internal assertion failure.
+CSV.  Exit codes: 0 success (also when the reader closes the pipe early),
+2 precondition violation or malformed value, 3 budget exceeded, 4 internal
+assertion failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -136,7 +138,10 @@ def main(argv=None) -> int:
         with open(args.out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:  # the run is done; devnull takes the exit flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -27,7 +27,7 @@ from .errors import BudgetError, PreconditionError
 from .progressions import ArithmeticProgression, intset
 from .reduction import DirectBound, Reduced, large_a_energy_bound, reduce, trimmed_set
 from .primestats import NkQuery, ShiuQuery, nk_last_prime_extension, nk_set, shiu_mean
-from .sieve import build_table, mertens_sum
+from .sieve import mertens_sum, progression_table
 from .smirnov import (
     SmirnovBoundary,
     noncrossing_probability_exact,
@@ -203,7 +203,10 @@ def cmd_reduce(
     # L comes from outside: refuse before the L elements are built
     if L > REDUCE_MAX_L:
         raise BudgetError(f"L = {L} beyond the reduce budget {REDUCE_MAX_L}")
-    dlt = Fraction(delta)
+    try:
+        dlt = Fraction(delta)
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionError(f"delta must be a fraction, got {delta!r}") from None
     if not 0 < dlt <= 1:
         raise PreconditionError(f"delta must be in (0, 1], got {delta}")
     ap = ArithmeticProgression(a, d, L)
@@ -252,8 +255,8 @@ def _omega_trim_row(A, ap) -> dict:
     skipped = {"step": "omega-trim", "note": "skipped (hull outside sieve budget)"}
     if not pos or hull_hi < 16:
         return skipped
-    try:
-        table = build_table(pos[0], hull_hi, factor_lists=False)
+    try:  # A lies in ap, so its positive members lie in ap's positive part
+        table = progression_table(ap.positive_part(), factor_lists=False)
     except BudgetError:
         return skipped
     cut = log(log(hull_hi)) + log(log(hull_hi)) ** (2 / 3)
@@ -273,7 +276,7 @@ def cmd_nk(
 ) -> ExperimentReport:
     t0 = time.perf_counter()
     ap = ArithmeticProgression(a, d, L)
-    table = build_table(max(ap.a, 1), ap.last + 1)
+    table = progression_table(ap.positive_part() or ap)  # no positive element: refused
     q = NkQuery(alpha, beta, k, ap=ap)
     members = nk_set(q, table)
     # the asymptotic depth floor(loglog L / log 4 - 5 sqrt(loglog L)) - 4,

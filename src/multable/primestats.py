@@ -20,12 +20,11 @@ from .errors import BudgetError, InternalCheckError, PreconditionError
 from .progressions import ArithmeticProgression, IntSet, intset
 from .sieve import (
     FactorizationTable,
-    build_table,
-    is_prime,
     factorize,
     mertens_sum,
     prime_flags,
     primes_upto,
+    progression_table,
 )
 
 RECIPROCAL_MAX_K = 5
@@ -66,8 +65,9 @@ class NkQuery:
         return intset(self.elements)
 
 
-def _prefix_ok(primes: list[int], alpha: float, beta: float) -> bool:
-    return all(log(log(p)) >= alpha * (j + 1) - beta for j, p in enumerate(primes))
+def _loglog(p: np.ndarray) -> np.ndarray:
+    """math.log(math.log(p)) for each entry: the floats scalar code gives."""
+    return np.fromiter(map(log, map(log, p.tolist())), np.float64, p.size)
 
 
 def nk_set(q: NkQuery, table: FactorizationTable) -> IntSet:
@@ -75,21 +75,25 @@ def nk_set(q: NkQuery, table: FactorizationTable) -> IntSet:
     whose j-th smallest prime factor clears log log p_j >= alpha*j - beta.
 
     log log p is an ordinary real (negative at p = 2), so the constraint is
-    evaluated directly; no positivity is implied.
+    evaluated directly; no positivity is implied.  Every member >= 1 of
+    the domain must be an element of the table.
     """
-    vals = [n for n in q.domain() if n >= 1]
-    if not vals:
-        return []
-    if vals[0] < table.lo or vals[-1] >= table.hi:
-        raise PreconditionError("query domain not covered by the table")
-    arr = np.array(vals, dtype=np.int64)
-    pos = arr - table.lo
-    mask = (table.square_divisor_array[pos] == 1) & (table.omega_array[pos] == q.k)
-    out = []
-    for n in arr[mask].tolist():
-        if _prefix_ok(table.prime_factors(n), q.alpha, q.beta):
-            out.append(n)
-    return out
+    ap = q.ap and q.ap.positive_part()
+    if ap and ap.last < table.hi:  # a progression the table covers: int64 is exact
+        vals = np.arange(ap.a, ap.last + 1, ap.d, dtype=np.int64)
+    else:
+        vals = [n for n in q.domain() if n >= 1]
+    pos = table.positions(vals)
+    pos = pos[(table.square_divisor_array[pos] == 1) & (table.omega_array[pos] == q.k)]
+    if q.k and pos.size:
+        # the candidates' prime factors as a (candidates x k) gather from the
+        # flat arrays, and log log p once per distinct prime
+        flat, offsets = table.factor_arrays
+        primes, idx = np.unique(flat[offsets[pos, None] + np.arange(q.k)], return_inverse=True)
+        loglog = _loglog(primes)[idx].reshape(-1, q.k)
+        bounds = np.array([q.alpha * j - q.beta for j in range(1, q.k + 1)])
+        pos = pos[(loglog >= bounds).all(axis=1)]
+    return (table.lo + table.d * pos).tolist()
 
 
 def prime_count_ap(ap: ArithmeticProgression) -> int:
@@ -197,12 +201,11 @@ def shiu_mean(q: ShiuQuery) -> tuple[float, float]:
     if x > RECIPROCAL_MAX_X:
         raise BudgetError(f"x budget is {RECIPROCAL_MAX_X}")
     lo = x - y
-    table = build_table(max(lo, 1), x, factor_lists=False)
     first = lo + ((a - lo) % k)
     if first < 1:
         first += k
-    pos = np.arange(first - table.lo, x - table.lo, k)
-    omegas = table.omega_array[pos].astype(np.float64)
+    ap = ArithmeticProgression(first, k, len(range(first, x, k)))
+    omegas = progression_table(ap, factor_lists=False).omega_array.astype(np.float64)
     exact = float(math.fsum(np.power(z, omegas).tolist()))
 
     prime_cut = z * mertens_sum(x) - sum(z / p for p in factorize(k))
@@ -246,16 +249,17 @@ def _extension_count(q: NkQuery, ap: ArithmeticProgression) -> int:
     last_bound = q.alpha * kk - q.beta
 
     def count_for_prefix(prefix_prod: int, p_last: int) -> int:
+        # the candidates p = (a + i d)/qq, i = i0 (mod qq), are the
+        # progression ((a + i0 d)/qq, step d): one sieve flags its primes
         qq = prefix_prod
         i0 = (-a * pow(d, -1, qq)) % qq if qq > 1 else 0
         if i0 >= L:
             return 0
-        total = 0
-        for i in range(i0, L, qq):
-            p = (a + i * d) // qq
-            if p > p_last and is_prime(p) and log(log(p)) >= last_bound:
-                total += 1
-        return total
+        first = (a + i0 * d) // qq
+        flags = prime_flags(ArithmeticProgression(first, d, len(range(i0, L, qq))))
+        p = first + d * np.flatnonzero(flags)
+        p = p[p > p_last]
+        return int((_loglog(p) >= last_bound).sum())
 
     total = 0
 

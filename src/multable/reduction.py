@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 
 import numpy as np
@@ -109,7 +110,8 @@ def squarefree_reduce(
 
 def trimmed_set(A: IntSet, table, T: float) -> IntSet:
     """Elements of A with at most T distinct prime factors (table-backed)."""
-    return [n for n in intset(A) if table.omega(n) <= T]
+    A = intset(A)
+    return list(compress(A, (table.omega_array[table.positions(A)] <= T).tolist()))
 
 
 @dataclass

@@ -1,17 +1,20 @@
-"""Prime tables and segmented factorization over integer intervals.
+"""Prime tables and segmented factorization over arithmetic progressions.
 
-``FactorizationTable`` holds per-element arithmetic data for a half-open
-interval [lo, hi): number of distinct prime factors, largest square
-divisor, and the ascending distinct prime factors.
-``build_table`` sieves the interval with the primes up to sqrt(hi - 1) in
-two regimes: primes below 2^10 that hit several elements walk it by
-strides of p, p^2, p^3, ...; all other primes go in batches of
-(position, prime) pairs, so no Python loop runs per prime.  Whatever
-cofactor survives is itself prime.  Prime factors are stored flat (CSR):
-one int64 array plus offsets, not a list per element.
+``FactorizationTable`` holds per-element arithmetic data for the L
+elements a + d*i of a progression: number of distinct prime factors,
+largest square divisor, and the ascending distinct prime factors.  An
+interval [lo, hi) is the case d = 1 (``build_table``); ``progression_table``
+is the general case.  Both sieve in index space with the primes up to the
+square root of the last element, in two regimes: primes below 2^10 that
+hit several elements, and primes dividing d, walk the elements by strides
+for p, p^2, p^3, ...; all other primes go in batches of (position, prime)
+pairs, so no Python loop runs per prime.  Whatever cofactor survives is
+itself prime.  Prime factors are stored flat (CSR): one int64 array plus
+offsets, not a list per element.  Budgets count the elements sieved, not
+the interval around them.
 
 The one primality sieve, ``prime_flags``, runs in index space over the
-elements of a progression; the one prime list, ``primes_upto``, is a
+elements of a progression too; the one prime list, ``primes_upto``, is a
 cache that grows through it.  Also here: one-off factorization helpers
 (numpy-assisted trial division, deterministic Miller-Rabin), vectorized
 largest-square-divisor extraction for integer arrays, and the
@@ -28,7 +31,7 @@ import numpy as np
 from .errors import BudgetError, InternalCheckError, PreconditionError
 from .progressions import ArithmeticProgression
 
-SEGMENT_BUDGET = 1 << 24  # max elements per built interval, and max sieving prime
+SEGMENT_BUDGET = 1 << 24  # max elements per sieve, and max sieving prime
 
 _STRIDE_SPLIT = 1 << 10  # primes below this are sieved by stride
 _PAIR_BATCH = 1 << 22  # max (position, prime) pairs held at once
@@ -172,23 +175,37 @@ def square_parts(values: np.ndarray) -> np.ndarray:
 
 
 class FactorizationTable:
-    """Per-element factorization data over [lo, hi), built by interval sieve.
+    """Per-element factorization data over the progression lo + d*i,
+    lo <= lo + d*i < hi, built by sieving its elements.
 
     ``factors`` is None or the pair (flat, offsets): the prime factors of
-    lo + i, ascending, are ``flat[offsets[i]:offsets[i + 1]]``.
+    element i, ascending, are ``flat[offsets[i]:offsets[i + 1]]``.
     """
 
-    def __init__(self, lo, hi, omega, square_divisor, factors):
-        self.lo = lo
-        self.hi = hi
+    def __init__(self, ap: ArithmeticProgression, omega, square_divisor, factors):
+        self.lo, self.d, self.hi = ap.a, ap.d, ap.a + ap.d * ap.L
         self._omega = omega
         self._sqdiv = square_divisor
         self._factors = factors
 
     def _index(self, n: int) -> int:
-        if not self.lo <= n < self.hi:
-            raise PreconditionError(f"{n} outside table interval [{self.lo}, {self.hi})")
-        return n - self.lo
+        i, r = divmod(n - self.lo, self.d)
+        if r or not self.lo <= n < self.hi:
+            raise PreconditionError(f"{n} not among the table's elements {self.lo} + {self.d}i < {self.hi}")
+        return i
+
+    def positions(self, values) -> np.ndarray:
+        """Index of each value among the table's elements, as an int64 array;
+        ``PreconditionError`` if any value is not an element."""
+        try:
+            v = np.asarray(values, dtype=np.int64)
+        except OverflowError:
+            raise PreconditionError("value outside int64 is not an element of the table") from None
+        pos, rem = np.divmod(v - self.lo, self.d)
+        off = (v < self.lo) | (v >= self.hi) | (rem != 0)
+        if off.any():
+            self._index(int(v[off][0]))  # raises, naming the first such value
+        return pos
 
     def omega(self, n: int) -> int:
         return int(self._omega[self._index(n)])
@@ -197,11 +214,16 @@ class FactorizationTable:
         return int(self._sqdiv[self._index(n)])
 
     def prime_factors(self, n: int) -> list[int]:
+        flat, offsets = self.factor_arrays
+        i = self._index(n)
+        return flat[offsets[i] : offsets[i + 1]].tolist()
+
+    @property
+    def factor_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(flat, offsets): the prime factors of every element, flat (CSR)."""
         if self._factors is None:
             raise PreconditionError("table was built with factor_lists=False")
-        i = self._index(n)
-        flat, offsets = self._factors
-        return flat[offsets[i] : offsets[i + 1]].tolist()
+        return self._factors
 
     @property
     def omega_array(self) -> np.ndarray:
@@ -222,10 +244,26 @@ def _sieving_primes(count: int, largest: int) -> np.ndarray:
     return primes_upto(isqrt(max(largest, 0)))
 
 
-def _hit_batches(lo: int, length: int, primes: np.ndarray):
-    """Every multiple of each prime in [lo, lo + length), as (position, prime)
+def _offsets(a: int, d: int, primes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per prime p, the first index i < n with p | a + d*i (n if none) and
+    the step to the next: p from -a d^-1 (mod p), every d^-1 = d^(p - 2)
+    mod p at once by square-and-multiply; for p | d, 1 from 0 or none."""
+    am = (-a) % primes
+    if d == 1:
+        return am, primes
+    dp = d % primes
+    inv, base, e = np.ones_like(primes), dp, primes - 2
+    while e.any():
+        inv = np.where(e & 1, inv * base % primes, inv)
+        base = base * base % primes
+        e >>= 1
+    off = np.where((dp == 0) & (am != 0), n, am * inv % primes)
+    return off, np.where(dp == 0, 1, primes)
+
+
+def _hit_batches(off: np.ndarray, length: int, primes: np.ndarray):
+    """Every index off + p*j < length of each prime, as (position, prime)
     int64 arrays in batches of at most _PAIR_BATCH pairs, primes ascending."""
-    off = (-lo) % primes
     hit = np.flatnonzero(off < length)
     primes, off = primes[hit], off[hit]
     cnt = (length - 1 - off) // primes + 1
@@ -244,32 +282,38 @@ def _hit_batches(lo: int, length: int, primes: np.ndarray):
         b0 = b1
 
 
-def _sieve(lo: int, hi: int, primes: np.ndarray, factor_lists: bool):
-    """omega, largest square divisor and (if asked) CSR prime factors over
-    [lo, hi), sieved with ``primes`` (all primes up to sqrt(hi - 1))."""
-    length = hi - lo
+def _sieve(ap: ArithmeticProgression, primes: np.ndarray, factor_lists: bool):
+    """omega, largest square divisor and (if asked) CSR prime factors of the
+    elements of ap (all positive), sieved with ``primes`` (all primes up to
+    sqrt(ap.last))."""
+    a, d, length = ap.a, ap.d, ap.L
     omega = np.zeros(length, dtype=np.int16)
     sqdiv = np.ones(length, dtype=np.int64)
-    residual = np.arange(lo, hi, dtype=np.int64)
+    residual = np.arange(a, a + d * length, d, dtype=np.int64)
     keys = []  # position << _KEY_SHIFT | prime, one per prime hit
 
-    cut = int(np.searchsorted(primes, min(_STRIDE_SPLIT, length)))
-    for p in primes[:cut].tolist():
-        first = (-lo) % p
-        omega[first::p] += 1
-        if factor_lists:
-            keys.append(np.arange(first, length, p, dtype=np.int64) << _KEY_SHIFT | p)
-        # the multiples of p^k are a stride too: each loses one factor p,
-        # and at even k the square divisor gains p^2
+    stride = (primes < min(_STRIDE_SPLIT, length)) | (d % primes == 0)
+    for p in primes[stride].tolist():
+        # the multiples of q = p^k are the indices i = -(a/g) (d/g)^-1 (mod q/g),
+        # g = gcd(d, q), or none when g does not divide a: each loses one
+        # factor p, and at even k the square divisor gains p^2
         q, k = p, 1
-        while first < length:
-            residual[first::q] //= p
+        while a % (g := gcd(d, q)) == 0:
+            m = q // g
+            first = -(a // g) * pow(d // g, -1, m) % m if d > 1 else -a % m
+            if first >= length:
+                break
+            if k == 1:
+                omega[first::m] += 1
+                if factor_lists:
+                    keys.append(np.arange(first, length, m, dtype=np.int64) << _KEY_SHIFT | p)
+            residual[first::m] //= p
             if k % 2 == 0:
-                sqdiv[first::q] *= p * p
+                sqdiv[first::m] *= p * p
             q, k = q * p, k + 1
-            first = (-lo) % q
 
-    for pos, p in _hit_batches(lo, length, primes[cut:]):
+    batched = primes[~stride]  # none divides d
+    for pos, p in _hit_batches(_offsets(a, d, batched, length)[0], length, batched):
         omega += np.bincount(pos, minlength=length).astype(np.int16)
         if factor_lists:
             keys.append(pos << _KEY_SHIFT | p)
@@ -283,7 +327,7 @@ def _sieve(lo: int, hi: int, primes: np.ndarray, factor_lists: bool):
             live = residual[pos] % p == 0
             pos, p, k = pos[live], p[live], k + 1
 
-    left = np.flatnonzero(residual > 1)  # each such cofactor is one prime above sqrt(hi - 1)
+    left = np.flatnonzero(residual > 1)  # each such cofactor is one prime above sqrt(ap.last)
     omega[left] += 1
     if not factor_lists:
         return omega, sqdiv, None
@@ -298,25 +342,29 @@ def _sieve(lo: int, hi: int, primes: np.ndarray, factor_lists: bool):
     return omega, sqdiv, (flat, offsets)
 
 
-def build_table(lo: int, hi: int, factor_lists: bool = True) -> FactorizationTable:
-    """Factorization table for [lo, hi); requires 1 <= lo < hi.
+def progression_table(ap: ArithmeticProgression, factor_lists: bool = True) -> FactorizationTable:
+    """Factorization table over the L elements a + d*i of ap; requires a >= 1.
 
-    Sieves with every prime up to sqrt(hi - 1), in two regimes.  Primes
-    below 2^10 that can hit twice (p < hi - lo) walk the interval by
-    strides of p, p^2, p^3, ...; every other prime is expanded with its
-    multiples into (position, prime) pairs, in batches of at most 2^22
-    pairs, which are counted and divided out with numpy's ``bincount`` and
-    ``ufunc.at``.  The cofactor left at each position is 1 or a prime above
-    sqrt(hi - 1).  With ``factor_lists`` the prime factors are kept as one
-    flat int64 array plus offsets (CSR), not a list per element.
-
-    Raises ``BudgetError`` past SEGMENT_BUDGET elements or past sieving
-    primes above SEGMENT_BUDGET (hi above about 2^48).
+    Sieves in index space with every prime up to sqrt(ap.last), in the two
+    regimes of the module docstring; with ``factor_lists`` the prime factors
+    are kept flat (CSR).  Raises ``BudgetError`` past SEGMENT_BUDGET elements
+    or past sieving primes above SEGMENT_BUDGET (ap.last above about 2^48).
     """
+    if ap.a < 1:
+        raise PreconditionError(f"needs positive elements, got first element {ap.a}")
+    if ap.L == 1:  # any step will do, and 1 keeps the index arithmetic in int64
+        ap = ArithmeticProgression(ap.a, 1, 1)
+    primes = _sieving_primes(ap.L, ap.last)
+    return FactorizationTable(ap, *_sieve(ap, primes, factor_lists))
+
+
+def build_table(lo: int, hi: int, factor_lists: bool = True) -> FactorizationTable:
+    """Factorization table for the interval [lo, hi), the progression
+    AP(lo, 1, hi - lo) of ``progression_table``; requires 1 <= lo < hi."""
     if lo < 1 or hi <= lo:
         raise PreconditionError(f"need 1 <= lo < hi, got [{lo}, {hi})")
-    primes = _sieving_primes(hi - lo, hi - 1)
-    return FactorizationTable(lo, hi, *_sieve(lo, hi, primes, factor_lists))
+    ap = ArithmeticProgression(lo, 1, hi - lo)
+    return FactorizationTable(ap, *_sieve(ap, _sieving_primes(ap.L, ap.last), factor_lists))
 
 
 def prime_flags(ap: ArithmeticProgression) -> np.ndarray:
@@ -335,16 +383,7 @@ def prime_flags(ap: ArithmeticProgression) -> np.ndarray:
     live[:] = True
     n = live.size  # n < 2: at most the last element is left, and any step will do
     a, d = (ap.a + i0 * ap.d, ap.d) if n > 1 else (max(ap.last, 2), 1)
-    dp = d % primes  # every offset at once: d^-1 = d^(p - 2) mod p by square-and-multiply
-    inv, base, e = np.ones_like(primes), dp, (primes - 2) * (d > 1)
-    while e.any():
-        inv = np.where(e & 1, inv * base % primes, inv)
-        base = base * base % primes
-        e >>= 1
-    am = (-a) % primes
-    # p | d: p divides every element (p | a), a stride of 1, or none (p not | a)
-    off = np.where((dp == 0) & (am != 0), n, am * inv % primes)
-    step = np.where(dp == 0, 1, primes)
+    off, step = _offsets(a, d, primes, n)
     many = off + step < n  # two hits or more: one strided slice each
     live[off[(off < n) & ~many]] = False  # one hit: all of them at once
     for r, s in zip(off[many].tolist(), step[many].tolist()):

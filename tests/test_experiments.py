@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ from multable.energy import _product_merge, cs_product_lower_bound, energy_brute
 import multable.experiments as ex
 from multable import cli
 from multable.errors import BudgetError, InternalCheckError, PreconditionError
+from multable.sieve import factorize
 from multable.experiments import (
     THETA,
     cmd_ap_product,
@@ -163,7 +165,7 @@ def test_cmd_reduce_rejects_negative_seed():
 
 
 def test_cmd_reduce_rejects_delta_outside_unit_interval():
-    for delta in ("2", "0", "-1/2"):
+    for delta in ("2", "0", "-1/2", "abc", "3/0"):
         with pytest.raises(PreconditionError):
             cmd_reduce(1, 1, 100, delta=delta, seed=0)
 
@@ -174,6 +176,16 @@ def test_cmd_reduce_skips_omega_trim_past_sieve_budget():
     assert rep.results[-1] == {"step": "omega-trim", "note": "skipped (hull outside sieve budget)"}
     trimmed = cmd_reduce(1, 3, 500, delta="1/2", seed=11).results[-1]
     assert trimmed["step"] == "omega-trim" and "retained_fraction" in trimmed
+
+
+def test_cmd_reduce_omega_trim_sieves_elements_not_hull():
+    # the hull [1, 4999 * 3999] is past the sieve budget; the 4000 elements are not
+    a, d, L, seed = 1, 4999, 4000, 3
+    row = cmd_reduce(a, d, L, delta="1/2", seed=seed).results[-1]
+    elems = list(range(a, a + d * L, d))
+    A = [elems[i] for i in np.random.default_rng(seed).choice(L, size=L // 2, replace=False)]
+    kept = sum(1 for n in A if len(factorize(n)) <= row["omega_cutoff"])
+    assert row["note"] == f"{kept}/{L // 2} kept at omega <= loglog + loglog^(2/3)"
 
 
 def test_cmd_nk_reports_asymptotic_k():
@@ -251,6 +263,31 @@ def test_cli_exit_codes():
         with pytest.raises(SystemExit) as exit_:
             cli.main(args)
         assert exit_.value.code == 2, args
+
+
+def test_cli_nk_sieves_elements_not_hull(capsys):
+    # the hull holds 99,999,001 numbers, six times the sieve budget; the
+    # progression has 10^5 elements
+    assert cli.main(["nk", "1001", "1000", "100000", "--alpha", "0", "--beta", "1", "-k", "2"]) == 0
+    row = json.loads(capsys.readouterr().out)["results"][0]
+    assert row["members_preview"] == [
+        n for n in range(1001, 1001 + 1000 * 50, 1000)
+        if sorted(factorize(n).values()) == [1, 1]
+    ][:20]
+
+
+def test_cli_closed_pipe_exits_zero_quietly():
+    # the reader closes its end before the report is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "multable", "energy", "--set", "1,2,3"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (r.returncode, r.stderr) == (0, "")
 
 
 def test_cli_rejects_negative_seed(capsys):

@@ -15,7 +15,7 @@ from multable.primestats import (
     shiu_mean,
     totient,
 )
-from multable.sieve import build_table, factorize, is_prime
+from multable.sieve import build_table, factorize, is_prime, progression_table
 
 LOG4 = math.log(4)
 
@@ -52,6 +52,51 @@ def test_nk_matches_oracle_random(table_1e6):
         k = rnd.randrange(0, 5)
         q = NkQuery(alpha, beta, k, elements=vals)
         assert nk_set(q, table_1e6) == _nk_oracle(vals, alpha, beta, k)
+
+
+def _nk_per_member(q, table):
+    """nk_set one member at a time, through the scalar table lookups."""
+    out = []
+    for n in q.domain():
+        if n >= 1 and table.largest_square_divisor(n) == 1 and table.omega(n) == q.k:
+            pf = table.prime_factors(n)
+            if all(math.log(math.log(p)) >= q.alpha * (j + 1) - q.beta for j, p in enumerate(pf)):
+                out.append(n)
+    return out
+
+
+def test_nk_set_matches_per_member_loop(table_1e6):
+    rnd = random.Random(12)
+    for _ in range(60):
+        d = rnd.choice([1, 2, 3, 7, 30, 210, 1000, rnd.randrange(1, 3000)])
+        L = rnd.randrange(1, 4000)
+        ap = AP(rnd.randrange(-5 * d, 10**6), d, L)
+        if ap.last < 1:
+            continue
+        k = rnd.randrange(0, 5)
+        # alpha = 0 puts every bound on -beta = log log p0 exactly, for a prime
+        # p0 that may divide a member: the comparison is on equal floats
+        p0 = rnd.choice([2, 3, 5, 7, 11, 13, 101])
+        alpha, beta = rnd.choice([(0.0, 0.0), (0.3, 1.0), (LOG4, 5.0), (0.0, -math.log(math.log(p0)))])
+        q = NkQuery(alpha, beta, k, ap=ap)
+        table = progression_table(ap.positive_part())
+        want = _nk_per_member(q, table)
+        assert nk_set(q, table) == want
+        if ap.last <= 10**6:
+            assert nk_set(q, table_1e6) == want
+            explicit = NkQuery(alpha, beta, k, elements=tuple(rnd.sample(ap.elements(), min(L, 50))))
+            assert nk_set(explicit, table_1e6) == _nk_per_member(explicit, table_1e6)
+
+
+def test_nk_set_rejects_uncovered_domain(table_1e6):
+    with pytest.raises(PreconditionError):
+        nk_set(NkQuery(0.0, 0.0, 1, ap=AP(10**6 - 5, 1, 10)), table_1e6)
+    table = progression_table(AP(1, 2, 100))  # odd numbers only
+    with pytest.raises(PreconditionError):
+        nk_set(NkQuery(0.0, 0.0, 1, elements=(3, 4)), table)
+    with pytest.raises(PreconditionError):
+        nk_set(NkQuery(0.0, 0.0, 1, ap=AP(1, 3, 50)), table)
+    assert nk_set(NkQuery(0.0, 0.0, 1, ap=AP(-9, 2, 5)), table) == []
 
 
 def test_nk_monotonicity(table_1e6):
@@ -138,6 +183,25 @@ def test_shiu_examples():
     assert 0 < exact3 / bound3
 
 
+def _shiu_exact_over_hull(q):
+    """The exact window sum read from a table over all of [x - y, x)."""
+    lo = max(q.x - q.y, 1)
+    table = build_table(lo, q.x, factor_lists=False)
+    first = lo + (q.a - lo) % q.k
+    return math.fsum(q.z ** w for w in table.omega_array[first - lo :: q.k].tolist())
+
+
+def test_shiu_matches_hull_table():
+    rnd = random.Random(5)
+    for _ in range(12):
+        x = rnd.randrange(10**3, 3 * 10**5)
+        y = rnd.randrange(math.isqrt(x) + 1, x + 1)
+        k = rnd.choice([k for k in (1, 2, 3, 5, 7, 30) if k * k < y])
+        a = rnd.choice([a for a in range(k) if math.gcd(a, k) == 1])
+        q = ShiuQuery(x, y, k, a, rnd.choice([0.5, 1.0, 2.0]))
+        assert shiu_mean(q)[0] == _shiu_exact_over_hull(q)
+
+
 def test_shiu_preconditions():
     with pytest.raises(PreconditionError):
         shiu_mean(ShiuQuery(10**4, 50, 1, 0, 1.0))  # y below sqrt(x)
@@ -176,6 +240,40 @@ def test_extension_tiny_and_soundness(table_1e6):
         q = NkQuery(0.0, 50.0, k, ap=AP(a, 1, L))
         wit = nk_last_prime_extension(q, table_1e6)
         assert wit <= len(nk_set(q, table_1e6))
+
+
+def _witnesses_by_is_prime(q):
+    """Last-prime-extension witnesses with one is_prime call per candidate."""
+    a, d, L, k = q.ap.a, q.ap.d, q.ap.L, q.k
+    total = 0
+    for n in range(a, a + d * L, d):
+        fac = factorize(n)
+        if len(fac) != k or any(e > 1 for e in fac.values()):
+            continue
+        *prefix, p = sorted(fac)
+        prod = math.prod(prefix)
+        if (
+            prod * prod < a
+            and all(d % r and math.log(math.log(r)) >= q.alpha * j - q.beta for j, r in enumerate(prefix, 1))
+            and is_prime(p)
+            and math.log(math.log(p)) >= q.alpha * k - q.beta
+        ):
+            total += 1
+    return total
+
+
+def test_extension_matches_is_prime_count():
+    rnd = random.Random(3)
+    for _ in range(25):
+        L = rnd.randrange(16, 400)
+        d = rnd.choice([1, 2])
+        top = int(L * math.sqrt(math.log(L)))
+        if d * L > top:
+            continue
+        a = rnd.choice([a for a in range(d * L, top + 1) if math.gcd(a, d) == 1])
+        q = NkQuery(rnd.choice([0.0, 0.2]), rnd.choice([0.5, 2.0, 50.0]), rnd.randrange(1, 4), ap=AP(a, d, L))
+        table = progression_table(q.ap)
+        assert nk_last_prime_extension(q, table) == _witnesses_by_is_prime(q)
 
 
 def test_totient():

@@ -17,7 +17,7 @@ from multable.reduction import (
     squarefree_reduce,
     trimmed_set,
 )
-from multable.sieve import build_table, square_part
+from multable.sieve import build_table, progression_table, square_part
 
 
 def test_large_a_bound_values():
@@ -79,6 +79,20 @@ def test_trimmed_set(table_1e6):
     assert trimmed_set(A, table_1e6, 2) == A
     assert trimmed_set(A, table_1e6, 1) == [1, 2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]
     assert trimmed_set([30], table_1e6, 2) == []
+
+
+def test_trimmed_set_over_progression_table_matches_hull():
+    rnd = random.Random(9)
+    for _ in range(20):
+        ap = AP(rnd.randrange(1, 10**5), rnd.choice([1, 2, 3, 6, 35]), rnd.randrange(1, 2000))
+        A = sorted(rnd.sample(ap.elements(), rnd.randrange(0, ap.L + 1)))
+        hull = build_table(ap.a, ap.last + 1, factor_lists=False)
+        T = rnd.choice([0, 1, 2, 2.5, 3])
+        want = [n for n in A if hull.omega(n) <= T]
+        assert trimmed_set(A, progression_table(ap, factor_lists=False), T) == want
+        assert trimmed_set(A, hull, T) == want
+    with pytest.raises(PreconditionError):
+        trimmed_set([4], progression_table(AP(1, 2, 10)), 2)
 
 
 def test_reduce_even_progression():

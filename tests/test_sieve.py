@@ -1,5 +1,6 @@
 import math
 import random
+from math import gcd
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from multable.sieve import (
     mertens_sum,
     prime_flags,
     primes_upto,
+    progression_table,
     square_part,
 )
 
@@ -88,9 +90,17 @@ _TOP = (SEGMENT_BUDGET + 1) ** 2
 def test_build_table_matches_factorization(lo, length):
     hi = lo + length
     t = build_table(lo, hi)
+    _check_factor_lists(t, range(lo, hi))
+    # a spread of elements against trial division
+    for n in range(lo, hi, max(1, length // 16)):
+        _check_against_trial_division(t, n)
+    _check_against_trial_division(t, hi - 1)
+
+
+def _check_factor_lists(t, values):
     # every element: the listed primes are prime, ascending, and divide n
     # out completely; omega and the square divisor follow from the exponents
-    for n in range(lo, hi):
+    for n in values:
         pf = t.prime_factors(n)
         assert all(type(p) is int for p in pf)
         assert pf == sorted(set(pf)) and all(is_prime(p) for p in pf)
@@ -105,10 +115,74 @@ def test_build_table_matches_factorization(lo, length):
         assert m == 1
         assert t.omega(n) == len(pf)
         assert t.largest_square_divisor(n) == sq
-    # a spread of elements against trial division
-    for n in range(lo, hi, max(1, length // 16)):
-        _check_against_trial_division(t, n)
-    _check_against_trial_division(t, hi - 1)
+
+
+# a times one of these is a multiple of a high prime power
+_HIGH_POWERS = (1, 2**20, 3**12, 5**8, 7**6, 1031**2, 2**10 * 3**5)
+
+
+@st.composite
+def _table_progressions(draw):
+    d = draw(st.integers(1, 30030))
+    share = gcd(d, draw(st.sampled_from((1, 2, 6, 30, 1031, d))))  # divides a and d
+    a = draw(st.integers(1, 10**4)) * draw(st.sampled_from(_HIGH_POWERS)) * share
+    return AP(a, d, draw(st.integers(1, 3000)))
+
+
+@given(_table_progressions(), st.booleans())
+@example(AP(30030 * 2**20, 30030, 3000), True)  # every prime of d divides every element
+@example(AP(2**20, 2**14, 3000), True)  # powers of 2 up to 2^14 divide every element
+@example(AP(1031 * 7, 1031 * 29, 2000), True)  # a prime above 2^10 divides d and a
+@example(AP(1031**2 * 5, 1031, 3000), False)
+@example(AP(10**9 + 7, 30029, 1), True)
+@example(AP(1, 1, 3000), True)
+def test_progression_table_matches_hull_and_factorize(ap, factor_lists):
+    t = progression_table(ap, factor_lists)
+    assert (t.lo, t.d, t.hi) == (ap.a, ap.d if ap.L > 1 else 1, ap.a + t.d * ap.L)
+    values = ap.elements()
+    assert t.positions(values).tolist() == list(range(ap.L))
+    if ap.last - ap.a < 1 << 16:  # the hull fits: the same rows as its table
+        hull = build_table(ap.a, ap.last + 1, factor_lists)
+        at = hull.positions(values)
+        assert np.array_equal(t.omega_array, hull.omega_array[at])
+        assert np.array_equal(t.square_divisor_array, hull.square_divisor_array[at])
+        if factor_lists:
+            assert all(t.prime_factors(n) == hull.prime_factors(n) for n in values)
+    elif factor_lists:
+        _check_factor_lists(t, values)
+    for n in values[:: max(1, ap.L // 32)] + values[-1:]:
+        if factor_lists:
+            _check_against_trial_division(t, n)
+        else:
+            fac = factorize(n)
+            assert t.omega(n) == len(fac)
+            assert t.largest_square_divisor(n) == math.prod(p ** (2 * (e // 2)) for p, e in fac.items())
+
+
+def test_progression_table_lookups():
+    t = progression_table(AP(7, 10, 5))  # 7, 17, 27, 37, 47
+    assert t.positions([47, 7, 27]).tolist() == [4, 0, 2]
+    assert t.prime_factors(27) == [3] and t.largest_square_divisor(27) == 9
+    for bad in ([8], [57], [-3], [2**70], [7, 17, 18]):
+        with pytest.raises(PreconditionError):
+            t.positions(bad)
+    for bad in (8, 57, -3):
+        with pytest.raises(PreconditionError):
+            t.omega(bad)
+    with pytest.raises(PreconditionError):
+        progression_table(AP(0, 3, 5))
+    with pytest.raises(PreconditionError):
+        progression_table(AP(7, 10, 5), factor_lists=False).prime_factors(7)
+
+
+def test_progression_table_budget_counts_elements():
+    # the hull [1, 1 + 1000 * 10^5) is six times the budget; 10^5 elements are not
+    t = progression_table(AP(1, 1000, 10**5), factor_lists=False)
+    assert t.omega(1 + 1000 * 99999) == len(factorize(1 + 1000 * 99999))
+    with pytest.raises(BudgetError):
+        progression_table(AP(1, 1, SEGMENT_BUDGET + 1))
+    with pytest.raises(BudgetError):
+        progression_table(AP(_TOP, 1000, 10))
 
 
 def test_prime_flags_agree_with_table():
