@@ -47,8 +47,8 @@ print("\nwitness construction (prefix product < sqrt(a), last prime from the quo
 ap = AP(8009, 1, 3000)
 for k in (1, 2, 3):
     q = NkQuery(0.0, 10.0, k, ap=ap)
-    wit = nk_last_prime_extension(q, table)
     tot = len(nk_set(q, table))
+    wit = nk_last_prime_extension(q, tot)
     print(f"  k = {k}: witness {wit} <= exact {tot}")
 
 print("\nwindow means of z^omega(n) vs envelope, n = 1 mod 3 in [10^6, 2*10^6):")

@@ -34,9 +34,7 @@ Larger elements are keyed on the reduced fraction in integers.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from math import sqrt
 
 import numpy as np
@@ -309,26 +307,56 @@ def _product_merge(A: IntSet, B: IntSet) -> IntSet:
 def offdiag_tuples(A: IntSet, energy_value: int | None = None) -> int:
     """Count of grids (x1, x2, y1, y2), x1 < x2, y1 < y2, all x_i*y_j in A.
 
-    Enumerates x over divisors of elements of A (any valid x divides some
-    element), counts co-occurrences of quotient pairs, and sums the ways to
-    choose two common x values.  For |A| up to a few thousand the asserted
-    inequality E(A) <= 2|A|^2 + 4|X| is re-checked against the exact energy,
-    or against ``energy_value`` when the caller already has E(A).
+    Every valid x divides some element, so the incidences (x, a/x) come from
+    the divisors of each element.  They are sorted once by (x, y), and each
+    x with at least two quotients y1 < y2 contributes the pair as one int64
+    key, the ranks of y1 and y2 among the distinct quotients packed side by
+    side; a pair shared by c values of x gives c(c-1)/2 grids.  The keys of
+    all x with s quotients are gathered by one ``np.triu_indices(s, 1)``
+    into one array of exactly ``work`` entries, checked against
+    ``OFFDIAG_PAIR_BUDGET`` before it is allocated, and counted in one sort.
+    A kept incidence shares its x with another, so there are at most
+    2 * work of them and the two ranks fit in 50 bits.
+
+    For |A| up to a few thousand the asserted inequality
+    E(A) <= 2|A|^2 + 4|X| is re-checked against the exact energy, or
+    against ``energy_value`` when the caller already has E(A).
     """
     A = intset(A)
     if not A or A[0] < 1:
         raise PreconditionError("offdiag_tuples needs positive integers")
-    quotients: dict[int, list[int]] = {}
+    xs: list[int] = []
+    ys: list[int] = []
     for a in A:
-        for x in divisors(a):
-            quotients.setdefault(x, []).append(a // x)
-    work = sum(len(ys) * (len(ys) - 1) // 2 for ys in quotients.values())
+        ds = divisors(a)
+        xs += ds
+        ys += reversed(ds)  # a // ds[i] is ds[-1 - i]
+    x = np.array(xs, dtype=np.int64)
+    y = np.array(ys, dtype=np.int64)
+    order = np.lexsort((y, x))
+    y = y[order]
+    sizes = _sorted_counts(x[order])[1]  # the quotients of each x, in x order
+    work = int((sizes * (sizes - 1) // 2).sum())
     if work > OFFDIAG_PAIR_BUDGET:
         raise BudgetError(f"co-occurrence work {work} exceeds budget {OFFDIAG_PAIR_BUDGET}")
-    common = Counter()
-    for ys in quotients.values():
-        common.update(combinations(sorted(ys), 2))
-    x_count = sum(c * (c - 1) // 2 for c in common.values())
+    shared = sizes >= 2
+    # y stays sorted within each x, and so does its rank
+    rank = np.unique(y[np.repeat(shared, sizes)], return_inverse=True)[1]
+    bits = max(rank.size - 1, 1).bit_length()
+    sizes = sizes[shared]
+    first = np.cumsum(sizes) - sizes
+    keys = np.empty(work, dtype=np.int64)
+    pos = 0
+    for s in np.unique(sizes).tolist():
+        i, j = np.triu_indices(s, 1)
+        ranks = rank[first[sizes == s][:, None] + np.arange(s)]
+        block = keys[pos : pos + len(ranks) * i.size].reshape(len(ranks), i.size)
+        np.take(ranks, i, axis=1, out=block)
+        block <<= bits
+        block |= np.take(ranks, j, axis=1)
+        pos += block.size
+    counts = _sorted_counts(keys)[1]
+    x_count = int((counts * (counts - 1) // 2).sum())
     e = energy_value
     if e is None and len(A) <= 3000:
         e = energy(A).energy

@@ -293,7 +293,7 @@ def cmd_nk(
         "asymptotic_k_note": "floor(loglog L / log 4 - 5 sqrt(loglog L)) - 4",
     }
     if witness:
-        row["witness_count"] = nk_last_prime_extension(q, table)
+        row["witness_count"] = nk_last_prime_extension(q, len(members))
     return _finish("nk", {"alpha": alpha, "beta": beta, "k": k, "a": a, "d": d, "L": L},
                    [row], seed, threads, t0)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, isqrt, log
 
 import numpy as np
@@ -205,20 +206,24 @@ def shiu_mean(q: ShiuQuery) -> tuple[float, float]:
     if first < 1:
         first += k
     ap = ArithmeticProgression(first, k, len(range(first, x, k)))
-    omegas = progression_table(ap, factor_lists=False).omega_array.astype(np.float64)
-    exact = float(math.fsum(np.power(z, omegas).tolist()))
+    # z^omega takes one value per class omega = w: the exact sum of
+    # count_w * z^w, rounded once, is the correctly rounded window sum
+    counts = np.bincount(progression_table(ap, factor_lists=False).omega_array)
+    powers = np.power(z, np.arange(counts.size, dtype=np.float64)).tolist()
+    exact = float(sum(Fraction(c) * Fraction(v) for c, v in zip(counts.tolist(), powers) if c))
 
     prime_cut = z * mertens_sum(x) - sum(z / p for p in factorize(k))
     bound = (y / totient(k)) * (1.0 / log(x)) * math.exp(prime_cut)
     return exact, bound
 
 
-def nk_last_prime_extension(q: NkQuery, table: FactorizationTable) -> int:
+def nk_last_prime_extension(q: NkQuery, members: int) -> int:
     """Constructive lower-bound witness for |N_k|: count members q*p where
     q = p_1 ... p_{k-1} < sqrt(a) is an admissible prefix and p is a prime
     in the quotient progression {(a + i0 d)/q + j d}.
 
-    Every witness is a genuine member, which is re-checked against nk_set.
+    Every witness is a genuine member, so the count is re-checked against
+    ``members``, the caller's |N_k| = len(nk_set(q, table)).
     """
     if q.ap is None:
         raise PreconditionError("needs an arithmetic progression domain")
@@ -235,7 +240,6 @@ def nk_last_prime_extension(q: NkQuery, table: FactorizationTable) -> int:
         count = 1 if 1 in ap else 0
     else:
         count = _extension_count(q, ap)
-    members = len(nk_set(q, table))
     if count > members:
         raise InternalCheckError(f"witness count {count} exceeds |N_k| = {members}")
     return count

@@ -219,7 +219,8 @@ def test_criterion_08_nk_construction(table_1e6):
             a = rnd.randrange(L, int(L * math.sqrt(math.log(L))))
             k = rnd.randrange(1, 4)
             q = NkQuery(0.0, 30.0, k, ap=AP(a, 1, L))
-            assert nk_last_prime_extension(q, table_1e6) <= len(nk_set(q, table_1e6))
+            members = len(nk_set(q, table_1e6))
+            assert nk_last_prime_extension(q, members) <= members
 
 
 def test_criterion_09_smirnov_exactness():

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from multable.energy import (
     random_energy_subset,
 )
 from multable.errors import BudgetError, PreconditionError
+from multable.progressions import ArithmeticProgression as AP
 from multable.progressions import dilate
+from multable.sieve import divisors
 
 # multable.energy is also the name of the function the package re-exports
 en = importlib.import_module("multable.energy")
@@ -165,6 +168,68 @@ def test_offdiag_grid_count_exact():
                     if all(u * v in set(A) for u in (x1, x2) for v in (y1, y2)):
                         ref += 1
     assert offdiag_tuples(A) == ref
+
+
+def _offdiag_quotients(A):
+    """{x: the quotients a/x over the elements a of A that x divides}."""
+    quotients = {}
+    for a in sorted(set(A)):
+        for x in divisors(a):
+            quotients.setdefault(x, []).append(a // x)
+    return quotients
+
+
+def _offdiag_counter(A):
+    """Grid count by a second route: a Counter of the quotient pairs each x
+    sees, fed by itertools.combinations, one tuple per pair."""
+    common = Counter()
+    for ys in _offdiag_quotients(A).values():
+        common.update(combinations(sorted(ys), 2))
+    return sum(c * (c - 1) // 2 for c in common.values())
+
+
+# small multiples of highly composite scales, so elements share many divisors
+shared_divisor_sets = st.sets(
+    st.builds(lambda k, s: k * s, st.integers(1, 40), st.sampled_from([1, 6, 12, 24, 60, 120, 210])),
+    min_size=1,
+    max_size=60,
+)
+
+
+@given(shared_divisor_sets)
+def test_offdiag_matches_counter(A):
+    assert offdiag_tuples(A) == _offdiag_counter(A)
+
+
+def test_offdiag_matches_counter_on_progressions():
+    assert offdiag_tuples([1, 2, 3, 6]) == _offdiag_counter([1, 2, 3, 6]) == 2
+    for a, d, L in [(720720, 60, 200), (1, 1, 512), (7, 1000, 64)]:
+        A = AP(a, d, L).elements()
+        assert offdiag_tuples(A) == _offdiag_counter(A)
+
+
+def test_offdiag_budget(monkeypatch):
+    A = list(range(1, 61))
+    work = sum(len(ys) * (len(ys) - 1) // 2 for ys in _offdiag_quotients(A).values())
+    monkeypatch.setattr(en, "OFFDIAG_PAIR_BUDGET", work)
+    assert offdiag_tuples(A) == _offdiag_counter(A)
+    monkeypatch.setattr(en, "OFFDIAG_PAIR_BUDGET", work - 1)
+    with pytest.raises(BudgetError):
+        offdiag_tuples(A)
+
+
+def test_offdiag_peak():
+    # the keys are one int64 array of exactly the work's length, 2.3 MiB here;
+    # the Counter of tuples peaked at 27 MiB
+    A = AP(720720, 60, 200).elements()
+    e = energy(A).energy
+    tracemalloc.start()
+    try:
+        offdiag_tuples(A, energy_value=e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024 * 1024
 
 
 def test_random_energy_subset_examples():

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from multable.errors import BudgetError, InternalCheckError, PreconditionError
@@ -202,6 +203,19 @@ def test_shiu_matches_hull_table():
         assert shiu_mean(q)[0] == _shiu_exact_over_hull(q)
 
 
+def test_shiu_class_sum_matches_fsum():
+    # the per-omega class sum gives the same bits as fsum over the window
+    windows = [(1549471, 542301, 5, 4), (2 * 10**6, 10**6, 3, 1), (10**4, 5000, 3, 1), (3 * 10**5, 10**5, 7, 2)]
+    for x, y, k, a in windows:
+        lo = x - y
+        first = lo + (a - lo) % k
+        ap = AP(first, k, len(range(first, x, k)))
+        omegas = progression_table(ap, factor_lists=False).omega_array.astype(np.float64)
+        for z in (0.3, 0.5, 1.0, 1.7, 2.0, math.pi / 2):
+            want = math.fsum(np.power(z, omegas).tolist())
+            assert shiu_mean(ShiuQuery(x, y, k, a, z))[0] == want
+
+
 def test_shiu_preconditions():
     with pytest.raises(PreconditionError):
         shiu_mean(ShiuQuery(10**4, 50, 1, 0, 1.0))  # y below sqrt(x)
@@ -214,13 +228,17 @@ def test_shiu_preconditions():
 def test_extension_k1_reduces_to_prime_count(table_1e6):
     ap = AP(101, 1, 100)
     q = NkQuery(0.0, 100.0, 1, ap=ap)
-    assert nk_last_prime_extension(q, table_1e6) == prime_count_ap(ap)
+    members = len(nk_set(q, table_1e6))
+    assert nk_last_prime_extension(q, members) == prime_count_ap(ap) == members
+    # at k = 1 every member is a witness, so one member fewer fails the check
+    with pytest.raises(InternalCheckError):
+        nk_last_prime_extension(q, members - 1)
 
 
 def test_extension_semiprime_cross_check(table_1e6):
     ap = AP(101, 1, 100)
     q = NkQuery(0.0, 100.0, 2, ap=ap)
-    got = nk_last_prime_extension(q, table_1e6)
+    got = nk_last_prime_extension(q, len(nk_set(q, table_1e6)))
     want = 0
     for n in range(101, 201):
         fac = factorize(n)
@@ -231,15 +249,16 @@ def test_extension_semiprime_cross_check(table_1e6):
 
 
 def test_extension_tiny_and_soundness(table_1e6):
-    assert nk_last_prime_extension(NkQuery(0.0, 100.0, 2, ap=AP(2, 1, 2)), table_1e6) == 0
+    q = NkQuery(0.0, 100.0, 2, ap=AP(2, 1, 2))
+    assert nk_last_prime_extension(q, len(nk_set(q, table_1e6))) == 0
     rnd = random.Random(21)
     for _ in range(20):
         L = rnd.randrange(60, 300)
         a = rnd.randrange(L, int(L * math.sqrt(math.log(L))))
         k = rnd.randrange(1, 4)
         q = NkQuery(0.0, 50.0, k, ap=AP(a, 1, L))
-        wit = nk_last_prime_extension(q, table_1e6)
-        assert wit <= len(nk_set(q, table_1e6))
+        members = len(nk_set(q, table_1e6))
+        assert nk_last_prime_extension(q, members) <= members
 
 
 def _witnesses_by_is_prime(q):
@@ -272,8 +291,8 @@ def test_extension_matches_is_prime_count():
             continue
         a = rnd.choice([a for a in range(d * L, top + 1) if math.gcd(a, d) == 1])
         q = NkQuery(rnd.choice([0.0, 0.2]), rnd.choice([0.5, 2.0, 50.0]), rnd.randrange(1, 4), ap=AP(a, d, L))
-        table = progression_table(q.ap)
-        assert nk_last_prime_extension(q, table) == _witnesses_by_is_prime(q)
+        members = len(nk_set(q, progression_table(q.ap)))
+        assert nk_last_prime_extension(q, members) == _witnesses_by_is_prime(q)
 
 
 def test_totient():
