@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import experiments as ex
 from .errors import BudgetError, InternalCheckError, PreconditionError
@@ -23,16 +22,6 @@ def _int_list(text: str) -> list[int]:
 
 def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
-
-
-def _delta(text: str) -> Fraction:
-    try:
-        dlt = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
-    if not 0 < dlt <= 1:
-        raise argparse.ArgumentTypeError(f"delta must be in (0, 1], got {text}")
-    return dlt
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", type=int)
     p.add_argument("d", type=int)
     p.add_argument("L", type=int)
-    p.add_argument("--delta", type=_delta, default="1",
+    p.add_argument("--delta", default="1",
                    help="density in (0, 1] as a fraction, e.g. 3/10")
 
     p = add_parser("nk", ex.cmd_nk, help="constrained square-free counts N_k")

@@ -11,6 +11,7 @@ against their multiplicative-function envelope.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, log
@@ -30,7 +31,7 @@ from .sieve import (
 
 RECIPROCAL_MAX_K = 5
 RECIPROCAL_MAX_X = 10**7
-RECIPROCAL_MAX_NODES = 10**7  # DFS nodes per reciprocal_sum_lower call
+RECIPROCAL_MAX_NODES = 10**7  # DFS nodes per walk over admissible prime tuples
 PRIME_BOUND_MIN_LENGTH = 10**4  # below this the density floor is only reported
 
 
@@ -119,54 +120,49 @@ def prime_count_ap(ap: ArithmeticProgression) -> int:
     return count
 
 
+def _admissible_tuples(m: int, d: int, alpha: float, beta: float, limit: int, visit) -> None:
+    """Depth-first, call visit(product, largest prime) for each ascending m-tuple
+    of primes not dividing d with log log p_j >= alpha*j - beta and product <
+    limit (visit(1, 1) once at m = 0); BudgetError past RECIPROCAL_MAX_NODES nodes."""
+    if m == 0:
+        visit(1, 1)
+        return
+    primes = [p for p in primes_upto(limit - 1).tolist() if d % p != 0]
+    # log log is increasing, so the admissible primes at each depth are a suffix
+    start_at = [bisect_left(primes, alpha * j - beta, key=lambda p: log(log(p)))
+                for j in range(1, m + 1)]
+    nodes = 0
+
+    def walk(depth: int, first_idx: int, prod: int):
+        nonlocal nodes
+        for i in range(max(first_idx, start_at[depth]), len(primes)):
+            p = primes[i]
+            new = prod * p
+            if new >= limit:
+                return
+            nodes += 1
+            if nodes > RECIPROCAL_MAX_NODES:
+                raise BudgetError(f"DFS exceeded {RECIPROCAL_MAX_NODES} nodes")
+            if depth + 1 == m:
+                visit(new, p)
+            else:
+                walk(depth + 1, i + 1, new)
+
+    walk(0, 0, 1)
+
+
 def reciprocal_sum_lower(x: int, k: int, d: int, beta: float, alpha: float) -> float:
     """Sum of 1/(p_1 ... p_k) over ascending prime tuples with product < x,
     no p_j dividing d, and log log p_j >= alpha*j - beta, by exhaustive DFS.
 
     The reference scale for ratio inspection is (e log 4)^k.
     """
+    if k < 0 or not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise PreconditionError("needs k >= 0 and finite alpha, beta")
     if k > RECIPROCAL_MAX_K or x > RECIPROCAL_MAX_X:
         raise BudgetError(f"enumeration budget is k <= {RECIPROCAL_MAX_K}, x <= {RECIPROCAL_MAX_X}")
-    if k == 0:
-        return 1.0
-    if x < 3:
-        return 0.0
-    primes = [p for p in primes_upto(x - 1).tolist() if d % p != 0]
-    if not primes:
-        return 0.0
-    # first admissible prime index per depth (log log is increasing)
-    start_at = []
-    for j in range(1, k + 1):
-        bound = alpha * j - beta
-        lo_i, hi_i = 0, len(primes)
-        while lo_i < hi_i:
-            mid = (lo_i + hi_i) // 2
-            if log(log(primes[mid])) >= bound:
-                hi_i = mid
-            else:
-                lo_i = mid + 1
-        start_at.append(lo_i)
-
     terms: list[float] = []
-    nodes = 0
-
-    def walk(depth: int, first_idx: int, prod: int):
-        nonlocal nodes
-        lo_i = max(first_idx, start_at[depth - 1])
-        for i in range(lo_i, len(primes)):
-            p = primes[i]
-            new = prod * p
-            if new >= x:
-                return
-            nodes += 1
-            if nodes > RECIPROCAL_MAX_NODES:
-                raise BudgetError(f"DFS exceeded {RECIPROCAL_MAX_NODES} nodes")
-            if depth == k:
-                terms.append(1.0 / new)
-            else:
-                walk(depth + 1, i + 1, new)
-
-    walk(1, 0, 1)
+    _admissible_tuples(k, d, alpha, beta, x, lambda prod, _: terms.append(1.0 / prod))
     return math.fsum(terms)
 
 
@@ -247,10 +243,7 @@ def nk_last_prime_extension(q: NkQuery, members: int) -> int:
 
 def _extension_count(q: NkQuery, ap: ArithmeticProgression) -> int:
     a, d, L = ap.a, ap.d, ap.L
-    # prefixes must satisfy p_1 ... p_{k-1} < sqrt(a), exactly
-    primes = [p for p in primes_upto(isqrt(a)).tolist() if p * p < a and d % p != 0]
-    kk = q.k
-    last_bound = q.alpha * kk - q.beta
+    last_bound = q.alpha * q.k - q.beta
 
     def count_for_prefix(prefix_prod: int, p_last: int) -> int:
         # the candidates p = (a + i d)/qq, i = i0 (mod qq), are the
@@ -265,21 +258,8 @@ def _extension_count(q: NkQuery, ap: ArithmeticProgression) -> int:
         p = p[p > p_last]
         return int((_loglog(p) >= last_bound).sum())
 
-    total = 0
-
-    def walk(depth: int, first_idx: int, prod: int, p_last: int):
-        nonlocal total
-        if depth == kk:
-            total += count_for_prefix(prod, p_last)
-            return
-        bound = q.alpha * depth - q.beta
-        for i in range(first_idx, len(primes)):
-            p = primes[i]
-            new = prod * p
-            if new * new >= a:
-                return
-            if log(log(p)) >= bound:
-                walk(depth + 1, i + 1, new, p)
-
-    walk(1, 0, 1, 1)
-    return total
+    counts: list[int] = []
+    # prefixes must satisfy p_1 ... p_{k-1} < sqrt(a), exactly: prod <= isqrt(a - 1)
+    _admissible_tuples(q.k - 1, d, q.alpha, q.beta, isqrt(a - 1) + 1,
+                       lambda prod, p_last: counts.append(count_for_prefix(prod, p_last)))
+    return sum(counts)

@@ -18,6 +18,7 @@ which is valid unconditionally, and the trace notes say so.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
@@ -53,17 +54,16 @@ def largest_square_class(A: IntSet, T: int) -> tuple[IntSet, int, IntSet]:
     exceeds T^2 are discarded before classing.
     """
     A = intset(A)
-    if not A or A[0] < 1:
-        raise PreconditionError("needs positive integers")
+    if not A or A[0] < 1 or A[-1] >= 2**63:
+        raise PreconditionError("needs positive integers below 2^63")
     sq = square_parts(np.array(A, dtype=np.int64))
-    classes: dict[int, list[int]] = {}
-    for x, s in zip(A, sq.tolist()):
-        if s <= T * T:
-            classes.setdefault(s, []).append(x)
-    if not classes:
+    small = sq <= T * T
+    if not small.any():
         raise PreconditionError(f"every element has a square divisor above T^2 = {T * T}")
-    best_sq = max(classes, key=lambda s: (len(classes[s]), -s))
-    B0 = sorted(classes[best_sq])
+    # np.unique sorts, so the first largest count belongs to the smallest t
+    classes, counts = np.unique(sq[small], return_counts=True)
+    best_sq = int(classes[np.argmax(counts)])
+    B0 = list(compress(A, (sq == best_sq).tolist()))
     t = math.isqrt(best_sq)
     B = [x // best_sq for x in B0]
     if np.any(square_parts(np.array(B, dtype=np.int64)) != 1):
@@ -84,8 +84,7 @@ def squarefree_reduce(
     delta = Fraction(delta)
     A = intset(A)
     L = ap.L
-    if not A or any(x not in ap for x in A):
-        raise PreconditionError("A must be a nonempty subset of ap")
+    _check_subset(A, ap)
     if ap.a <= 0 or gcd(ap.a, ap.d) != 1:
         raise PreconditionError("requires a > 0 and gcd(a, d) = 1")
     if len(A) < delta * L:
@@ -106,6 +105,18 @@ def squarefree_reduce(
             f"{float(delta * delta * L / 18):.4g}"
         )
     return B0, t, B
+
+
+def _check_subset(A: IntSet, ap: ArithmeticProgression) -> None:
+    """PreconditionError unless the sorted set A is a nonempty subset of ap."""
+    if not A or A[0] < ap.a or A[-1] > ap.last or any((x - ap.a) % ap.d for x in A):
+        raise PreconditionError("A must be a nonempty subset of ap")
+
+
+def _hull_prefix(B: IntSet, d: int) -> int:
+    """Length of the longest prefix of the sorted set B (at least 1) whose
+    hull B[0] + d*i, i < span, keeps B[0] > d*span."""
+    return max(1, bisect_left(B, B[0] + d * (-(-B[0] // d) - 1)))
 
 
 def trimmed_set(A: IntSet, table, T: float) -> IntSet:
@@ -151,8 +162,7 @@ def reduce(A: IntSet, ap: ArithmeticProgression, delta) -> ReductionTrace:
     """Run the five-step pipeline on (A, ap) with density at least delta."""
     delta = Fraction(delta)
     A = intset(A)
-    if not A or any(x not in ap for x in A):
-        raise PreconditionError("A must be a nonempty subset of ap")
+    _check_subset(A, ap)
     if len(A) < delta * ap.L:
         raise PreconditionError(f"|A| = {len(A)} below delta * L = {float(delta * ap.L)}")
 
@@ -161,15 +171,14 @@ def reduce(A: IntSet, ap: ArithmeticProgression, delta) -> ReductionTrace:
     original = set(A)
 
     # Step 1: positivity, mirroring if fewer than 1/3 of elements are positive
-    positives = sum(1 for x in A if x > 0)
     sign = 1
     note = ""
-    if 3 * positives < len(A):
+    if 3 * (len(A) - bisect_right(A, 0)) < len(A):
         sign = -1
-        A = sorted(-x for x in A)
+        A = [-x for x in reversed(A)]
         ap = ap.negated()
         note = "mirrored to -A (fewer than 1/3 positive)"
-    A1 = [x for x in A if x > 0]
+    A1 = A[bisect_right(A, 0):]
     P1 = ap.positive_part()
     if not A1 or P1 is None:
         raise PreconditionError("no positive elements on either side")
@@ -201,10 +210,9 @@ def reduce(A: IntSet, ap: ArithmeticProgression, delta) -> ReductionTrace:
     if P2.L < 2:
         return direct(A2, P2, "singleton progression; universal bound")
     blocks = P2.dyadic_index_blocks()
-    index_of = {x: (x - P2.a) // P2.d for x in A2}
-    counts = []
-    for t, lo, hi in blocks:
-        counts.append(sum(1 for x in A2 if lo <= index_of[x] < hi))
+    index = [(x - P2.a) // P2.d for x in A2]  # ascending, as A2 is
+    cuts = [(bisect_left(index, lo), bisect_left(index, hi)) for _, lo, hi in blocks]
+    counts = [j - i for i, j in cuts]
     lengths = [hi - lo for _, lo, hi in blocks]
     total = P2.L - 1
     # smallest t0 whose tail mass fits inside half the set's index mass
@@ -219,7 +227,8 @@ def reduce(A: IntSet, ap: ArithmeticProgression, delta) -> ReductionTrace:
     t1 = max(qualifying, key=lambda i: (counts[i], -i))
     _, lo, hi = blocks[t1]
     P3 = ArithmeticProgression(P2.a + lo * P2.d, P2.d, hi - lo)
-    A3 = [x for x in A2 if lo <= index_of[x] < hi]
+    first, end = cuts[t1]
+    A3 = A2[first:end]
     d3 = Fraction(len(A3), P3.L)
     if 2 * d3 < d2:
         raise InternalCheckError("selected block density below half")
@@ -252,17 +261,11 @@ def reduce(A: IntSet, ap: ArithmeticProgression, delta) -> ReductionTrace:
         )
     B0, t, B = squarefree_reduce(A3, P3, d3)
     note5 = f"t={t}, |B0|={len(B0)}" + band
-    trimmed = 0
-    while len(B) > 1:
-        first = B[0]
-        span = (B[-1] - B[0]) // P3.d + 1
-        if first > P3.d * span:
-            break
-        B = B[:-1]
-        trimmed += 1
-    if trimmed:
-        note5 += f", trimmed {trimmed} for the hull guarantee"
-    span = (B[-1] - B[0]) // P3.d + 1 if len(B) > 1 else 1
+    keep = _hull_prefix(B, P3.d)
+    if keep < len(B):
+        note5 += f", trimmed {len(B) - keep} for the hull guarantee"
+        B = B[:keep]
+    span = (B[-1] - B[0]) // P3.d + 1
     P5 = ArithmeticProgression(B[0], P3.d, span)
     if P5.a <= P5.d * P5.L:
         return direct(A3, P3, "square-free hull too tight; universal bound")

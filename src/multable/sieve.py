@@ -363,8 +363,7 @@ def build_table(lo: int, hi: int, factor_lists: bool = True) -> FactorizationTab
     AP(lo, 1, hi - lo) of ``progression_table``; requires 1 <= lo < hi."""
     if lo < 1 or hi <= lo:
         raise PreconditionError(f"need 1 <= lo < hi, got [{lo}, {hi})")
-    ap = ArithmeticProgression(lo, 1, hi - lo)
-    return FactorizationTable(ap, *_sieve(ap, _sieving_primes(ap.L, ap.last), factor_lists))
+    return progression_table(ArithmeticProgression(lo, 1, hi - lo), factor_lists)
 
 
 def prime_flags(ap: ArithmeticProgression) -> np.ndarray:
@@ -398,13 +397,15 @@ def count_large_square_divisible(ap: ArithmeticProgression, T: int) -> int:
 
     Requires gcd(a, d) = 1 and positive a, d; in that range the count is
     provably at most sqrt(a + dL) + L/T, which is re-checked on every call.
+    The square divisors come from ``progression_table``, so its budget holds:
+    ``BudgetError`` past SEGMENT_BUDGET elements or ap.last above about 2^48.
     """
     if T < 1:
         raise PreconditionError("T must be >= 1")
     if ap.a <= 0 or gcd(ap.a, ap.d) != 1:
         raise PreconditionError("requires a > 0 and gcd(a, d) = 1")
-    vals = np.array(ap.elements(), dtype=np.int64)
-    count = int((square_parts(vals) > T * T).sum())
+    sqdiv = progression_table(ap, factor_lists=False).square_divisor_array
+    count = int((sqdiv > T * T).sum())
     bound = math.sqrt(ap.a + ap.d * ap.L) + ap.L / T
     if count > bound:
         raise InternalCheckError(

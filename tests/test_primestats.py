@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
+from multable import primestats
 from multable.errors import BudgetError, InternalCheckError, PreconditionError
 from multable.progressions import ArithmeticProgression as AP
 from multable.primestats import (
@@ -16,7 +18,7 @@ from multable.primestats import (
     shiu_mean,
     totient,
 )
-from multable.sieve import build_table, factorize, is_prime, progression_table
+from multable.sieve import build_table, factorize, is_prime, primes_upto, progression_table
 
 LOG4 = math.log(4)
 
@@ -148,22 +150,17 @@ def test_reciprocal_sum_examples():
 
 
 def test_reciprocal_sum_constrained_matches_enumeration():
-    # k = 2, alpha = log 4, beta = 2: brute force over prime pairs
-    alpha, beta, x = LOG4, 2.0, 500
-    from multable.sieve import primes_upto
-
-    primes = primes_upto(x).tolist()
-    want = 0.0
-    for i, p in enumerate(primes):
-        for q in primes[i + 1 :]:
-            if p * q >= x:
-                break
-            if (
-                math.log(math.log(p)) >= alpha - beta
-                and math.log(math.log(q)) >= 2 * alpha - beta
+    # brute force over all k-subsets of the primes below x
+    x = 500
+    for (alpha, beta), d, k in itertools.product(((LOG4, 2.0), (0.3, 1.0)), (1, 6), range(4)):
+        primes = [p for p in primes_upto(x).tolist() if d % p]
+        want = 0.0
+        for tup in itertools.combinations(primes, k):
+            if math.prod(tup) < x and all(
+                math.log(math.log(p)) >= alpha * j - beta for j, p in enumerate(tup, 1)
             ):
-                want += 1.0 / (p * q)
-    assert reciprocal_sum_lower(x, 2, 1, beta, alpha) == pytest.approx(want, rel=1e-12)
+                want += 1.0 / math.prod(tup)
+        assert reciprocal_sum_lower(x, k, d, beta, alpha) == pytest.approx(want, rel=1e-12), (alpha, d, k)
 
 
 def test_reciprocal_sum_budget():
@@ -171,6 +168,18 @@ def test_reciprocal_sum_budget():
         reciprocal_sum_lower(10**7 + 1, 1, 1, 1.0, 0.0)
     with pytest.raises(BudgetError):
         reciprocal_sum_lower(100, 6, 1, 1.0, 0.0)
+    for k, alpha in ((-1, 0.0), (1, math.nan), (1, math.inf)):
+        with pytest.raises(PreconditionError):
+            reciprocal_sum_lower(100, k, 1, 1.0, alpha)
+
+
+def test_tuple_walks_share_the_node_budget(monkeypatch, table_1e6):
+    monkeypatch.setattr(primestats, "RECIPROCAL_MAX_NODES", 5)
+    with pytest.raises(BudgetError):
+        reciprocal_sum_lower(1000, 2, 1, 100.0, 0.0)
+    q = NkQuery(0.0, 100.0, 3, ap=AP(900, 1, 400))
+    with pytest.raises(BudgetError):
+        nk_last_prime_extension(q, len(nk_set(q, table_1e6)))
 
 
 def test_shiu_examples():

@@ -11,6 +11,7 @@ from multable.progressions import dilate
 from multable.reduction import (
     DirectBound,
     Reduced,
+    _hull_prefix,
     large_a_energy_bound,
     largest_square_class,
     reduce,
@@ -48,6 +49,24 @@ def test_largest_square_class_examples():
     assert largest_square_class(A, 3) == (A, 1, A)
     B0, t, B = largest_square_class([4, 16, 36], 6)
     assert len(B0) == 1 and square_part(B[0]) == 1
+    with pytest.raises(PreconditionError):  # past int64
+        largest_square_class([2**63 + 1], 2)
+
+
+def _hull_prefix_by_trimming(B, d):
+    """The hull trim as a loop: drop the last element while B[0] <= d * span."""
+    while len(B) > 1 and B[0] <= d * ((B[-1] - B[0]) // d + 1):
+        B = B[:-1]
+    return len(B)
+
+
+def test_hull_prefix_matches_trimming_loop():
+    rnd = random.Random(8)
+    for _ in range(2000):
+        d = rnd.randrange(1, 12)
+        top = rnd.choice([10, 100, 1000])
+        B = sorted(rnd.sample(range(1, top * d), rnd.randrange(1, top)))
+        assert _hull_prefix(B, d) == _hull_prefix_by_trimming(B, d), (B, d)
 
 
 def test_squarefree_reduce_valid_instance():
@@ -133,6 +152,10 @@ def test_reduce_rejects_sparse_subset():
     ap = AP(1, 1, 100)
     with pytest.raises(PreconditionError):
         reduce([1, 2, 3], ap, Fraction(1, 2))
+    ap = AP(3, 4, 10)  # 3, 7, ..., 39: empty, below, above, off the residue class
+    for bad in ([], [-1, 3], [3, 43], [3, 8]):
+        with pytest.raises(PreconditionError):
+            reduce(bad, ap, Fraction(1, 10))
 
 
 def _trace_invariants(trace, A, ap, delta):

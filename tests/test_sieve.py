@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from math import gcd
@@ -261,6 +262,23 @@ def test_count_large_square_divisible_bound_random():
         c = count_large_square_divisible(AP(a, d, L), T)
         assert c <= math.sqrt(a + d * L) + L / T
         done += 1
+
+
+def test_count_large_square_divisible_matches_square_part():
+    for a, d, L in itertools.product((1, 2, 97, 10**6 + 3), (1, 3, 10), (1, 50, 600)):
+        if math.gcd(a, d) != 1:
+            continue
+        ap = AP(a, d, L)
+        sq = [square_part(n) for n in ap.elements()]
+        for T in (1, 2, 5, 30):
+            assert count_large_square_divisible(ap, T) == sum(s > T * T for s in sq), (ap, T)
+
+
+def test_count_large_square_divisible_budget():
+    with pytest.raises(BudgetError):
+        count_large_square_divisible(AP(2**63 + 1, 1, 3), 2)
+    with pytest.raises(BudgetError):
+        count_large_square_divisible(AP(1, 1, SEGMENT_BUDGET + 1), 2)
 
 
 def test_square_part_matches_factorization():
