@@ -13,6 +13,14 @@ points uniform on [0, s],
 and the answer is G(n, 1).  The binomial weights are evaluated as stable
 binomial pmf values and the tables accumulate in extended precision.
 
+The weights' log-factorials come from ``log_gamma_int``, which repeats the
+Cephes ``lgam`` routine (the one SciPy's ``gammaln`` runs) operation for
+operation at integer arguments, so the weights keep the bits they had when
+the table came from ``gammaln``.  It calls ``math.log``, the C library's
+log as Cephes does, rather than ``np.log``, whose own implementation rounds
+differently at a few integers (8 from 13 to 200,000 with numpy 2.4 on
+x86-64).
+
 Monte Carlo draws batch i from its own SFC64 stream seeded with
 SeedSequence((seed, i)), so results are bit-identical under any parallel
 schedule.  This stream replaced 0.1.0's Philox keyed (seed, batch): Monte
@@ -26,7 +34,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import BudgetError, PreconditionError
 
@@ -34,6 +41,45 @@ EXACT_BUDGET = 400
 PRECISION_WARN_AT = 200
 MC_MIN_SAMPLES = 10**4
 MC_BATCH = 1 << 14
+
+# Cephes lgam: log sqrt(2 pi) and the Stirling-series coefficients used for
+# 13 <= x < 1000, highest power first
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+
+def log_gamma_int(k: int) -> float:
+    """log Gamma(k) = log (k-1)! for an integer k >= 0, inf at k = 0.
+
+    Cephes lgam at integer x: log of the exact factorial below 13, Stirling's
+    series in p = 1/x^2 above (five terms below 1000, three from there on).
+    Cephes drops the series past 10^8, where it is under half an ulp of the
+    leading terms and so never changes the sum.
+    """
+    if k < 13:
+        return math.inf if k == 0 else math.log(float(math.factorial(k - 1)))
+    x = float(k)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    s = _LGAM_A[0]
+    for a in _LGAM_A[1:]:
+        s = s * p + a
+    return q + s / x
+
+
+def _require_finite(**values: float) -> None:
+    bad = [name for name, v in values.items() if not math.isfinite(v)]
+    if bad:
+        raise PreconditionError(f"needs finite {', '.join(bad)}")
 
 
 @dataclass(frozen=True)
@@ -46,6 +92,8 @@ class SmirnovBoundary:
         if len(self.c) < 1:
             raise PreconditionError("boundary needs n >= 1")
         arr = np.asarray(self.c, dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise PreconditionError("boundary values must be finite")
         if arr.min() < 0.0 or arr.max() > 1.0 or np.any(np.diff(arr) < 0):
             raise PreconditionError("boundary must be non-decreasing within [0, 1]")
 
@@ -60,6 +108,7 @@ class SmirnovBoundary:
     @classmethod
     def from_line(cls, n: int, u: float, w: float) -> "SmirnovBoundary":
         """c_j = clamp((j - u) / (n + w - u)): the line count <= (n+w-u)t + u."""
+        _require_finite(u=u, w=w)
         if n + w - u <= 0:
             raise PreconditionError("needs n + w - u > 0")
         j = np.arange(1, n + 1, dtype=np.float64)
@@ -69,6 +118,7 @@ class SmirnovBoundary:
     def from_region(cls, n: int, N: float, alpha: float, beta: float) -> "SmirnovBoundary":
         """c_j = clamp((alpha j - beta) / N); constraints below 0 are vacuous,
         boundaries clamped at 1 force emptiness."""
+        _require_finite(N=N, alpha=alpha, beta=beta)
         if N <= 0:
             raise PreconditionError("needs N > 0")
         j = np.arange(1, n + 1, dtype=np.float64)
@@ -89,7 +139,7 @@ def noncrossing_probability_exact(b: SmirnovBoundary, budget: int = EXACT_BUDGET
         warnings.warn(f"n = {n} > {PRECISION_WARN_AT}: precision may degrade", RuntimeWarning)
     # carr[m] = c_m for 1 <= m <= n, with the sentinel c_{n+1} = 1 (full scale)
     carr = np.concatenate([[0.0], np.asarray(b.c, dtype=np.float64), [1.0]])
-    lgam = gammaln(np.arange(n + 2, dtype=np.float64))  # lgam[k] = log (k-1)!
+    lgam = np.array([log_gamma_int(k) for k in range(n + 2)])  # lgam[k] = log (k-1)!
     # F[r, m] = G(r, c_m) for r < m <= n+1
     F = np.zeros((n + 1, n + 2), dtype=np.longdouble)
     F[0, :] = 1.0
@@ -166,6 +216,7 @@ def region_volume(n: int, N: float, alpha: float, beta: float, budget: int = EXA
     scaling the box to [0, 1] turns the sorted coordinates into uniform
     order statistics.  Returns 0 for an empty region.
     """
+    _require_finite(N=N, alpha=alpha, beta=beta)
     if alpha * n - beta > N:
         return 0.0
     p = noncrossing_probability_exact(SmirnovBoundary.from_region(n, N, alpha, beta), budget=budget)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,6 +265,21 @@ def test_cli_exit_codes():
     # a bad --delta is refused by cmd_reduce: a precondition violation, exit 2
     for delta in ("abc", "3/0", "2"):
         assert cli.main(["reduce", "1", "1", "100", "--delta", delta]) == 2, delta
+    # non-finite boundary inputs are preconditions, not NaN rows
+    assert cli.main(["smirnov", "-n", "10", "-u", "nan", "-w", "1"]) == 2
+    assert cli.main(["smirnov", "-n", "10", "-u", "1", "-w", "inf"]) == 2
+    assert cli.main(["smirnov", "--c", "0.1,nan,0.5"]) == 2
+
+
+def test_import_loads_no_scipy():
+    # the package runs on numpy alone; scipy is a test-only oracle
+    code = ("import sys, multable, multable.experiments, multable.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       timeout=120, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def test_cli_nk_sieves_elements_not_hull(capsys):

@@ -9,6 +9,7 @@ from multable.errors import BudgetError, PreconditionError
 from multable.smirnov import (
     MC_BATCH,
     SmirnovBoundary,
+    log_gamma_int,
     volume_sandwich,
     noncrossing_probability_exact,
     noncrossing_probability_mc,
@@ -65,6 +66,40 @@ def test_boundary_validation():
         B([-0.1])
     with pytest.raises(PreconditionError):
         B([])
+    for bad in ([0.1, math.nan, 0.5], [math.nan], [0.1, math.inf], [-math.inf, 0.5]):
+        with pytest.raises(PreconditionError):
+            B(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(bad):
+    with pytest.raises(PreconditionError):
+        SmirnovBoundary.from_line(10, bad, 1.0)
+    with pytest.raises(PreconditionError):
+        SmirnovBoundary.from_line(10, 1.0, bad)
+    for args in ((bad, 1.0, 2.0), (10.0, bad, 2.0), (10.0, 1.0, bad)):
+        with pytest.raises(PreconditionError):
+            SmirnovBoundary.from_region(10, *args)
+        with pytest.raises(PreconditionError):
+            region_volume(10, *args)
+        with pytest.raises(PreconditionError):
+            volume_sandwich(10, *args)
+    with pytest.raises(PreconditionError):
+        q_n(bad, 1.0, 10)
+    with pytest.raises(PreconditionError):
+        q_n(1.0, bad, 10)
+
+
+def test_log_gamma_int_matches_gammaln_bits():
+    # the recursion's weights were built from gammaln; the in-package table
+    # must reproduce it bit for bit, across both Stirling branches' edges
+    special = pytest.importorskip("scipy.special")
+    ks = list(range(10**5 + 1)) + [10**6, 10**8, 10**8 + 1, 10**9, 2**40, 2**52]
+    want = special.gammaln(np.asarray(ks, dtype=np.float64))
+    got = np.array([log_gamma_int(k) for k in ks])
+    assert np.array_equal(got, want)
+    for k in (0, 1, 2, 12, 13, 999, 1000):
+        assert log_gamma_int(k) == special.gammaln(float(k))
 
 
 def test_budget_and_warning():
