@@ -10,18 +10,30 @@ exactly before a result is returned.
 Both routes count sorted arrays, never dicts.  All arithmetic is exact:
 products run in int64 only when they provably fit, and on Python integers
 (``OBJECT_PAIR_BUDGET`` pairs at most) otherwise, so no result ever
-silently overflows.  A same-set energy sorts only the products a_i*a_j
-with i <= j and recovers the counts over ordered pairs from them.
-
-The quotient side orders each set by |s| and keys every pair i < j of that
+silently overflows.  A same-set energy counts only the products a_i*a_j
+with i <= j and recovers the counts over ordered pairs from them.  The
+quotient side orders each set by |s| and keys every pair i < j of that
 order on t_i/t_j, so every key lies in [-1, 1] and a pair {s, -s} gives -1.
-Both sides write their pairs by triangle rows into one array and sort it in
-place, so nothing n x n is allocated; ``energy`` reduces its product side
-to numbers before it builds the quotient keys, so the two sides' arrays are
-never alive together.
 
-Every pair-kernel array is sized before it is allocated, and one past
-``PAIRS_BUDGET`` entries raises ``BudgetError``.
+One windowed kernel serves both sides.  Its pairs form rows that are
+monotone in j: row i of the products is a_i*b_j over the sorted B (j >= i
+for one set), and row i of the quotients is t_i over the later elements of
+one sign, whose |t_j| grow, so t_i/t_j moves one way.  A value window
+[v, w) therefore meets every row in one contiguous range of j, found for
+all rows at once by a vectorized bisection on the values the kernel
+computes: the exact product, and for a quotient the float64 t_i/t_j, which
+is a function of the fraction's value, so all pairs of one fraction land
+in one window whatever key width counts them.  The windows are counted one
+at a time with one sort each and the counts added, so the kernel holds at
+most ``WINDOW_PAIRS`` pairs at once, or the pairs of one value if more
+share it, whatever the size of the sets.  Window edges are deterministic: an
+interpolation search, every other step a bisection, over the exact counts
+of pairs below a value.  Pairs that fit one window are counted with no
+search.  Two budgets bound the kernel, both checked before anything is
+allocated: ``WINDOW_PAIRS`` (2^20, about 8 MiB of pairs a window) for
+memory, and ``MAX_PAIRS`` = 2^30 for the time of one call, so E(A) takes up
+to 32768 elements.  ``product_set`` returns a Python list and refuses past
+``PRODUCT_SET_MAX`` pairs.
 
 Quotient keys are float64 when every element of both sets is below 2^26
 (``FLOAT_KEY_BITS``).  That is exact: such integers convert to float
@@ -33,9 +45,10 @@ Larger elements are keyed on the reduced fraction in integers.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +57,12 @@ from .progressions import IntSet, intset
 from .sieve import divisors
 
 BRUTEFORCE_BUDGET = 10**4  # max |A|*|B| for the quadratic oracle
-PAIRS_BUDGET = 1 << 26  # max entries of one pair-kernel array
+WINDOW_PAIRS = 1 << 20  # max pairs the kernel holds at once: its memory
+MAX_PAIRS = 1 << 30  # max |A|*|B| of one pair-kernel call: its time
+PRODUCT_SET_MAX = 1 << 26  # max pairs of product_set, so its list stays below 2^26 ints
 OBJECT_PAIR_BUDGET = 1 << 20  # max pairs per exact Python-int fallback
 FLOAT_KEY_BITS = 26  # quotient keys are float64 for elements below 2^26
+SLICE_ROW = 64  # rows of a window at least this long on average are written by slices
 OFFDIAG_PAIR_BUDGET = 10**7  # max co-occurring quotient pairs in offdiag_tuples
 SUBSET_MAX_DRAWS = 1000  # draws of random_energy_subset before it gives up
 
@@ -54,8 +70,9 @@ SUBSET_MAX_DRAWS = 1000  # draws of random_energy_subset before it gives up
 @dataclass
 class EnergyReport:
     """Exact energy, the trivial 2|A||B| cap ``diag_bound`` on tuples that
-    reuse a pair, the number of distinct products |A.B|, and the product
-    histogram when it was asked for.
+    reuse a pair, the number of distinct products |A.B|, the product
+    histogram when it was asked for, and ``kernel``: the dtype each side
+    ran in and how many windows it used.
 
     ``product_count`` is the number of distinct keys of the product-side
     histogram and has no second route of its own, because it needs none:
@@ -69,6 +86,7 @@ class EnergyReport:
     diag_bound: int
     product_count: int
     histogram: dict[int, int] | None = None
+    kernel: dict = field(default_factory=dict)
 
 
 def _energy_sets(A: IntSet, B: IntSet | None) -> tuple[IntSet, IntSet]:
@@ -83,14 +101,18 @@ def _energy_sets(A: IntSet, B: IntSet | None) -> tuple[IntSet, IntSet]:
     return A, B
 
 
+def check_pair_budget(size_a: int, size_b: int) -> None:
+    """Raise BudgetError when |A||B| pairs exceed MAX_PAIRS, the time budget
+    of one pair-kernel call."""
+    if size_a * size_b > MAX_PAIRS:
+        raise BudgetError(f"{size_a} x {size_b} pairs exceed the pair budget {MAX_PAIRS}")
+
+
 def _kernel_dtype(fast, pairs: int):
-    """The dtype of a pair-kernel array of ``pairs`` entries: ``fast``, a
-    numpy dtype that provably holds every value exactly, or exact Python ints
-    in object arrays when ``fast`` is None.  Raises BudgetError, before
-    anything is allocated, past PAIRS_BUDGET pairs, or past
-    OBJECT_PAIR_BUDGET pairs in objects."""
-    if pairs > PAIRS_BUDGET:
-        raise BudgetError(f"{pairs} pairs exceed the pair budget {PAIRS_BUDGET}")
+    """The dtype of the pair kernel over ``pairs`` pairs: ``fast``, a numpy
+    dtype that provably holds every value exactly, or exact Python ints in
+    object arrays when ``fast`` is None, which raises BudgetError past
+    OBJECT_PAIR_BUDGET pairs."""
     if fast is not None:
         return fast
     if pairs > OBJECT_PAIR_BUDGET:
@@ -102,33 +124,156 @@ def _kernel_arrays(A: IntSet, B: IntSet) -> tuple[np.ndarray, np.ndarray]:
     """A and B as arrays in which every product a*b is exact: int64 when
     |a*b| < 2^62 for all pairs, else Python ints.  A magnitude counts as at
     least 1, so a set {0} does not let its partner's elements pass as fitting."""
+    check_pair_budget(len(A), len(B))
     fits = max(1, -A[0], A[-1]) * max(1, -B[0], B[-1]) < 1 << 62
     dt = _kernel_dtype(np.int64 if fits else None, len(A) * len(B))
     return np.array(A, dtype=dt), np.array(B, dtype=dt)
 
 
-def _triangle(op, t: np.ndarray, diagonal: bool) -> np.ndarray:
-    """op(t_i, t_j) over the pairs i < j (i <= j with ``diagonal``) as one
-    array of t's dtype, row by row: row i is op(t_i, t[i + 1:]) (or
-    op(t_i, t[i:])), written in place, so no n x n array is ever allocated."""
-    n = len(t)
-    off = 0 if diagonal else 1
-    out = np.empty(n * (n + 1) // 2 - off * n, dtype=t.dtype)
-    k = 0
-    for i in range(n - off):
-        w = n - i - off
-        op(t[i], t[i + off :], out=out[k : k + w])
-        k += w
+class _Rows(NamedTuple):
+    """Pairs as rows: row r holds op(coef[r], run[j]) for j in [lo[r], hi),
+    whose values fall as j grows where ``dec[r]`` holds and rise elsewhere."""
+
+    coef: np.ndarray
+    run: np.ndarray
+    lo: np.ndarray
+    hi: int
+    dec: np.ndarray
+
+
+def _cut(rows: _Rows, at, x, j0: np.ndarray, j1: np.ndarray) -> np.ndarray:
+    """Per row, where its values cross x: the first j whose value at(coef,
+    run[j]) is >= x on a rising row, < x on a falling one.  Each row's cut is
+    known to lie in [j0, j1]; a vectorized bisection over the rows whose
+    bracket is still open narrows them all at once."""
+    j0 = j0.copy()
+    j1 = j1.copy()
+    r = np.flatnonzero(j0 < j1)
+    while r.size:
+        mid = (j0[r] + j1[r]) >> 1
+        # below the cut: a value below x on a rising row, at or above it on a falling one
+        before = np.asarray(at(rows.coef[r], rows.run[mid]) < x, dtype=bool) != rows.dec[r]
+        j0[r[before]] = mid[before] + 1
+        j1[r[~before]] = mid[~before]
+        r = r[j0[r] < j1[r]]
+    return j0
+
+
+def _ordered(x: float) -> int:
+    """An integer that orders floats as their values do; one apart for
+    neighbouring floats."""
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+
+def _between(lo, hi, guess):
+    """A value strictly inside (lo, hi): ``guess`` when it is, else the
+    midpoint (of the ordered floats, for floats); None when there is none."""
+    if guess is not None and lo < guess < hi:
+        return guess
+    if isinstance(lo, float):
+        k = (_ordered(lo) + _ordered(hi)) // 2
+        mid = struct.unpack("<d", struct.pack("<q", abs(k)))[0]
+        mid = mid if k >= 0 else -mid
+    else:
+        mid = (lo + hi) // 2
+    return mid if lo < mid < hi else None
+
+
+def _windows(families: list[_Rows], at, bottom, top):
+    """Value windows [v, w) over the pairs of ``families``, in increasing
+    order: for each, v, w and every family's rows' j-ranges [start, stop)
+    in it.
+
+    All values lie in [bottom, top).  A window holds at most WINDOW_PAIRS
+    pairs, or the pairs of one value when more share it.  Each edge is
+    searched from the previous window's density, then alternately by linear
+    interpolation on the exact counts and by bisection, and a window of at
+    least half the budget is taken as found.
+    """
+    cap = WINDOW_PAIRS
+    total = sum(int((f.hi - f.lo).sum()) for f in families)
+    if total <= cap:
+        yield bottom, top, [f.lo for f in families], [f.hi for f in families]
+        return
+    low = [np.where(f.dec, f.hi, f.lo) for f in families]  # nothing lies below bottom
+    high = [np.where(f.dec, f.lo, f.hi) for f in families]
+
+    def below(cuts):
+        return sum(int(np.where(f.dec, f.hi - c, c - f.lo).sum()) for f, c in zip(families, cuts))
+
+    v, cv, base = bottom, low, 0
+    density = None  # (width, pairs) of the window before
+    while base < total:
+        lo_x, lo_c, lo_n = v, cv, base
+        hi_x, hi_c, hi_n = top, high, total
+        want = base + 3 * cap // 4
+        step = 0
+        while hi_n - base > cap:
+            guess = None
+            if step % 2 == 0:
+                x0, span, num, den = (
+                    (v, density[0], want - base, density[1]) if step == 0 and density
+                    else (lo_x, hi_x - lo_x, want - lo_n, hi_n - lo_n)
+                )
+                # integer edges interpolate in exact integer arithmetic
+                guess = x0 + (span * num / den if isinstance(v, float) else span * num // den)
+            x = _between(lo_x, hi_x, guess)
+            if x is None:
+                break
+            cuts = [_cut(f, at, x, np.minimum(a, b), np.maximum(a, b))
+                    for f, a, b in zip(families, lo_c, hi_c)]
+            n = below(cuts)
+            if n - base <= cap:
+                lo_x, lo_c, lo_n = x, cuts, n
+                if 2 * (n - base) >= cap:
+                    break
+            else:
+                hi_x, hi_c, hi_n = x, cuts, n
+            step += 1
+        if hi_n - base <= cap or lo_n == base:
+            # the whole rest fits, or [lo_x, hi_x) holds a single value
+            w, cw, nw = hi_x, hi_c, hi_n
+        else:
+            w, cw, nw = lo_x, lo_c, lo_n
+        yield v, w, list(map(np.minimum, cv, cw)), list(map(np.maximum, cv, cw))
+        density = (w - v, nw - base)
+        v, cv, base = w, cw, nw
+
+
+def _pair_values(parts, op) -> np.ndarray:
+    """op(coef[r], run[j]) over j in [start[r], stop[r]) for every row r of
+    every (rows, start, stop) in ``parts``, as one array.  Rows that share
+    one range are one broadcast, long rows are written slice by slice, and
+    short ones are gathered all at once."""
+    sizes = [stop - start for _, start, stop in parts]
+    out = np.empty(sum(int(k.sum()) for k in sizes), dtype=parts[0][0].run.dtype)
+    pos = 0
+    for (rows, start, _), k in zip(parts, sizes):
+        n = int(k.sum())
+        if not n:
+            continue
+        seg = out[pos : pos + n]
+        pos += n
+        if (start == start[0]).all() and (k == k[0]).all():
+            s, m = int(start[0]), int(k[0])
+            op(rows.coef[:, None], rows.run[s : s + m], out=seg.reshape(-1, m))
+            continue
+        nz = np.flatnonzero(k)
+        if n >= SLICE_ROW * nz.size:
+            p = 0
+            run = rows.run
+            for c, s, m in zip(rows.coef[nz], start[nz].tolist(), k[nz].tolist()):
+                op(c, run[s : s + m], out=seg[p : p + m])
+                p += m
+        else:
+            k = k[nz]
+            j = np.repeat(start[nz] - (np.cumsum(k) - k), k)
+            j += np.arange(n)
+            np.take(rows.run, j, out=seg)
+            del j
+            op(np.repeat(rows.coef[nz], k), seg, out=seg)
     return out
-
-
-def _pair_products(A: IntSet, B: IntSet) -> np.ndarray:
-    """All products a*b as one array; when A and B are the same set, only
-    the a_i*a_j with i <= j, by triangle rows."""
-    a, b = _kernel_arrays(A, B)
-    if A != B:
-        return np.multiply.outer(a, b).ravel()
-    return _triangle(np.multiply, a, diagonal=True)
 
 
 COMPACT_BLOCK = 1 << 16  # distinct values moved to the front of x per step
@@ -162,40 +307,117 @@ def _sorted_counts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[: idx.size], idx
 
 
-def _product_counts(A: IntSet, B: IntSet) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct products a*b and their counts over ordered pairs."""
-    vals, cnts = _sorted_counts(_pair_products(A, B))
-    if A == B:
-        # r(x) = 2c(x) - d(x): a pair i < j stands for (i, j) and (j, i), and
-        # d(x) counts the i with a_i^2 = x, which is 2 when s and -s are in A
-        sq, d = _sorted_counts(np.square(np.array(A, dtype=vals.dtype)))
-        cnts *= 2
-        cnts[np.searchsorted(vals, sq)] -= d
-    return vals, cnts
+def _product_windows(A: IntSet, B: IntSet):
+    """Sorted distinct products a*b and their counts over ordered pairs,
+    window by window in increasing order; when A and B are the same set,
+    from the a_i*a_j with i <= j."""
+    a, b = _kernel_arrays(A, B)
+    same = A == B
+    lo = np.arange(b.size) if same else np.zeros(a.size, dtype=np.intp)
+    rows = _Rows(a, b, lo, b.size, np.less(a, 0))
+    if same:
+        sq, d = _sorted_counts(np.square(a))
+    corners = [x * y for x in (A[0], A[-1]) for y in (B[0], B[-1])]
+    for v, w, (start,), (stop,) in _windows([rows], np.multiply, min(corners), max(corners) + 1):
+        vals, cnts = _sorted_counts(_pair_values([(rows, start, stop)], np.multiply))
+        if same:
+            # r(x) = 2c(x) - d(x): a pair i < j stands for (i, j) and (j, i), and
+            # d(x) counts the i with a_i^2 = x, which is 2 when s and -s are in A
+            i, k = np.searchsorted(sq, [v, w])
+            cnts *= 2
+            cnts[np.searchsorted(vals, sq[i:k])] -= d[i:k]
+        yield vals, cnts
+        del vals, cnts  # free this window before the next one is built
 
 
-def _quotient_counts(S: IntSet, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted keys and counts of the quotients t_i/t_j over the pairs i < j
-    of S ordered by |s|, built by triangle rows.
+def _product_energy(A: IntSet, B: IntSet, with_histogram: bool = False):
+    """E(A, B) from the product side, |A.B|, the product histogram when
+    asked for, and the kernel's route."""
+    e = count = windows = 0
+    hist: dict[int, int] | None = {} if with_histogram else None
+    for vals, cnts in _product_windows(A, B):
+        e += int(np.dot(cnts, cnts))
+        count += vals.size
+        windows += 1
+        if hist is not None:
+            hist.update(zip(vals.tolist(), cnts.tolist()))
+        dtype = vals.dtype
+        del vals, cnts  # free this window before the next one is built
+    return e, count, hist, {"product_route": str(dtype), "product_windows": windows}
 
-    Such a pair has |t_i/t_j| <= 1, and its key stands for both t_i/t_j and
-    t_j/t_i; a pair {s, -s} gives -1.  Every |s| < 2^bits.  For bits <=
-    FLOAT_KEY_BITS the key is the float64 value of t_i/t_j (exact, see the
-    module docstring), and the budget is checked at n*n entries before
-    anything is allocated.  Otherwise the key is the reduced p/q with q > 0
-    packed as p*2^bits + q, in int64 when bits <= 31.
+
+def _quotient_rows(S: IntSet, dt) -> list[_Rows]:
+    """The quotient pairs i < j of S ordered by |s|, as rows: row i is t_i
+    over the later positive elements p, keyed t_i/p, and over the later
+    negative ones, keyed -t_i/|n|, each run sorted by magnitude."""
+    t = np.array(S, dtype=dt)
+    neg = np.less(t, 0)
+    m = np.abs(t)
+    up = t[~neg]
+    down = -t[neg][::-1]
+    # later in the |s| order: a larger magnitude, or s itself after -s
+    lo_up = np.where(neg, np.searchsorted(up, m, "left"), np.searchsorted(up, m, "right"))
+    return [
+        _Rows(t, up, lo_up, up.size, ~neg),
+        _Rows(-t, down, np.searchsorted(down, m, "right"), down.size, neg),
+    ]
+
+
+def _quotient_windows(sets: list[IntSet], bits: int):
+    """Per value window of the quotient keys, each set's sorted keys and
+    counts.  Every |s| < 2^bits.
+
+    For bits <= FLOAT_KEY_BITS the key is the float64 value of t_i/t_j
+    (exact, see the module docstring).  Otherwise it is the reduced p/q with
+    q > 0 packed as p*2^bits + q, in int64 when bits <= 31.  All sets share
+    the windows, so a key is counted in the same window for each.
     """
-    t = sorted(S, key=abs)
+    for S in sets:
+        check_pair_budget(len(S), len(S))
     if bits <= FLOAT_KEY_BITS:
-        arr = np.array(t, dtype=_kernel_dtype(np.float64, len(S) ** 2))
-        return _sorted_counts(_triangle(np.divide, arr, diagonal=False))
-    dt = _kernel_dtype(np.int64 if bits <= 31 else None, len(S) * (len(S) - 1) // 2)
+        dt, op = np.float64, np.divide
+    else:
+        pairs = max(len(S) * (len(S) - 1) // 2 for S in sets)
+        dt = _kernel_dtype(np.int64 if bits <= 31 else None, pairs)
 
-    def packed(p, q, out):
-        g = np.gcd(p, q) * np.sign(q)  # divides p/q to lowest terms with q > 0
-        np.add(p // g * (1 << bits), q // g, out=out)
+        def op(p, q, out):
+            g = np.gcd(p, q)  # q > 0, so p/q in lowest terms keeps q > 0
+            np.add(p // g * (1 << bits), q // g, out=out)
 
-    return _sorted_counts(_triangle(packed, np.array(t, dtype=dt), diagonal=False))
+    families = [_quotient_rows(S, dt) for S in sets]
+    flat = [f for fam in families for f in fam]
+    for _, _, starts, stops in _windows(flat, np.true_divide, -1.0, 2.0):
+        parts = list(zip(flat, starts, stops))
+        yield [_sorted_counts(_pair_values(parts[2 * i : 2 * i + 2], op)) for i in range(len(sets))]
+
+
+def _matched_dot(qa, qb) -> int:
+    """sum_x r_A(x) r_B(x) over the keys both sorted key arrays hold."""
+    (ka, ca), (kb, cb) = qa, qb
+    if not kb.size:
+        return 0
+    at = np.searchsorted(kb, ka)  # sorted distinct keys: B holds ka there or nowhere
+    np.minimum(at, kb.size - 1, out=at)
+    same = kb[at] == ka
+    return int(np.dot(ca[same], cb[at[same]]))
+
+
+def _quotient_dots(A: IntSet, B: IntSet | None):
+    """sum r_A(x)^2, sum r_B(x)^2 and sum r_A(x) r_B(x) over the quotient
+    keys of A and of B (B None: A's alone), in one key width, window by
+    window, and the kernel's route."""
+    sets = [A] if B is None else [A, B]
+    bits = max(max(-S[0], S[-1]) for S in sets).bit_length()
+    aa = bb = ab = windows = 0
+    for qs in _quotient_windows(sets, bits):
+        dtype = qs[0][0].dtype
+        aa += int(np.dot(qs[0][1], qs[0][1]))
+        if B is not None:
+            bb += int(np.dot(qs[1][1], qs[1][1]))
+            ab += _matched_dot(qs[0], qs[1])
+        windows += 1
+        del qs  # free this window before the next one is built
+    return (aa, bb, ab), {"key_route": str(dtype), "key_windows": windows}
 
 
 def _antipodes(S: IntSet) -> int:
@@ -203,47 +425,18 @@ def _antipodes(S: IntSet) -> int:
     return len({-s for s in S if s < 0}.intersection(S))
 
 
-def _product_energy(A: IntSet, B: IntSet, with_histogram: bool = False):
-    """E(A, B) from the product side, |A.B|, and the product histogram when
-    asked for; the pair arrays are freed when it returns."""
-    vals, cnts = _product_counts(A, B)
-    hist = dict(zip(vals.tolist(), cnts.tolist())) if with_histogram else None
-    return int(np.dot(cnts, cnts)), len(vals), hist
-
-
-def _check_quotient_side(e_prod: int, A: IntSet, B: IntSet, qa, qb) -> None:
+def _check_quotient_side(e_prod: int, A: IntSet, B: IntSet, dot: int) -> None:
     """Raise InternalCheckError unless the quotient side gives E(A, B) =
-    ``e_prod`` exactly.
-
-    ``qa`` and ``qb`` are the quotient keys and counts of A and of B from
-    ``_quotient_keys``; the same object twice for a same-set energy.
-    """
-    # sum_x r_{A/A}(x) r_{B/B}(x): x = 1 gives |A||B|; every other x shares
-    # its key with 1/x, except x = -1, which both orientations of a pair
-    # {s, -s} hit, so that key counts twice more
-    (ka, ca), (kb, cb) = qa, qb
-    if qa is qb:
-        dot = int(np.dot(ca, ca))
-    elif kb.size:
-        at = np.searchsorted(kb, ka)  # sorted distinct keys: B holds ka there or nowhere
-        np.minimum(at, kb.size - 1, out=at)
-        same = kb[at] == ka
-        dot = int(np.dot(ca[same], cb[at[same]]))
-    else:
-        dot = 0  # a one-element set has no off-diagonal quotients
+    ``e_prod`` exactly, from ``dot`` = sum_x r_{A/A}(x) r_{B/B}(x) over the
+    keys of the pairs i < j."""
+    # over all quotients: x = 1 gives |A||B|; every other x shares its key
+    # with 1/x, except x = -1, which both orientations of a pair {s, -s}
+    # hit, so that key counts twice more
     e_quot = len(A) * len(B) + 2 * dot + 2 * _antipodes(A) * _antipodes(B)
     if e_prod != e_quot:
         raise InternalCheckError(
             f"product-side energy {e_prod} != quotient-side energy {e_quot}"
         )
-
-
-def _quotient_keys(A: IntSet, B: IntSet):
-    """Quotient keys and counts of A and of B in one key width, as
-    ``_check_quotient_side`` takes them: one object when A is B."""
-    bits = max(-A[0], A[-1], -B[0], B[-1]).bit_length()
-    qa = _quotient_counts(A, bits)
-    return qa, qa if A is B else _quotient_counts(B, bits)
 
 
 def energy(A: IntSet, B: IntSet | None = None, with_histogram: bool = False) -> EnergyReport:
@@ -256,10 +449,12 @@ def energy(A: IntSet, B: IntSet | None = None, with_histogram: bool = False) -> 
     reduced to its numbers before the quotient keys are built.
     """
     A, B = _energy_sets(A, B)
-    e, count, hist = _product_energy(A, B, with_histogram)
-    _check_quotient_side(e, A, B, *_quotient_keys(A, B))
+    e, count, hist, kernel = _product_energy(A, B, with_histogram)
+    (aa, _, ab), keys = _quotient_dots(A, None if A is B else B)
+    _check_quotient_side(e, A, B, aa if A is B else ab)
     return EnergyReport(
-        energy=e, diag_bound=2 * len(A) * len(B), product_count=count, histogram=hist
+        energy=e, diag_bound=2 * len(A) * len(B), product_count=count, histogram=hist,
+        kernel=kernel | keys,
     )
 
 
@@ -282,25 +477,21 @@ def energy_bruteforce(A: IntSet, B: IntSet | None = None) -> int:
 
 
 def product_set(A: IntSet, B: IntSet) -> IntSet:
-    """Sorted distinct pairwise products of A and B, from one sort of the
-    pair products (only the a_i*a_j with i <= j when A and B are the same
-    set); raises BudgetError past PAIRS_BUDGET pairs.  ``_product_merge``, a
-    k-way merge of the dilates a*B, is the oracle for it in tests."""
+    """Sorted distinct pairwise products of A and B, window by window from
+    the pair kernel (only the a_i*a_j with i <= j when A and B are the same
+    set); raises BudgetError past PRODUCT_SET_MAX pairs, which bounds the
+    list it returns.  A k-way merge of the dilates a*B is the oracle for it
+    in tests."""
     A = intset(A)
     B = intset(B)
     if not A or not B:
         raise PreconditionError("product_set needs nonempty sets")
-    return _sorted_counts(_pair_products(A, B))[0].tolist()
-
-
-def _product_merge(A: IntSet, B: IntSet) -> IntSet:
-    def row(a):
-        return (a * b for b in (B if a > 0 else reversed(B))) if a else iter((0,))
-
+    if len(A) * len(B) > PRODUCT_SET_MAX:
+        raise BudgetError(f"{len(A) * len(B)} pairs exceed the product-set budget {PRODUCT_SET_MAX}")
     out: list[int] = []
-    for v in heapq.merge(*(row(a) for a in A)):
-        if not out or v != out[-1]:
-            out.append(v)
+    for vals, _ in _product_windows(A, B):
+        out += vals.tolist()
+        del vals  # free this window before the next one is built
     return out
 
 
@@ -385,15 +576,15 @@ def cs_floor(size_a: int, size_b: int, e: int, n_prod: int) -> float:
 def cs_energy_split(A: IntSet, B: IntSet) -> tuple[float, bool]:
     """sqrt(E(A) * E(B)) and whether E(A,B) is below it (exact check).
 
-    The three product sides are reduced to numbers first; then each set's
-    quotient keys are built once and serve all three checks.
+    The three product sides are reduced to numbers first; then the quotient
+    windows build each set's keys once and serve all three checks.
     """
     A, B = _energy_sets(A, B)
     e_ab, e_a, e_b = (_product_energy(X, Y)[0] for X, Y in ((A, B), (A, A), (B, B)))
-    qa, qb = _quotient_keys(A, B)
-    _check_quotient_side(e_ab, A, B, qa, qb)
-    _check_quotient_side(e_a, A, A, qa, qa)
-    _check_quotient_side(e_b, B, B, qb, qb)
+    aa, bb, ab = _quotient_dots(A, B)[0]
+    _check_quotient_side(e_ab, A, B, ab)
+    _check_quotient_side(e_a, A, A, aa)
+    _check_quotient_side(e_b, B, B, bb)
     ok = e_ab * e_ab <= e_a * e_b
     return sqrt(e_a * e_b), ok
 

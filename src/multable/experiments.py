@@ -22,14 +22,15 @@ from math import gcd, isqrt, log
 import numpy as np
 
 from . import __version__
-from .energy import PAIRS_BUDGET, cs_floor, energy, offdiag_tuples
-from .errors import BudgetError, PreconditionError
+from .energy import check_pair_budget, cs_floor, energy, offdiag_tuples
+from .errors import BudgetError, InternalCheckError, PreconditionError
 from .progressions import ArithmeticProgression, intset
 from .reduction import DirectBound, Reduced, large_a_energy_bound, reduce, trimmed_set
 from .primestats import NkQuery, ShiuQuery, nk_last_prime_extension, nk_set, shiu_mean
 from .sieve import mertens_sum, progression_table
 from .smirnov import (
     SmirnovBoundary,
+    check_line,
     noncrossing_probability_exact,
     noncrossing_probability_mc,
 )
@@ -70,7 +71,7 @@ class ExperimentReport:
             "results": self.results,
             "provenance": self.provenance,
         }
-        return json.dumps(payload, indent=indent, default=str)
+        return json.dumps(payload, indent=indent, default=str, allow_nan=False)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -92,18 +93,37 @@ def _csv_cell(v):
     return v
 
 
-def _finish(command: str, params: dict, results: list[dict], seed: int, threads: int, t0: float) -> ExperimentReport:
-    return ExperimentReport(
-        command=command,
-        params=params,
-        results=results,
-        provenance={
-            "seed": seed,
-            "threads": threads,
-            "version": __version__,
-            "wall_time_ms": round(1000.0 * (time.perf_counter() - t0), 3),
-        },
-    )
+def _finite(value) -> bool:
+    """Whether every float in a report value, nested lists and dicts
+    included, is finite."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_finite(v) for v in value)
+    return True
+
+
+def _finish(
+    command: str, params: dict, results: list[dict], seed: int, threads: int, t0: float,
+    kernel: dict | None = None,
+) -> ExperimentReport:
+    """The report, with provenance; ``kernel`` is the pair kernel's route
+    and window counts, for the commands that ran it.  A non-finite float in
+    the params or results is an internal failure: no report is valid JSON
+    with one."""
+    if not (_finite(params) and _finite(results)):
+        raise InternalCheckError(f"non-finite value in the {command} report")
+    provenance = {
+        "seed": seed,
+        "threads": threads,
+        "version": __version__,
+        "wall_time_ms": round(1000.0 * (time.perf_counter() - t0), 3),
+    }
+    if kernel is not None:
+        provenance["kernel"] = kernel
+    return ExperimentReport(command=command, params=params, results=results, provenance=provenance)
 
 
 def table_count(N: int) -> int:
@@ -158,8 +178,7 @@ def cmd_ap_product(a: int, d: int, L: int, seed: int = 0, threads: int = 1) -> E
     n = L - zeros_removed
     # L comes from outside: refuse before the elements are built, on the
     # budget the energy kernel enforces once they exist
-    if n * n > PAIRS_BUDGET:
-        raise BudgetError(f"{n}^2 pairs exceed the pair budget {PAIRS_BUDGET}")
+    check_pair_budget(n, n)
     A = [x for x in ap.elements() if x != 0]
     rep = energy(A)
     e, n_prod = rep.energy, rep.product_count
@@ -178,7 +197,7 @@ def cmd_ap_product(a: int, d: int, L: int, seed: int = 0, threads: int = 1) -> E
         ),
     }
     params = {"a": a, "d": d, "L": L, "two_theta": THETA.two_theta}
-    return _finish("ap-product", params, [row], seed, threads, t0)
+    return _finish("ap-product", params, [row], seed, threads, t0, kernel=rep.kernel)
 
 
 def cmd_energy(values, seed: int = 0, threads: int = 1) -> ExperimentReport:
@@ -193,7 +212,7 @@ def cmd_energy(values, seed: int = 0, threads: int = 1) -> ExperimentReport:
         "energy": rep.energy,
         "diag_bound": rep.diag_bound,
     }
-    return _finish("energy", {"size": len(A)}, [row], seed, threads, t0)
+    return _finish("energy", {"size": len(A)}, [row], seed, threads, t0, kernel=rep.kernel)
 
 
 def cmd_reduce(
@@ -308,6 +327,8 @@ def cmd_smirnov(
     threads: int = 1,
 ) -> ExperimentReport:
     t0 = time.perf_counter()
+    if u is not None and w is not None:
+        check_line(u, w)  # both forms: the line approximation needs them
     if c is not None:
         b = SmirnovBoundary.from_values(c)
     elif n is not None and u is not None and w is not None:

@@ -201,11 +201,18 @@ def noncrossing_probability_mc(
     return est, math.sqrt(est * (1.0 - est) / samples)
 
 
+def check_line(u: float, w: float) -> None:
+    """Raise PreconditionError unless u and w are finite and positive, as
+    the line approximation 1 - exp(-2uw/n) needs."""
+    _require_finite(u=u, w=w)
+    if u <= 0 or w <= 0:
+        raise PreconditionError("needs u, w > 0")
+
+
 def q_n(u: float, w: float, n: int, budget: int = EXACT_BUDGET) -> float:
     """Probability that the empirical count stays below (n+w-u)t + u, i.e.
     the exact value approximated by 1 - exp(-2uw/n) up to O((u+w)/n)."""
-    if u <= 0 or w <= 0:
-        raise PreconditionError("needs u, w > 0")
+    check_line(u, w)
     return noncrossing_probability_exact(SmirnovBoundary.from_line(n, u, w), budget=budget)
 
 

@@ -1,3 +1,4 @@
+import heapq
 import importlib
 import math
 import random
@@ -11,8 +12,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multable.energy import (
-    _product_merge,
-    _quotient_counts,
     cs_energy_split,
     cs_product_lower_bound,
     energy,
@@ -65,6 +64,81 @@ def _key_sets(scales):
 # every |k*s| < 2^26 (float64 quotient keys), and scales from 2^26 on (integer keys)
 small_key_sets = _key_sets([1, 3, 7, 2**26 // 6 - 1])
 any_key_sets = _key_sets([1, 3, 7, 2**26 // 6 - 1, 2**26, 2**26 + 1, 3 * 2**25])
+
+
+def _product_merge(A, B):
+    """Sorted distinct products a*b by a k-way merge of the dilates a*B: the
+    oracle for product_set."""
+    def row(a):
+        return (a * b for b in (B if a > 0 else reversed(B))) if a else iter((0,))
+
+    out = []
+    for v in heapq.merge(*(row(a) for a in A)):
+        if not out or v != out[-1]:
+            out.append(v)
+    return out
+
+
+def _triangle(op, t, diagonal):
+    """op(t_i, t_j) over the pairs i < j (i <= j with ``diagonal``) as one
+    array of t's dtype, row by row: the whole-array oracle for the windowed
+    kernel."""
+    n = len(t)
+    off = 0 if diagonal else 1
+    out = np.empty(n * (n + 1) // 2 - off * n, dtype=t.dtype)
+    k = 0
+    for i in range(n - off):
+        w = n - i - off
+        op(t[i], t[i + off :], out=out[k : k + w])
+        k += w
+    return out
+
+
+def _whole_product_counts(A, B):
+    """Sorted distinct products and their counts over ordered pairs, from one
+    sort of all products (the triangle i <= j for one set)."""
+    a, b = en._kernel_arrays(A, B)
+    if A != B:
+        return np.unique(np.multiply.outer(a, b).ravel(), return_counts=True)
+    vals, cnts = np.unique(_triangle(np.multiply, a, diagonal=True), return_counts=True)
+    sq, d = np.unique(np.square(a), return_counts=True)
+    cnts *= 2
+    cnts[np.searchsorted(vals, sq)] -= d
+    return vals, cnts
+
+
+def _whole_quotient_counts(S, bits):
+    """Sorted keys and counts of the quotients t_i/t_j over the pairs i < j of
+    S ordered by |s|, from one sort of the whole triangle."""
+    t = sorted(S, key=abs)
+    if bits <= en.FLOAT_KEY_BITS:
+        return np.unique(_triangle(np.divide, np.array(t, dtype=np.float64), False), return_counts=True)
+
+    def packed(p, q, out):
+        g = np.gcd(p, q) * np.sign(q)
+        np.add(p // g * (1 << bits), q // g, out=out)
+
+    dt = np.int64 if bits <= 31 else object
+    return np.unique(_triangle(packed, np.array(t, dtype=dt), False), return_counts=True)
+
+
+def _windowed(windows):
+    """The (values, counts) of every window, joined into two lists."""
+    vals, cnts = [], []
+    for v, c in windows:
+        vals += v.tolist()
+        cnts += c.tolist()
+    return vals, cnts
+
+
+def _windowed_keys(sets, bits):
+    """Each set's quotient keys and counts over all windows, joined."""
+    per_set = [([], []) for _ in sets]
+    for qs in en._quotient_windows(sets, bits):
+        for (keys, counts), (k, c) in zip(per_set, qs):
+            keys += k.tolist()
+            counts += c.tolist()
+    return per_set
 
 
 def test_product_set_examples():
@@ -288,15 +362,15 @@ def test_object_fallback_budget():
 
 def test_pair_budget(monkeypatch):
     # a budget of 64 pairs: 8 elements fit it and 9 do not, on every route
-    monkeypatch.setattr(en, "PAIRS_BUDGET", 64)
+    monkeypatch.setattr(en, "MAX_PAIRS", 64)
     small, large = list(range(1, 9)), list(range(1, 10))
-    big = [2**26 + i for i in range(12)]  # integer quotient keys: 66 pairs i < j
+    big = [2**26 + i for i in range(9)]  # integer quotient keys
     assert energy(small).energy == energy_bruteforce(small)
     assert product_set(small, small) == _product_merge(small, small)
     for call in (
-        # each quotient side on its own, as energy builds it before the products
-        lambda: _quotient_counts(large, en.FLOAT_KEY_BITS),
-        lambda: _quotient_counts(big, 27),
+        # each quotient side on its own: |B|^2 pairs, though |A||B| fits
+        lambda: en._quotient_dots(large, None),
+        lambda: en._quotient_dots([1, 2], big),
         lambda: energy(large),
         lambda: energy(big),
         lambda: energy([1, 2], large),
@@ -306,6 +380,15 @@ def test_pair_budget(monkeypatch):
     ):
         with pytest.raises(BudgetError):
             call()
+
+
+def test_product_set_budget(monkeypatch):
+    # product_set's own cap bounds the list it returns, below the time budget
+    monkeypatch.setattr(en, "PRODUCT_SET_MAX", 64)
+    assert product_set([1], list(range(1, 65))) == list(range(1, 65))
+    with pytest.raises(BudgetError):
+        product_set([1], list(range(1, 66)))
+    assert energy([1], list(range(1, 66))).energy == 65
 
 
 def test_dilation_invariance_100_random_sets():
@@ -348,13 +431,13 @@ def test_energy_histogram_counts_ordered_pairs(A):
 @given(small_key_sets)
 def test_float_quotient_keys_match_integer_keys(A):
     # the packed integer keys p*2^31 + q, decoded to the float of p/q
-    keys, counts = _quotient_counts(A, 26)
-    int_keys, int_counts = _quotient_counts(A, 31)
+    [(keys, counts)] = _windowed_keys([A], 26)
+    [(int_keys, int_counts)] = _windowed_keys([A], 31)
     decoded = {}
-    for k, c in zip(int_keys.tolist(), int_counts.tolist()):
+    for k, c in zip(int_keys, int_counts):
         q = k % 2**31
         decoded[((k - q) >> 31) / q] = c
-    assert dict(zip(keys.tolist(), counts.tolist())) == decoded
+    assert dict(zip(keys, counts)) == decoded
 
 
 def _nxn_float_keys(S):
@@ -369,21 +452,99 @@ def _nxn_float_keys(S):
 
 @given(small_key_sets)
 def test_float_quotient_triangle_matches_nxn(A):
-    keys, counts = _quotient_counts(A, 26)
+    [(keys, counts)] = _windowed_keys([A], 26)
     want_keys, want_counts = _nxn_float_keys(A)
-    assert keys.tolist() == want_keys.tolist()
-    assert counts.tolist() == want_counts.tolist()
+    assert keys == want_keys.tolist()
+    assert counts == want_counts.tolist()
 
 
 def test_quotient_counts_peak_below_one_nxn_array():
     # 1024 x 1024 float64 is 8 MiB; the triangle rows, sorted in place, stay below it
     tracemalloc.start()
     try:
-        _quotient_counts(list(range(1, 1025)), 26)
+        en._quotient_dots(list(range(1, 1025)), None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1024 * 1024 * 8
+
+
+def test_energy_peak_bounded_by_window():
+    # [1, 2048] has 2.1M pairs a side; sorted whole, they peaked at 27.8 MiB,
+    # and windows of at most 2^20 pairs keep the kernel near 12 MiB
+    A = list(range(1, 2049))
+    tracemalloc.start()
+    try:
+        rep = energy(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.energy == 36756784
+    assert rep.kernel["product_windows"] > 1 and rep.kernel["key_windows"] > 1
+    assert peak < 16 * 1024 * 1024
+
+
+# signed sets across every dtype route: products in int64 below 2^62 and in
+# Python ints above; quotient keys on floats below 2^26, packed in int64
+# below 2^31 and packed in Python ints above
+route_sets = st.sets(
+    st.builds(
+        lambda k, s: k * s,
+        st.integers(-9, 9).filter(lambda x: x != 0),
+        st.sampled_from([1, 2, 6, 2**26 // 9 - 1, 2**26 + 1, 2**31 - 1, 2**31 + 5, 2**40]),
+    ),
+    min_size=1,
+    max_size=12,
+).map(sorted)
+
+
+@given(route_sets, route_sets, st.integers(1, 9))
+def test_windowed_counts_match_whole_triangle(A, B, cap):
+    # a window cap of a few pairs makes every route cross many windows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(en, "WINDOW_PAIRS", cap)
+        for X, Y in ((A, A), (A, B)):
+            want = _whole_product_counts(X, Y)
+            assert _windowed(en._product_windows(X, Y)) == (want[0].tolist(), want[1].tolist())
+        # windows follow the fractions' values, which packed keys do not
+        # sort by, so the keys are compared as a histogram; no key may recur
+        bits = max(-A[0], A[-1], -B[0], B[-1]).bit_length()
+        for S, (keys, counts) in zip((A, B), _windowed_keys([A, B], bits)):
+            want_keys, want_counts = _whole_quotient_counts(S, bits)
+            assert len(set(keys)) == len(keys)
+            assert dict(zip(keys, counts)) == dict(zip(want_keys.tolist(), want_counts.tolist()))
+
+
+def _straddling(scales):
+    """Signed sets of small multiples k*s of the scales, with the negatives of
+    up to two elements added, so antipodes and shared ratios occur."""
+    elems = st.sets(
+        st.builds(lambda k, s: k * s, st.integers(-4, 4).filter(lambda x: x != 0),
+                  st.sampled_from(scales)),
+        min_size=1,
+        max_size=6,
+    )
+    return st.tuples(elems, st.integers(0, 2)).map(
+        lambda t: sorted(t[0] | {-x for x in sorted(t[0])[: t[1]]})
+    )
+
+
+# magnitudes on both sides of each exactness guard: 2^26 (float keys), 2^31
+# (packed int64 keys), 2^31.5 (int64 products past 2^62 or 2^63)
+guard_sets = _straddling([1, 3, 2**26 - 1, 2**26, 2**31 - 1, 2**31, int(2**31.5) - 1,
+                          int(2**31.5), 2**32 - 1, 2**32])
+
+
+@given(guard_sets, guard_sets, st.integers(2, 4))
+def test_kernel_exact_across_guards_in_small_windows(A, B, cap):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(en, "WINDOW_PAIRS", cap)
+        assert energy(A).energy == energy_bruteforce(A)
+        assert energy(A, B).energy == energy_bruteforce(A, B)
+        assert product_set(A, B) == _product_merge(A, B)
+        assert product_set(A, A) == _product_merge(A, A)
+        rhs, ok = cs_energy_split(A, B)
+        assert ok and rhs == math.sqrt(energy_bruteforce(A) * energy_bruteforce(B))
 
 
 def test_cross_energy_key_match_peak():

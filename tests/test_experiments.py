@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multable.energy import _product_merge, cs_product_lower_bound, energy_bruteforce, product_set
+from multable.energy import cs_product_lower_bound, energy_bruteforce, product_set
 import multable.experiments as ex
 from multable import cli
 from multable.errors import BudgetError, InternalCheckError, PreconditionError
@@ -27,7 +27,7 @@ from multable.experiments import (
     normalized_ratio,
     table_count,
 )
-from test_energy import _offdiag_counter
+from test_energy import _offdiag_counter, _product_merge
 
 # multable.energy is also the name of the function the package re-exports
 en = importlib.import_module("multable.energy")
@@ -84,7 +84,7 @@ def test_table_bounds():
         table_count(1 << 17)
     with pytest.raises(BudgetError):
         r = list(range(1, (1 << 15) + 1))
-        product_set(r, r)  # 2^30 pairs exceed PAIRS_BUDGET
+        product_set(r, r)  # 2^30 pairs exceed PRODUCT_SET_MAX = 2^26
 
 
 def test_normalized_ratio_small_N_undefined():
@@ -120,21 +120,30 @@ def test_cmd_ap_product_matches_library():
 
 
 def test_quotient_check_guards_product_count(monkeypatch):
-    # product_count has no second route: a product lost from the pair kernel
-    # must fail the quotient side's exact check of the sum of r(x)^2
-    pair_products = en._pair_products
-    # entry 1 of the same-set triangle is a_0*a_1, off the diagonal
-    monkeypatch.setattr(en, "_pair_products", lambda A, B: np.delete(pair_products(A, B), 1))
-    with pytest.raises(InternalCheckError):
-        en.energy(list(range(7, 127, 3)))
-    with pytest.raises(InternalCheckError):
-        cmd_ap_product(7, 3, 40)
+    # product_count has no second route: a product lost from one window of
+    # the pair kernel must fail the quotient side's exact check of the sum
+    # of r(x)^2.  40 elements make 820 products i <= j, in windows of 200.
+    monkeypatch.setattr(en, "WINDOW_PAIRS", 200)
+    pair_values = en._pair_values
+    calls = []
+
+    def drop_one(parts, op):
+        # the product side runs first; its second window loses an entry
+        calls.append(op)
+        out = pair_values(parts, op)
+        return np.delete(out, 1) if len(calls) == 2 and op is np.multiply else out
+
+    monkeypatch.setattr(en, "_pair_values", drop_one)
+    for run in (lambda: en.energy(list(range(7, 127, 3))), lambda: cmd_ap_product(7, 3, 40)):
+        calls.clear()
+        with pytest.raises(InternalCheckError):
+            run()
+        assert calls[:2] == [np.multiply, np.multiply]
 
 
 def test_pair_budget_counts_nonzero_elements(monkeypatch):
     # a budget of 64 pairs: 8 nonzero elements fit it, 9 do not
-    monkeypatch.setattr(en, "PAIRS_BUDGET", 64)
-    monkeypatch.setattr(ex, "PAIRS_BUDGET", 64)
+    monkeypatch.setattr(en, "MAX_PAIRS", 64)
     row = cmd_ap_product(-4, 1, 9).results[0]  # {-4, ..., 4}
     assert row["zeros_removed"] == 1 and row["energy"] == energy_bruteforce([-4, -3, -2, -1, 1, 2, 3, 4])
     for call in (lambda: cmd_ap_product(1, 1, 9), lambda: cmd_energy(range(1, 10))):
@@ -150,6 +159,42 @@ def test_cmd_ap_product_strips_zero():
 
 def test_cmd_energy():
     assert cmd_energy([1, 2, 3]).results[0]["energy"] == 15
+
+
+def test_kernel_route_in_provenance(monkeypatch):
+    # the pair kernel's dtypes and window counts go to provenance only
+    rep = cmd_energy([1, 2, 3])
+    assert set(rep.provenance) == {"seed", "threads", "version", "wall_time_ms", "kernel"}
+    assert rep.provenance["kernel"] == {
+        "product_route": "int64", "product_windows": 1, "key_route": "float64", "key_windows": 1,
+    }
+    row = rep.results[0]
+    monkeypatch.setattr(en, "WINDOW_PAIRS", 2)
+    rep = cmd_energy([1, 2, 3])
+    assert rep.results[0] == row
+    assert rep.provenance["kernel"]["product_windows"] > 1
+    assert rep.provenance["kernel"]["key_windows"] > 1
+    monkeypatch.undo()
+    big = [2**40 + 1, 2**40 + 3]  # products past 2^62, keys past 2^31
+    assert cmd_energy(big).provenance["kernel"] == {
+        "product_route": "object", "product_windows": 1, "key_route": "object", "key_windows": 1,
+    }
+    # elements past 2^26: int64 products, quotient keys packed in int64
+    kernel = cmd_ap_product(2**26 + 3, 1000, 40).provenance["kernel"]
+    assert kernel == {"product_route": "int64", "product_windows": 1,
+                      "key_route": "int64", "key_windows": 1}
+
+
+def test_report_rejects_non_finite():
+    # a NaN that slipped past a check stops the run instead of printing invalid JSON
+    t0 = 0.0
+    for params, rows in (({}, [{"v": float("nan")}]), ({"c": [0.5, float("inf")]}, [{"v": 1.0}])):
+        with pytest.raises(InternalCheckError):
+            ex._finish("forged", params, rows, 0, 0, t0)
+    rep = ex._finish("forged", {}, [{"v": 1.0}], 0, 0, t0)
+    rep.results[0]["v"] = float("nan")  # forged after the check
+    with pytest.raises(ValueError):
+        rep.to_json()
 
 
 def test_cmd_reduce_deterministic():
@@ -248,9 +293,10 @@ def test_cli_exit_codes():
     assert _run_cli("mertens", "1").returncode == 2
     assert _run_cli("smirnov", "-n", "401", "-u", "5", "-w", "5").returncode == 3  # EXACT_BUDGET
     assert _run_cli("table", "90000").returncode == 2  # beyond the N cap
-    # 8193^2 pairs exceed PAIRS_BUDGET = 2^26
-    assert _run_cli("ap-product", "1", "1", "8193").returncode == 3
-    assert _run_cli("energy", "--set", ",".join(map(str, range(1, 8194)))).returncode == 3
+    # 32769^2 pairs exceed MAX_PAIRS = 2^30
+    assert _run_cli("ap-product", "1", "1", "32769").returncode == 3
+    # in-process: one argument of 190 kB is past the kernel's limit for argv strings
+    assert cli.main(["energy", "--set", ",".join(map(str, range(1, 32770)))]) == 3
     assert _run_cli("energy", "--set", "1,2,3").returncode == 0
     assert cli.main(["mertens", "10000000000000"]) == 3  # primes past SEGMENT_BUDGET
     # malformed values: the parser exits 2
@@ -269,6 +315,10 @@ def test_cli_exit_codes():
     assert cli.main(["smirnov", "-n", "10", "-u", "nan", "-w", "1"]) == 2
     assert cli.main(["smirnov", "-n", "10", "-u", "1", "-w", "inf"]) == 2
     assert cli.main(["smirnov", "--c", "0.1,nan,0.5"]) == 2
+    # u and w must be finite and positive in both forms
+    assert cli.main(["smirnov", "--c", "0.3", "-u", "-1", "-w", "1"]) == 2
+    assert cli.main(["smirnov", "--c", "0.3", "-u", "nan", "-w", "1"]) == 2
+    assert cli.main(["smirnov", "-n", "10", "-u", "-2", "-w", "1"]) == 2
 
 
 def test_import_loads_no_scipy():
