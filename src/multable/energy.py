@@ -28,12 +28,15 @@ at a time with one sort each and the counts added, so the kernel holds at
 most ``WINDOW_PAIRS`` pairs at once, or the pairs of one value if more
 share it, whatever the size of the sets.  Window edges are deterministic: an
 interpolation search, every other step a bisection, over the exact counts
-of pairs below a value.  Pairs that fit one window are counted with no
-search.  Two budgets bound the kernel, both checked before anything is
-allocated: ``WINDOW_PAIRS`` (2^20, about 8 MiB of pairs a window) for
-memory, and ``MAX_PAIRS`` = 2^30 for the time of one call, so E(A) takes up
-to 32768 elements.  ``product_set`` returns a Python list and refuses past
-``PRODUCT_SET_MAX`` pairs.
+of pairs below a value.  Pairs that fit one window are written whole, row
+by row (a triangle, or an outer product for two sets), with no rows to cut
+and no search.  Two budgets bound the kernel, both checked before anything
+is allocated: ``WINDOW_PAIRS`` (2^20) for memory, which holds a window's
+values to 8 MiB and its peak to about twice that, for the index array that
+gathers short rows or counts the sorted values; and ``MAX_PAIRS`` = 2^30
+for the time of one call, so E(A) takes up to 32768 elements.
+``product_set`` returns a Python list and refuses past ``PRODUCT_SET_MAX``
+pairs.
 
 Quotient keys are float64 when every element of both sets is below 2^26
 (``FLOAT_KEY_BITS``).  That is exact: such integers convert to float
@@ -62,7 +65,11 @@ MAX_PAIRS = 1 << 30  # max |A|*|B| of one pair-kernel call: its time
 PRODUCT_SET_MAX = 1 << 26  # max pairs of product_set, so its list stays below 2^26 ints
 OBJECT_PAIR_BUDGET = 1 << 20  # max pairs per exact Python-int fallback
 FLOAT_KEY_BITS = 26  # quotient keys are float64 for elements below 2^26
-SLICE_ROW = 64  # rows of a window at least this long on average are written by slices
+# rows of a window at least this long on average are written by slices, shorter
+# ones gathered; for windows of 2^19-2^20 pairs the two cross at 110-220 pairs a row
+SLICE_ROW = 128
+# the kernel's dtypes by kind, named without str(dtype), which costs microseconds a call
+_ROUTES = {"i": "int64", "f": "float64", "O": "object"}
 OFFDIAG_PAIR_BUDGET = 10**7  # max co-occurring quotient pairs in offdiag_tuples
 SUBSET_MAX_DRAWS = 1000  # draws of random_energy_subset before it gives up
 
@@ -189,13 +196,14 @@ def _windows(families: list[_Rows], at, bottom, top):
     pairs, or the pairs of one value when more share it.  Each edge is
     searched from the previous window's density, then alternately by linear
     interpolation on the exact counts and by bisection, and a window of at
-    least half the budget is taken as found.
+    least half the budget is taken as found.  Each step costs a cut of
+    every row, so the steps matter: on a 2-core x86-64 VM, the windows of
+    E(AP(7, 1000, 32768)) took 14 s to find this way, 18 s without the
+    density guess and 65 s by bisection alone (75 ms, 91 ms and 263 ms for
+    the product side at 8192 elements).
     """
     cap = WINDOW_PAIRS
     total = sum(int((f.hi - f.lo).sum()) for f in families)
-    if total <= cap:
-        yield bottom, top, [f.lo for f in families], [f.hi for f in families]
-        return
     low = [np.where(f.dec, f.hi, f.lo) for f in families]  # nothing lies below bottom
     high = [np.where(f.dec, f.lo, f.hi) for f in families]
 
@@ -243,36 +251,49 @@ def _windows(families: list[_Rows], at, bottom, top):
 
 def _pair_values(parts, op) -> np.ndarray:
     """op(coef[r], run[j]) over j in [start[r], stop[r]) for every row r of
-    every (rows, start, stop) in ``parts``, as one array.  Rows that share
-    one range are one broadcast, long rows are written slice by slice, and
-    short ones are gathered all at once."""
+    every (rows, start, stop) in ``parts``, as one array.  Rows of at least
+    SLICE_ROW pairs on average are written slice by slice; shorter ones are
+    gathered all at once, beside the output one index array of its size."""
     sizes = [stop - start for _, start, stop in parts]
     out = np.empty(sum(int(k.sum()) for k in sizes), dtype=parts[0][0].run.dtype)
     pos = 0
     for (rows, start, _), k in zip(parts, sizes):
+        nz = np.flatnonzero(k)
+        k = k[nz]
+        start = start[nz]
         n = int(k.sum())
-        if not n:
-            continue
         seg = out[pos : pos + n]
         pos += n
-        if (start == start[0]).all() and (k == k[0]).all():
-            s, m = int(start[0]), int(k[0])
-            op(rows.coef[:, None], rows.run[s : s + m], out=seg.reshape(-1, m))
-            continue
-        nz = np.flatnonzero(k)
         if n >= SLICE_ROW * nz.size:
             p = 0
             run = rows.run
-            for c, s, m in zip(rows.coef[nz], start[nz].tolist(), k[nz].tolist()):
+            for c, s, m in zip(rows.coef[nz], start.tolist(), k.tolist()):
                 op(c, run[s : s + m], out=seg[p : p + m])
                 p += m
-        else:
-            k = k[nz]
-            j = np.repeat(start[nz] - (np.cumsum(k) - k), k)
-            j += np.arange(n)
-            np.take(rows.run, j, out=seg)
-            del j
-            op(np.repeat(rows.coef[nz], k), seg, out=seg)
+            continue
+        # j steps by one along a row and jumps from its end to the next start
+        j = np.ones(n, dtype=np.intp)
+        j[0] = start[0]
+        j[np.cumsum(k[:-1])] = start[1:] - start[:-1] - k[:-1] + 1
+        np.cumsum(j, out=j)
+        np.take(rows.run, j, out=seg, mode="clip")  # "raise" would buffer seg
+        del j
+        op(np.repeat(rows.coef[nz], k), seg, out=seg)
+    return out
+
+
+def _triangle(op, t: np.ndarray, diagonal: bool) -> np.ndarray:
+    """op(t_i, t_j) over the pairs i < j (i <= j with ``diagonal``) as one
+    array of t's dtype, row by row: row i is op(t_i, t[i + 1:]) (or
+    op(t_i, t[i:])), written in place."""
+    n = len(t)
+    off = 0 if diagonal else 1
+    out = np.empty(n * (n + 1) // 2 - off * n, dtype=t.dtype)
+    k = 0
+    for i in range(n - off):
+        w = n - i - off
+        op(t[i], t[i + off :], out=out[k : k + w])
+        k += w
     return out
 
 
@@ -313,17 +334,27 @@ def _product_windows(A: IntSet, B: IntSet):
     from the a_i*a_j with i <= j."""
     a, b = _kernel_arrays(A, B)
     same = A == B
-    lo = np.arange(b.size) if same else np.zeros(a.size, dtype=np.intp)
-    rows = _Rows(a, b, lo, b.size, np.less(a, 0))
     if same:
         sq, d = _sorted_counts(np.square(a))
-    corners = [x * y for x in (A[0], A[-1]) for y in (B[0], B[-1])]
-    for v, w, (start,), (stop,) in _windows([rows], np.multiply, min(corners), max(corners) + 1):
-        vals, cnts = _sorted_counts(_pair_values([(rows, start, stop)], np.multiply))
+    if (a.size * (a.size + 1) // 2 if same else a.size * b.size) <= WINDOW_PAIRS:
+        # one window, written whole with no search
+        whole = _triangle(np.multiply, a, diagonal=True) if same else np.multiply.outer(a, b).ravel()
+        windows = [(None, None, whole)]
+    else:
+        lo = np.arange(b.size) if same else np.zeros(a.size, dtype=np.intp)
+        rows = _Rows(a, b, lo, b.size, np.less(a, 0))
+        corners = [x * y for x in (A[0], A[-1]) for y in (B[0], B[-1])]
+        windows = (
+            (v, w, _pair_values([(rows, start, stop)], np.multiply))
+            for v, w, (start,), (stop,) in _windows([rows], np.multiply, min(corners), max(corners) + 1)
+        )
+    for v, w, pairs in windows:
+        vals, cnts = _sorted_counts(pairs)
+        del pairs
         if same:
             # r(x) = 2c(x) - d(x): a pair i < j stands for (i, j) and (j, i), and
             # d(x) counts the i with a_i^2 = x, which is 2 when s and -s are in A
-            i, k = np.searchsorted(sq, [v, w])
+            i, k = (0, sq.size) if v is None else np.searchsorted(sq, [v, w])
             cnts *= 2
             cnts[np.searchsorted(vals, sq[i:k])] -= d[i:k]
         yield vals, cnts
@@ -343,7 +374,7 @@ def _product_energy(A: IntSet, B: IntSet, with_histogram: bool = False):
             hist.update(zip(vals.tolist(), cnts.tolist()))
         dtype = vals.dtype
         del vals, cnts  # free this window before the next one is built
-    return e, count, hist, {"product_route": str(dtype), "product_windows": windows}
+    return e, count, hist, {"product_route": _ROUTES[dtype.kind], "product_windows": windows}
 
 
 def _quotient_rows(S: IntSet, dt) -> list[_Rows]:
@@ -381,9 +412,13 @@ def _quotient_windows(sets: list[IntSet], bits: int):
         dt = _kernel_dtype(np.int64 if bits <= 31 else None, pairs)
 
         def op(p, q, out):
-            g = np.gcd(p, q)  # q > 0, so p/q in lowest terms keeps q > 0
+            g = np.gcd(p, q) * np.sign(q)  # divides p/q to lowest terms with q > 0
             np.add(p // g * (1 << bits), q // g, out=out)
 
+    if sum(len(S) * (len(S) - 1) // 2 for S in sets) <= WINDOW_PAIRS:
+        # one window: each set's triangle in the |s| order, written whole
+        yield [_sorted_counts(_triangle(op, np.array(sorted(S, key=abs), dtype=dt), False)) for S in sets]
+        return
     families = [_quotient_rows(S, dt) for S in sets]
     flat = [f for fam in families for f in fam]
     for _, _, starts, stops in _windows(flat, np.true_divide, -1.0, 2.0):
@@ -417,7 +452,7 @@ def _quotient_dots(A: IntSet, B: IntSet | None):
             ab += _matched_dot(qs[0], qs[1])
         windows += 1
         del qs  # free this window before the next one is built
-    return (aa, bb, ab), {"key_route": str(dtype), "key_windows": windows}
+    return (aa, bb, ab), {"key_route": _ROUTES[dtype.kind], "key_windows": windows}
 
 
 def _antipodes(S: IntSet) -> int:

@@ -327,7 +327,9 @@ def cmd_smirnov(
     threads: int = 1,
 ) -> ExperimentReport:
     t0 = time.perf_counter()
-    if u is not None and w is not None:
+    if (u is None) != (w is None):
+        raise PreconditionError("give u and w together")
+    if u is not None:
         check_line(u, w)  # both forms: the line approximation needs them
     if c is not None:
         b = SmirnovBoundary.from_values(c)

@@ -81,16 +81,11 @@ def _product_merge(A, B):
 
 def _triangle(op, t, diagonal):
     """op(t_i, t_j) over the pairs i < j (i <= j with ``diagonal``) as one
-    array of t's dtype, row by row: the whole-array oracle for the windowed
-    kernel."""
-    n = len(t)
-    off = 0 if diagonal else 1
-    out = np.empty(n * (n + 1) // 2 - off * n, dtype=t.dtype)
-    k = 0
-    for i in range(n - off):
-        w = n - i - off
-        op(t[i], t[i + off :], out=out[k : k + w])
-        k += w
+    array of t's dtype, gathered by ``np.triu_indices``: the whole-array
+    oracle for the kernel, which writes its pairs by rows."""
+    i, j = np.triu_indices(len(t), 0 if diagonal else 1)
+    out = np.empty(i.size, dtype=t.dtype)
+    op(t[i], t[j], out=out)
     return out
 
 

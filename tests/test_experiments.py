@@ -319,6 +319,9 @@ def test_cli_exit_codes():
     assert cli.main(["smirnov", "--c", "0.3", "-u", "-1", "-w", "1"]) == 2
     assert cli.main(["smirnov", "--c", "0.3", "-u", "nan", "-w", "1"]) == 2
     assert cli.main(["smirnov", "-n", "10", "-u", "-2", "-w", "1"]) == 2
+    # a lone u or w is refused, never carried into the report
+    assert cli.main(["smirnov", "--c", "0.3", "-u", "nan"]) == 2
+    assert cli.main(["smirnov", "--c", "0.3", "-w", "2"]) == 2
 
 
 def test_import_loads_no_scipy():
