@@ -14,9 +14,9 @@ the pair products, and against a plain Python set.
 """
 
 from multable.energy import product_set
-from multable.experiments import THETA, normalized_ratio, table_count
+from multable.experiments import THETA, TWO_THETA, normalized_ratio, table_count
 
-print(f"theta = {THETA.theta:.6f}, 2*theta = {THETA.two_theta:.6f}\n")
+print(f"theta = {THETA:.6f}, 2*theta = {TWO_THETA:.6f}\n")
 
 print(f"{'N':>6} {'distinct':>12} {'ratio':>8}")
 for e in range(2, 15):

@@ -63,7 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("energy", ex.cmd_energy, help="multiplicative energy of an explicit set")
     p.add_argument("--set", dest="values", type=_int_list, required=True,
-                   help="comma-separated integers")
+                   help="comma-separated integers, all in one argument; Linux caps one argument "
+                        "at 128 KiB, about 20,000 small integers, so call energy() in-process for "
+                        "larger sets")
 
     p = add_parser("reduce", ex.cmd_reduce, help="run the reduction pipeline")
     p.add_argument("a", type=int)

@@ -17,26 +17,28 @@ order on t_i/t_j, so every key lies in [-1, 1] and a pair {s, -s} gives -1.
 
 One windowed kernel serves both sides.  Its pairs form rows that are
 monotone in j: row i of the products is a_i*b_j over the sorted B (j >= i
-for one set), and row i of the quotients is t_i over the later elements of
-one sign, whose |t_j| grow, so t_i/t_j moves one way.  A value window
-[v, w) therefore meets every row in one contiguous range of j, found for
-all rows at once by a vectorized bisection on the values the kernel
-computes: the exact product, and for a quotient the float64 t_i/t_j, which
-is a function of the fraction's value, so all pairs of one fraction land
-in one window whatever key width counts them.  The windows are counted one
-at a time with one sort each and the counts added, so the kernel holds at
-most ``WINDOW_PAIRS`` pairs at once, or the pairs of one value if more
-share it, whatever the size of the sets.  Window edges are deterministic: an
-interpolation search, every other step a bisection, over the exact counts
-of pairs below a value.  Pairs that fit one window are written whole, row
-by row (a triangle, or an outer product for two sets), with no rows to cut
-and no search.  Two budgets bound the kernel, both checked before anything
-is allocated: ``WINDOW_PAIRS`` (2^20) for memory, which holds a window's
-values to 8 MiB and its peak to about twice that, for the index array that
-gathers short rows or counts the sorted values; and ``MAX_PAIRS`` = 2^30
-for the time of one call, so E(A) takes up to 32768 elements.
-``product_set`` returns a Python list and refuses past ``PRODUCT_SET_MAX``
-pairs.
+for one set), and the quotient rows are the triangle in the |s| order, row
+i being t_i over the later t_j, whose |t_j| grow, so |t_i/t_j| falls.  The
+products are windowed on their value and the quotients on |t_i/t_j|, so a
+window [v, w) meets every row in one contiguous range of j, found for all
+rows at once by a vectorized bisection on the values the kernel computes:
+the exact product, and for a quotient the float64 |t_i/t_j|, which is a
+function of the fraction's value, so all pairs of one fraction land in one
+window whatever key width counts them.  A fraction x and its negative -x
+share a window but stay distinct keys in its one sort.  The windows are
+counted one at a time with one sort each and the counts added, so the
+kernel holds at most ``WINDOW_PAIRS`` pairs at once, or the pairs of one
+value (for quotients, one |value|) if more share it, whatever the size of
+the sets.  Window edges are deterministic: an interpolation search, every
+other step a bisection, over the exact counts of pairs below a value.
+Pairs that fit one window are written whole, row by row (a triangle, or an
+outer product for two sets), with no rows to cut and no search.  Two
+budgets bound the kernel, both checked before anything is allocated:
+``WINDOW_PAIRS`` (2^20) for memory, which holds a window's values to 8 MiB
+and its peak to about twice that, for the index array that gathers short
+rows or counts the sorted values; and ``MAX_PAIRS`` = 2^30 for the time of
+one call, so E(A) takes up to 32768 elements.  ``product_set`` returns a
+Python list and refuses past ``PRODUCT_SET_MAX`` pairs.
 
 Quotient keys are float64 when every element of both sets is below 2^26
 (``FLOAT_KEY_BITS``).  That is exact: such integers convert to float
@@ -139,7 +141,8 @@ def _kernel_arrays(A: IntSet, B: IntSet) -> tuple[np.ndarray, np.ndarray]:
 
 class _Rows(NamedTuple):
     """Pairs as rows: row r holds op(coef[r], run[j]) for j in [lo[r], hi),
-    whose values fall as j grows where ``dec[r]`` holds and rise elsewhere."""
+    whose values as the window search computes them fall as j grows where
+    ``dec[r]`` holds and rise elsewhere."""
 
     coef: np.ndarray
     run: np.ndarray
@@ -190,10 +193,13 @@ def _between(lo, hi, guess):
 def _windows(families: list[_Rows], at, bottom, top):
     """Value windows [v, w) over the pairs of ``families``, in increasing
     order: for each, v, w and every family's rows' j-ranges [start, stop)
-    in it.
+    in it.  ``at`` computes the value a pair is windowed on: the product
+    itself, or for the quotient triangle in the |s| order the magnitude
+    |t_i/t_j|, which falls along every row.
 
     All values lie in [bottom, top).  A window holds at most WINDOW_PAIRS
-    pairs, or the pairs of one value when more share it.  Each edge is
+    pairs, or the pairs of one value (one |value| for quotients) when more
+    share it.  Each edge is
     searched from the previous window's density, then alternately by linear
     interpolation on the exact counts and by bisection, and a window of at
     least half the budget is taken as found.  Each step costs a cut of
@@ -249,36 +255,31 @@ def _windows(families: list[_Rows], at, bottom, top):
         v, cv, base = w, cw, nw
 
 
-def _pair_values(parts, op) -> np.ndarray:
+def _pair_values(part, op) -> np.ndarray:
     """op(coef[r], run[j]) over j in [start[r], stop[r]) for every row r of
-    every (rows, start, stop) in ``parts``, as one array.  Rows of at least
+    the (rows, start, stop) ``part``, as one array.  Rows of at least
     SLICE_ROW pairs on average are written slice by slice; shorter ones are
     gathered all at once, beside the output one index array of its size."""
-    sizes = [stop - start for _, start, stop in parts]
-    out = np.empty(sum(int(k.sum()) for k in sizes), dtype=parts[0][0].run.dtype)
-    pos = 0
-    for (rows, start, _), k in zip(parts, sizes):
-        nz = np.flatnonzero(k)
-        k = k[nz]
-        start = start[nz]
-        n = int(k.sum())
-        seg = out[pos : pos + n]
-        pos += n
-        if n >= SLICE_ROW * nz.size:
-            p = 0
-            run = rows.run
-            for c, s, m in zip(rows.coef[nz], start.tolist(), k.tolist()):
-                op(c, run[s : s + m], out=seg[p : p + m])
-                p += m
-            continue
-        # j steps by one along a row and jumps from its end to the next start
-        j = np.ones(n, dtype=np.intp)
-        j[0] = start[0]
-        j[np.cumsum(k[:-1])] = start[1:] - start[:-1] - k[:-1] + 1
-        np.cumsum(j, out=j)
-        np.take(rows.run, j, out=seg, mode="clip")  # "raise" would buffer seg
-        del j
-        op(np.repeat(rows.coef[nz], k), seg, out=seg)
+    rows, start, stop = part
+    k = stop - start
+    nz = np.flatnonzero(k)
+    k = k[nz]
+    start = start[nz]
+    out = np.empty(int(k.sum()), dtype=rows.run.dtype)
+    if out.size >= SLICE_ROW * nz.size:
+        p = 0
+        for c, s, m in zip(rows.coef[nz], start.tolist(), k.tolist()):
+            op(c, rows.run[s : s + m], out=out[p : p + m])
+            p += m
+        return out
+    # j steps by one along a row and jumps from its end to the next start
+    j = np.ones(out.size, dtype=np.intp)
+    j[0] = start[0]
+    j[np.cumsum(k[:-1])] = start[1:] - start[:-1] - k[:-1] + 1
+    np.cumsum(j, out=j)
+    np.take(rows.run, j, out=out, mode="clip")  # "raise" would buffer out
+    del j
+    op(np.repeat(rows.coef[nz], k), out, out=out)
     return out
 
 
@@ -345,7 +346,7 @@ def _product_windows(A: IntSet, B: IntSet):
         rows = _Rows(a, b, lo, b.size, np.less(a, 0))
         corners = [x * y for x in (A[0], A[-1]) for y in (B[0], B[-1])]
         windows = (
-            (v, w, _pair_values([(rows, start, stop)], np.multiply))
+            (v, w, _pair_values((rows, start, stop), np.multiply))
             for v, w, (start,), (stop,) in _windows([rows], np.multiply, min(corners), max(corners) + 1)
         )
     for v, w, pairs in windows:
@@ -377,26 +378,15 @@ def _product_energy(A: IntSet, B: IntSet, with_histogram: bool = False):
     return e, count, hist, {"product_route": _ROUTES[dtype.kind], "product_windows": windows}
 
 
-def _quotient_rows(S: IntSet, dt) -> list[_Rows]:
-    """The quotient pairs i < j of S ordered by |s|, as rows: row i is t_i
-    over the later positive elements p, keyed t_i/p, and over the later
-    negative ones, keyed -t_i/|n|, each run sorted by magnitude."""
-    t = np.array(S, dtype=dt)
-    neg = np.less(t, 0)
-    m = np.abs(t)
-    up = t[~neg]
-    down = -t[neg][::-1]
-    # later in the |s| order: a larger magnitude, or s itself after -s
-    lo_up = np.where(neg, np.searchsorted(up, m, "left"), np.searchsorted(up, m, "right"))
-    return [
-        _Rows(t, up, lo_up, up.size, ~neg),
-        _Rows(-t, down, np.searchsorted(down, m, "right"), down.size, neg),
-    ]
+def _magnitude(p, q):
+    """|p/q| in float64, correctly rounded, so equal fractions give equal values."""
+    x = np.true_divide(p, q)
+    return np.abs(x, out=x)
 
 
 def _quotient_windows(sets: list[IntSet], bits: int):
-    """Per value window of the quotient keys, each set's sorted keys and
-    counts.  Every |s| < 2^bits.
+    """Per window of the quotients' magnitudes |t_i/t_j|, each set's sorted
+    keys and counts.  Every |s| < 2^bits.
 
     For bits <= FLOAT_KEY_BITS the key is the float64 value of t_i/t_j
     (exact, see the module docstring).  Otherwise it is the reduced p/q with
@@ -415,15 +405,17 @@ def _quotient_windows(sets: list[IntSet], bits: int):
             g = np.gcd(p, q) * np.sign(q)  # divides p/q to lowest terms with q > 0
             np.add(p // g * (1 << bits), q // g, out=out)
 
-    if sum(len(S) * (len(S) - 1) // 2 for S in sets) <= WINDOW_PAIRS:
-        # one window: each set's triangle in the |s| order, written whole
-        yield [_sorted_counts(_triangle(op, np.array(sorted(S, key=abs), dtype=dt), False)) for S in sets]
+    ts = [np.array(sorted(S, key=abs), dtype=dt) for S in sets]
+    if sum(t.size * (t.size - 1) // 2 for t in ts) <= WINDOW_PAIRS:
+        # one window: each set's triangle, written whole
+        yield [_sorted_counts(_triangle(op, t, False)) for t in ts]
         return
-    families = [_quotient_rows(S, dt) for S in sets]
-    flat = [f for fam in families for f in fam]
-    for _, _, starts, stops in _windows(flat, np.true_divide, -1.0, 2.0):
-        parts = list(zip(flat, starts, stops))
-        yield [_sorted_counts(_pair_values(parts[2 * i : 2 * i + 2], op)) for i in range(len(sets))]
+    # the same triangle as rows: row i is t_i over the later t_j, whose |t_j|
+    # grow, so |t_i/t_j| falls along it; windows are cut on that magnitude
+    families = [_Rows(t, t, np.arange(1, t.size + 1), t.size, np.ones(t.size, dtype=bool)) for t in ts]
+    for _, _, starts, stops in _windows(families, _magnitude, 0.0, 2.0):
+        yield [_sorted_counts(_pair_values(part, op)) for part in zip(families, starts, stops)]
+
 
 
 def _matched_dot(qa, qb) -> int:

@@ -40,21 +40,11 @@ REDUCE_MAX_L = 1 << 22
 TABLE_WINDOW = 1 << 21  # values per window of the table counter, about L2-sized
 
 
-@dataclass(frozen=True)
-class ThetaConstants:
-    """The multiplication-table exponent and its companions."""
-
-    theta: float
-    two_theta: float
-    two_log2_minus_1: float
-
-
-def theta_constants() -> ThetaConstants:
-    th = 1.0 - (1.0 + log(log(4.0))) / log(4.0)
-    return ThetaConstants(theta=th, two_theta=2.0 * th, two_log2_minus_1=2.0 * log(2.0) - 1.0)
-
-
-THETA = theta_constants()
+# the multiplication-table exponent theta; |A.A| of a progression is |A|^2 over
+# (log |A|)^(2 theta + o(1)), and of a dense subset of one over (log |A|)^(2 log 2 - 1 + o(1))
+THETA = 1.0 - (1.0 + log(log(4.0))) / log(4.0)
+TWO_THETA = 2.0 * THETA
+TWO_LOG2_MINUS_1 = 2.0 * log(2.0) - 1.0
 
 
 @dataclass
@@ -160,14 +150,14 @@ def normalized_ratio(N: int, count: int) -> float | None:
     """count * (log N)^(2 theta) (log log N)^(3/2) / N^2, defined for N >= 3."""
     if N < 3:
         return None
-    return count * log(N) ** THETA.two_theta * log(log(N)) ** 1.5 / (N * N)
+    return count * log(N) ** TWO_THETA * log(log(N)) ** 1.5 / (N * N)
 
 
 def cmd_table(N: int, seed: int = 0, threads: int = 1) -> ExperimentReport:
     t0 = time.perf_counter()
     count = table_count(N)
     row = {"N": N, "count": count, "normalized_ratio": normalized_ratio(N, count)}
-    params = {"N": N, "two_theta": THETA.two_theta}
+    params = {"N": N, "two_theta": TWO_THETA}
     return _finish("table", params, [row], seed, threads, t0)
 
 
@@ -193,10 +183,10 @@ def cmd_ap_product(a: int, d: int, L: int, seed: int = 0, threads: int = 1) -> E
         "energy_upper_bound": bound_rhs,
         "offdiag_tuples": tuples,
         "normalized_ratio": (
-            n_prod * log(L) ** THETA.two_theta / (L * L) if L >= 2 else None
+            n_prod * log(L) ** TWO_THETA / (L * L) if L >= 2 else None
         ),
     }
-    params = {"a": a, "d": d, "L": L, "two_theta": THETA.two_theta}
+    params = {"a": a, "d": d, "L": L, "two_theta": TWO_THETA}
     return _finish("ap-product", params, [row], seed, threads, t0, kernel=rep.kernel)
 
 

@@ -181,6 +181,8 @@ class ShiuQuery:
             raise PreconditionError("need 0 < y <= x")
         if not 0 < self.z <= 2:
             raise PreconditionError("need z in (0, 2]")
+        if self.k < 1:
+            raise PreconditionError("need k >= 1")
         if gcd(self.a, self.k) != 1:
             raise PreconditionError("need gcd(a, k) = 1")
 

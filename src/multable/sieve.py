@@ -15,10 +15,10 @@ the interval around them.
 
 The one primality sieve, ``prime_flags``, runs in index space over the
 elements of a progression too; the one prime list, ``primes_upto``, is a
-cache that grows through it.  Also here: one-off factorization helpers
-(numpy-assisted trial division, deterministic Miller-Rabin), vectorized
-largest-square-divisor extraction for integer arrays, and the
-prime-reciprocal sum used as an empirical Mertens check.
+cache that grows through it.  Also here: one-off factorization by
+numpy-assisted trial division, vectorized largest-square-divisor
+extraction for integer arrays, and the prime-reciprocal sum used as an
+empirical Mertens check.
 """
 
 from __future__ import annotations
@@ -39,32 +39,6 @@ _PAIR_BATCH = 1 << 22  # max (position, prime) pairs held at once
 # SEGMENT_BUDGET, so _COFACTOR is above all of them and sorts last
 _KEY_SHIFT = SEGMENT_BUDGET.bit_length()
 _COFACTOR = (1 << _KEY_SHIFT) - 1
-
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for all n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 # (bound, every prime up to it); primes_upto grows it through prime_flags
@@ -128,11 +102,6 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def square_part(n: int) -> int:
-    """The largest square divisor of a single integer n >= 1."""
-    return int(square_parts(np.array([n], dtype=np.int64))[0])
-
-
 def square_parts(values: np.ndarray) -> np.ndarray:
     """Largest square divisor of each entry of an int64 array of positives.
 
@@ -178,14 +147,16 @@ class FactorizationTable:
     """Per-element factorization data over the progression lo + d*i,
     lo <= lo + d*i < hi, built by sieving its elements.
 
-    ``factors`` is None or the pair (flat, offsets): the prime factors of
-    element i, ascending, are ``flat[offsets[i]:offsets[i + 1]]``.
+    ``omega_array`` and ``square_divisor_array`` hold omega and the largest
+    square divisor of element i at index i.  ``factors`` is None or the pair
+    (flat, offsets): the prime factors of element i, ascending, are
+    ``flat[offsets[i]:offsets[i + 1]]``.
     """
 
     def __init__(self, ap: ArithmeticProgression, omega, square_divisor, factors):
         self.lo, self.d, self.hi = ap.a, ap.d, ap.a + ap.d * ap.L
-        self._omega = omega
-        self._sqdiv = square_divisor
+        self.omega_array = omega
+        self.square_divisor_array = square_divisor
         self._factors = factors
 
     def _index(self, n: int) -> int:
@@ -208,10 +179,10 @@ class FactorizationTable:
         return pos
 
     def omega(self, n: int) -> int:
-        return int(self._omega[self._index(n)])
+        return int(self.omega_array[self._index(n)])
 
     def largest_square_divisor(self, n: int) -> int:
-        return int(self._sqdiv[self._index(n)])
+        return int(self.square_divisor_array[self._index(n)])
 
     def prime_factors(self, n: int) -> list[int]:
         flat, offsets = self.factor_arrays
@@ -224,14 +195,6 @@ class FactorizationTable:
         if self._factors is None:
             raise PreconditionError("table was built with factor_lists=False")
         return self._factors
-
-    @property
-    def omega_array(self) -> np.ndarray:
-        return self._omega
-
-    @property
-    def square_divisor_array(self) -> np.ndarray:
-        return self._sqdiv
 
 
 def _sieving_primes(count: int, largest: int) -> np.ndarray:

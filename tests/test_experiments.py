@@ -16,6 +16,8 @@ from multable.errors import BudgetError, InternalCheckError, PreconditionError
 from multable.sieve import factorize
 from multable.experiments import (
     THETA,
+    TWO_LOG2_MINUS_1,
+    TWO_THETA,
     cmd_ap_product,
     cmd_energy,
     cmd_mertens,
@@ -34,10 +36,10 @@ en = importlib.import_module("multable.energy")
 
 
 def test_theta_constants():
-    assert abs(THETA.theta - 0.0430) < 5e-4
+    assert abs(THETA - 0.0430) < 5e-4
     other_form = 1.0 - (1.0 + math.log(math.log(2))) / math.log(2)
-    assert abs(THETA.two_theta - other_form) < 1e-12
-    assert THETA.two_log2_minus_1 == pytest.approx(2 * math.log(2) - 1, abs=1e-15)
+    assert abs(TWO_THETA - other_form) < 1e-12
+    assert TWO_LOG2_MINUS_1 == pytest.approx(2 * math.log(2) - 1, abs=1e-15)
 
 
 def test_table_counts():
@@ -299,6 +301,7 @@ def test_cli_exit_codes():
     assert cli.main(["energy", "--set", ",".join(map(str, range(1, 32770)))]) == 3
     assert _run_cli("energy", "--set", "1,2,3").returncode == 0
     assert cli.main(["mertens", "10000000000000"]) == 3  # primes past SEGMENT_BUDGET
+    assert _run_cli("shiu", "100", "50", "-k", "0", "-a", "1").returncode == 2  # no modulus
     # malformed values: the parser exits 2
     for args in (
         ["energy", "--set", "1,x"],

@@ -18,7 +18,8 @@ from multable.primestats import (
     shiu_mean,
     totient,
 )
-from multable.sieve import build_table, factorize, is_prime, primes_upto, progression_table
+from multable.sieve import build_table, factorize, primes_upto, progression_table
+from test_sieve import is_prime
 
 LOG4 = math.log(4)
 
@@ -191,6 +192,10 @@ def test_shiu_examples():
     exact3, bound3 = shiu_mean(ShiuQuery(10**4, 5000, 3, 1, 1.0))
     assert exact3 == len(range(10**4 - 5000 + 3, 10**4, 3))  # n = 1 mod 3 count
     assert 0 < exact3 / bound3
+    # gcd(+-1, 0) = 1, but the progression needs a modulus k >= 1
+    for k, a in ((0, 1), (0, -1), (-3, 1)):
+        with pytest.raises(PreconditionError):
+            ShiuQuery(100, 50, k, a, 1.0)
 
 
 def _shiu_exact_over_hull(q):

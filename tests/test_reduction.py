@@ -18,7 +18,8 @@ from multable.reduction import (
     squarefree_reduce,
     trimmed_set,
 )
-from multable.sieve import build_table, progression_table, square_part
+from multable.sieve import build_table, progression_table
+from test_sieve import square_part
 
 
 def test_large_a_bound_values():

@@ -17,13 +17,42 @@ from multable.sieve import (
     count_large_square_divisible,
     divisors,
     factorize,
-    is_prime,
     mertens_sum,
     prime_flags,
     primes_upto,
     progression_table,
-    square_part,
+    square_parts,
 )
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, the oracle for the sieves; exact for all n < 3.3e24."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def square_part(n: int) -> int:
+    """The largest square divisor of a single integer n >= 1."""
+    return int(square_parts(np.array([n], dtype=np.int64))[0])
 
 
 def test_build_small():
