@@ -31,14 +31,16 @@ kernel holds at most ``WINDOW_PAIRS`` pairs at once, or the pairs of one
 value (for quotients, one |value|) if more share it, whatever the size of
 the sets.  Window edges are deterministic: an interpolation search, every
 other step a bisection, over the exact counts of pairs below a value.
-Pairs that fit one window are written whole, row by row (a triangle, or an
-outer product for two sets), with no rows to cut and no search.  Two
-budgets bound the kernel, both checked before anything is allocated:
+Every call takes this one path: pairs that fit one window are its first
+and only window, with no search, and a side with no pairs (a one-element
+set has no quotient pairs) still gets one window, empty.  Two budgets
+bound the kernel, both checked before anything is allocated:
 ``WINDOW_PAIRS`` (2^20) for memory, which holds a window's values to 8 MiB
 and its peak to about twice that, for the index array that gathers short
 rows or counts the sorted values; and ``MAX_PAIRS`` = 2^30 for the time of
 one call, so E(A) takes up to 32768 elements.  ``product_set`` returns a
-Python list and refuses past ``PRODUCT_SET_MAX`` pairs.
+Python list, and ``energy`` a histogram dict when asked, so both refuse
+past ``PRODUCT_SET_MAX`` pairs.
 
 Quotient keys are float64 when every element of both sets is below 2^26
 (``FLOAT_KEY_BITS``).  That is exact: such integers convert to float
@@ -115,6 +117,13 @@ def check_pair_budget(size_a: int, size_b: int) -> None:
     of one pair-kernel call."""
     if size_a * size_b > MAX_PAIRS:
         raise BudgetError(f"{size_a} x {size_b} pairs exceed the pair budget {MAX_PAIRS}")
+
+
+def _check_list_budget(size_a: int, size_b: int) -> None:
+    """Raise BudgetError past PRODUCT_SET_MAX pairs, which bounds a Python
+    list or dict that holds one entry per distinct product."""
+    if size_a * size_b > PRODUCT_SET_MAX:
+        raise BudgetError(f"{size_a * size_b} pairs exceed the product-set budget {PRODUCT_SET_MAX}")
 
 
 def _kernel_dtype(fast, pairs: int):
@@ -199,7 +208,8 @@ def _windows(families: list[_Rows], at, bottom, top):
 
     All values lie in [bottom, top).  A window holds at most WINDOW_PAIRS
     pairs, or the pairs of one value (one |value| for quotients) when more
-    share it.  Each edge is
+    share it.  Pairs that fit one window get exactly one, [bottom, top),
+    with no search; no pairs at all get one too, empty.  Each edge is
     searched from the previous window's density, then alternately by linear
     interpolation on the exact counts and by bisection, and a window of at
     least half the budget is taken as found.  Each step costs a cut of
@@ -218,7 +228,7 @@ def _windows(families: list[_Rows], at, bottom, top):
 
     v, cv, base = bottom, low, 0
     density = None  # (width, pairs) of the window before
-    while base < total:
+    while True:  # at least one window, empty when there are no pairs
         lo_x, lo_c, lo_n = v, cv, base
         hi_x, hi_c, hi_n = top, high, total
         want = base + 3 * cap // 4
@@ -251,6 +261,8 @@ def _windows(families: list[_Rows], at, bottom, top):
         else:
             w, cw, nw = lo_x, lo_c, lo_n
         yield v, w, list(map(np.minimum, cv, cw)), list(map(np.maximum, cv, cw))
+        if nw == total:
+            return
         density = (w - v, nw - base)
         v, cv, base = w, cw, nw
 
@@ -280,21 +292,6 @@ def _pair_values(part, op) -> np.ndarray:
     np.take(rows.run, j, out=out, mode="clip")  # "raise" would buffer out
     del j
     op(np.repeat(rows.coef[nz], k), out, out=out)
-    return out
-
-
-def _triangle(op, t: np.ndarray, diagonal: bool) -> np.ndarray:
-    """op(t_i, t_j) over the pairs i < j (i <= j with ``diagonal``) as one
-    array of t's dtype, row by row: row i is op(t_i, t[i + 1:]) (or
-    op(t_i, t[i:])), written in place."""
-    n = len(t)
-    off = 0 if diagonal else 1
-    out = np.empty(n * (n + 1) // 2 - off * n, dtype=t.dtype)
-    k = 0
-    for i in range(n - off):
-        w = n - i - off
-        op(t[i], t[i + off :], out=out[k : k + w])
-        k += w
     return out
 
 
@@ -337,25 +334,15 @@ def _product_windows(A: IntSet, B: IntSet):
     same = A == B
     if same:
         sq, d = _sorted_counts(np.square(a))
-    if (a.size * (a.size + 1) // 2 if same else a.size * b.size) <= WINDOW_PAIRS:
-        # one window, written whole with no search
-        whole = _triangle(np.multiply, a, diagonal=True) if same else np.multiply.outer(a, b).ravel()
-        windows = [(None, None, whole)]
-    else:
-        lo = np.arange(b.size) if same else np.zeros(a.size, dtype=np.intp)
-        rows = _Rows(a, b, lo, b.size, np.less(a, 0))
-        corners = [x * y for x in (A[0], A[-1]) for y in (B[0], B[-1])]
-        windows = (
-            (v, w, _pair_values((rows, start, stop), np.multiply))
-            for v, w, (start,), (stop,) in _windows([rows], np.multiply, min(corners), max(corners) + 1)
-        )
-    for v, w, pairs in windows:
-        vals, cnts = _sorted_counts(pairs)
-        del pairs
+    lo = np.arange(b.size) if same else np.zeros(a.size, dtype=np.intp)
+    rows = _Rows(a, b, lo, b.size, np.less(a, 0))
+    corners = [x * y for x in (A[0], A[-1]) for y in (B[0], B[-1])]
+    for v, w, (start,), (stop,) in _windows([rows], np.multiply, min(corners), max(corners) + 1):
+        vals, cnts = _sorted_counts(_pair_values((rows, start, stop), np.multiply))
         if same:
             # r(x) = 2c(x) - d(x): a pair i < j stands for (i, j) and (j, i), and
             # d(x) counts the i with a_i^2 = x, which is 2 when s and -s are in A
-            i, k = (0, sq.size) if v is None else np.searchsorted(sq, [v, w])
+            i, k = np.searchsorted(sq, [v, w])
             cnts *= 2
             cnts[np.searchsorted(vals, sq[i:k])] -= d[i:k]
         yield vals, cnts
@@ -406,16 +393,11 @@ def _quotient_windows(sets: list[IntSet], bits: int):
             np.add(p // g * (1 << bits), q // g, out=out)
 
     ts = [np.array(sorted(S, key=abs), dtype=dt) for S in sets]
-    if sum(t.size * (t.size - 1) // 2 for t in ts) <= WINDOW_PAIRS:
-        # one window: each set's triangle, written whole
-        yield [_sorted_counts(_triangle(op, t, False)) for t in ts]
-        return
-    # the same triangle as rows: row i is t_i over the later t_j, whose |t_j|
-    # grow, so |t_i/t_j| falls along it; windows are cut on that magnitude
+    # row i is t_i over the later t_j, whose |t_j| grow, so |t_i/t_j| falls
+    # along it; windows are cut on that magnitude
     families = [_Rows(t, t, np.arange(1, t.size + 1), t.size, np.ones(t.size, dtype=bool)) for t in ts]
     for _, _, starts, stops in _windows(families, _magnitude, 0.0, 2.0):
         yield [_sorted_counts(_pair_values(part, op)) for part in zip(families, starts, stops)]
-
 
 
 def _matched_dot(qa, qb) -> int:
@@ -473,9 +455,13 @@ def energy(A: IntSet, B: IntSet | None = None, with_histogram: bool = False) -> 
     representation counts is the returned value; the quotient-side sum
     (same-set: sum of r_{A/A}^2; cross: dot of r_{A/A} with r_{B/B}) is
     recomputed on every call and must match exactly.  The product side is
-    reduced to its numbers before the quotient keys are built.
+    reduced to its numbers before the quotient keys are built.  The
+    histogram, a dict with one entry per distinct product, is refused past
+    PRODUCT_SET_MAX pairs, as ``product_set`` is.
     """
     A, B = _energy_sets(A, B)
+    if with_histogram:
+        _check_list_budget(len(A), len(B))
     e, count, hist, kernel = _product_energy(A, B, with_histogram)
     (aa, _, ab), keys = _quotient_dots(A, None if A is B else B)
     _check_quotient_side(e, A, B, aa if A is B else ab)
@@ -513,8 +499,7 @@ def product_set(A: IntSet, B: IntSet) -> IntSet:
     B = intset(B)
     if not A or not B:
         raise PreconditionError("product_set needs nonempty sets")
-    if len(A) * len(B) > PRODUCT_SET_MAX:
-        raise BudgetError(f"{len(A) * len(B)} pairs exceed the product-set budget {PRODUCT_SET_MAX}")
+    _check_list_budget(len(A), len(B))
     out: list[int] = []
     for vals, _ in _product_windows(A, B):
         out += vals.tolist()

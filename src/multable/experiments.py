@@ -27,7 +27,7 @@ from .errors import BudgetError, InternalCheckError, PreconditionError
 from .progressions import ArithmeticProgression, intset
 from .reduction import DirectBound, Reduced, large_a_energy_bound, reduce, trimmed_set
 from .primestats import NkQuery, ShiuQuery, nk_last_prime_extension, nk_set, shiu_mean
-from .sieve import mertens_sum, progression_table
+from .sieve import SEGMENT_BUDGET, mertens_sum, progression_table
 from .smirnov import (
     SmirnovBoundary,
     check_line,
@@ -173,7 +173,10 @@ def cmd_ap_product(a: int, d: int, L: int, seed: int = 0, threads: int = 1) -> E
     rep = energy(A)
     e, n_prod = rep.energy, rep.product_count
     bound_rhs = large_a_energy_bound(ap, subset_size=len(A)) if a > 0 and gcd(a, d) == 1 else None
-    tuples = offdiag_tuples(A, energy_value=e) if a > 0 and L <= 512 else None
+    # offdiag_tuples factors every element, which the sieve's trial primes
+    # (up to SEGMENT_BUDGET) cover only below about 2^48
+    factorable = a > 0 and L <= 512 and isqrt(ap.last) <= SEGMENT_BUDGET
+    tuples = offdiag_tuples(A, energy_value=e) if factorable else None
     row = {
         "a": a, "d": d, "L": L,
         "zeros_removed": zeros_removed,

@@ -386,6 +386,31 @@ def test_product_set_budget(monkeypatch):
     assert energy([1], list(range(1, 66))).energy == 65
 
 
+def test_histogram_budget(monkeypatch):
+    # the histogram holds one entry per distinct product, so product_set's
+    # cap bounds it too, and is checked before any window is built
+    monkeypatch.setattr(en, "PRODUCT_SET_MAX", 64)
+    assert len(energy([1], list(range(1, 65)), with_histogram=True).histogram) == 64
+
+    def no_windows(*args):
+        raise AssertionError("a window was built")
+
+    monkeypatch.setattr(en, "_windows", no_windows)
+    with pytest.raises(BudgetError):
+        energy([1], list(range(1, 66)), with_histogram=True)
+    with pytest.raises(BudgetError):
+        energy(list(range(1, 9)) + [10], with_histogram=True)  # 81 pairs of one set
+
+
+def test_one_window_kernel_provenance():
+    # a call that fits one window takes it, and a one-element set, which has
+    # no quotient pairs, still gets one window, empty
+    one = {"product_route": "int64", "product_windows": 1, "key_route": "float64", "key_windows": 1}
+    assert energy([5]).kernel == one
+    assert energy([-3, 2, 7], [4, 5, 6, 9]).kernel == one
+    assert energy([5], [4, 6]).kernel == one
+
+
 def test_dilation_invariance_100_random_sets():
     rnd = random.Random(77)
     for _ in range(100):

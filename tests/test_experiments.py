@@ -34,6 +34,9 @@ from test_energy import _offdiag_counter, _product_merge
 # multable.energy is also the name of the function the package re-exports
 en = importlib.import_module("multable.energy")
 
+# a child interpreter imports multable from this checkout, as pytest does
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
 
 def test_theta_constants():
     assert abs(THETA - 0.0430) < 5e-4
@@ -119,6 +122,22 @@ def test_cmd_ap_product_matches_library():
         assert row["cs_lower_bound"] == cs_product_lower_bound(A, A)
         if a > 0:
             assert row["offdiag_tuples"] == _offdiag_counter(A)
+    # an all-negative progression has no column and no square root to take
+    row = cmd_ap_product(-10, 1, 5).results[0]
+    assert row["offdiag_tuples"] is None
+    assert row["energy"] == energy_bruteforce([-10, -9, -8, -7, -6])
+
+
+def test_cmd_ap_product_offdiag_past_factor_budget(monkeypatch):
+    # offdiag_tuples factors every element, so elements past about 2^48 get
+    # no column, and the rest of the row is still computed
+    row = cmd_ap_product(2**62, 1, 3).results[0]
+    assert row["offdiag_tuples"] is None
+    assert row["energy"] == energy_bruteforce([2**62, 2**62 + 1, 2**62 + 2])
+    # the column's own budget still refuses the command
+    monkeypatch.setattr(en, "OFFDIAG_PAIR_BUDGET", 0)
+    with pytest.raises(BudgetError):
+        cmd_ap_product(1, 1, 12)
 
 
 def test_quotient_check_guards_product_count(monkeypatch):
@@ -270,7 +289,7 @@ def test_csv_output():
 def _run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "multable.cli", *args],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=SRC_ENV,
     )
 
 
@@ -285,7 +304,7 @@ def test_cli_json_roundtrip(tmp_path):
 def test_cli_runs_as_package():
     r = subprocess.run(
         [sys.executable, "-m", "multable", "energy", "--set", "1,2,3"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=SRC_ENV,
     )
     assert r.returncode == 0
     assert json.loads(r.stdout)["results"][0]["energy"] == 15
@@ -331,9 +350,8 @@ def test_import_loads_no_scipy():
     # the package runs on numpy alone; scipy is a test-only oracle
     code = ("import sys, multable, multable.experiments, multable.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                       timeout=120, env=env)
+                       timeout=120, env=SRC_ENV)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
 
@@ -356,7 +374,7 @@ def test_cli_closed_pipe_exits_zero_quietly():
     try:
         r = subprocess.run(
             [sys.executable, "-m", "multable", "energy", "--set", "1,2,3"],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120, env=SRC_ENV,
         )
     finally:
         os.close(write_end)
