@@ -18,19 +18,24 @@ order on t_i/t_j, so every key lies in [-1, 1] and a pair {s, -s} gives -1.
 One windowed kernel serves both sides.  Its pairs form rows that are
 monotone in j: row i of the products is a_i*b_j over the sorted B (j >= i
 for one set), and the quotient rows are the triangle in the |s| order, row
-i being t_i over the later t_j, whose |t_j| grow, so |t_i/t_j| falls.  The
-products are windowed on their value and the quotients on |t_i/t_j|, so a
-window [v, w) meets every row in one contiguous range of j, found for all
-rows at once by a vectorized bisection on the values the kernel computes:
-the exact product, and for a quotient the float64 |t_i/t_j|, which is a
-function of the fraction's value, so all pairs of one fraction land in one
-window whatever key width counts them.  A fraction x and its negative -x
-share a window but stay distinct keys in its one sort.  The windows are
-counted one at a time with one sort each and the counts added, so the
-kernel holds at most ``WINDOW_PAIRS`` pairs at once, or the pairs of one
-value (for quotients, one |value|) if more share it, whatever the size of
-the sets.  Window edges are deterministic: an interpolation search, every
-other step a bisection, over the exact counts of pairs below a value.
+i being t_i over the later t_j, whose |t_j| grow, so |t_i/t_j| falls.
+Window edges are integers.  The products are windowed on their exact value
+and the quotients on the cell floor(|t_i/t_j| 2^bits) of their exact
+magnitude, every |s| being below 2^bits.  A window [v, w) then meets every
+row in one contiguous range of j, and a row's end of it is one
+``np.searchsorted`` of an exact integer threshold in the row's sorted run:
+ceil(v/a_i), or floor(v/a_i) + 1 where a_i < 0, in B, and
+|t_i| 2^bits // v + 1 in the |t_j|.  A cell is a function of the
+fraction's value, so all pairs of one fraction land in one window whatever
+key width counts them; a fraction x and its negative -x share a window but
+stay distinct keys in its one sort.  The windows are counted one at a time
+with one sort each and the counts added.  A window holds at most
+``WINDOW_PAIRS`` pairs, or the pairs of one integer if more share it: one
+product value holds at most one pair a row, and one cell at most two a
+column, since |t_i| then lies in an interval shorter than 1.  So with sets
+of at most 2^15 elements no window passes the cap.  Window edges are
+deterministic: an interpolation search, every other step a bisection, over
+the exact counts of pairs below a value.
 Every call takes this one path: pairs that fit one window are its first
 and only window, with no search, and a side with no pairs (a one-element
 set has no quotient pairs) still gets one window, empty.  Two budgets
@@ -52,8 +57,8 @@ Larger elements are keyed on the reduced fraction in integers.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
+from functools import partial
 from math import sqrt
 from typing import NamedTuple
 
@@ -150,8 +155,11 @@ def _kernel_arrays(A: IntSet, B: IntSet) -> tuple[np.ndarray, np.ndarray]:
 
 class _Rows(NamedTuple):
     """Pairs as rows: row r holds op(coef[r], run[j]) for j in [lo[r], hi),
-    whose values as the window search computes them fall as j grows where
-    ``dec[r]`` holds and rise elsewhere."""
+    whose values fall as j grows where ``dec[r]`` holds and rise elsewhere.
+    Products and the quotients' magnitudes are monotone in j alike, so a
+    cut(rows, x) finds for every row at once where its values cross an
+    integer x, by one ``np.searchsorted`` in the sorted run (its magnitudes,
+    for quotients)."""
 
     coef: np.ndarray
     run: np.ndarray
@@ -160,63 +168,40 @@ class _Rows(NamedTuple):
     dec: np.ndarray
 
 
-def _cut(rows: _Rows, at, x, j0: np.ndarray, j1: np.ndarray) -> np.ndarray:
-    """Per row, where its values cross x: the first j whose value at(coef,
-    run[j]) is >= x on a rising row, < x on a falling one.  Each row's cut is
-    known to lie in [j0, j1]; a vectorized bisection over the rows whose
-    bracket is still open narrows them all at once."""
-    j0 = j0.copy()
-    j1 = j1.copy()
-    r = np.flatnonzero(j0 < j1)
-    while r.size:
-        mid = (j0[r] + j1[r]) >> 1
-        # below the cut: a value below x on a rising row, at or above it on a falling one
-        before = np.asarray(at(rows.coef[r], rows.run[mid]) < x, dtype=bool) != rows.dec[r]
-        j0[r[before]] = mid[before] + 1
-        j1[r[~before]] = mid[~before]
-        r = r[j0[r] < j1[r]]
-    return j0
+def _product_cut(rows: _Rows, x: int) -> np.ndarray:
+    """Per row a*b_j over the ascending run b, the first j with a*b_j >= x
+    where a > 0, or a*b_j < x where a < 0: the first b_j >= ceil(x/a), or
+    b_j >= floor(x/a) + 1."""
+    a = rows.coef
+    return np.clip(np.searchsorted(rows.run, np.where(rows.dec, x // a + 1, -(-x // a))),
+                   rows.lo, rows.hi)
 
 
-def _ordered(x: float) -> int:
-    """An integer that orders floats as their values do; one apart for
-    neighbouring floats."""
-    i = struct.unpack("<q", struct.pack("<d", x))[0]
-    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+def _quotient_cut(rows: _Rows, x: int, bits: int) -> np.ndarray:
+    """Per row t_i over the later t_j of the |s| order, the first j with
+    |t_i/t_j| < x/2^bits, that is |t_j| > |t_i| 2^bits / x, for an integer
+    x >= 1, on the |t| as exact integers: |t| << bits < 2^62 for bits <= 31."""
+    m = np.abs(rows.coef).astype(np.int64 if bits <= 31 else object)
+    return np.clip(np.searchsorted(m, (m << bits) // x + 1), rows.lo, rows.hi)
 
 
-def _between(lo, hi, guess):
-    """A value strictly inside (lo, hi): ``guess`` when it is, else the
-    midpoint (of the ordered floats, for floats); None when there is none."""
-    if guess is not None and lo < guess < hi:
-        return guess
-    if isinstance(lo, float):
-        k = (_ordered(lo) + _ordered(hi)) // 2
-        mid = struct.unpack("<d", struct.pack("<q", abs(k)))[0]
-        mid = mid if k >= 0 else -mid
-    else:
-        mid = (lo + hi) // 2
-    return mid if lo < mid < hi else None
-
-
-def _windows(families: list[_Rows], at, bottom, top):
-    """Value windows [v, w) over the pairs of ``families``, in increasing
-    order: for each, v, w and every family's rows' j-ranges [start, stop)
-    in it.  ``at`` computes the value a pair is windowed on: the product
-    itself, or for the quotient triangle in the |s| order the magnitude
-    |t_i/t_j|, which falls along every row.
+def _windows(families: list[_Rows], cut, bottom: int, top: int):
+    """Windows [v, w) of integers over the pairs of ``families``, in
+    increasing order: for each, v, w and every family's rows' j-ranges
+    [start, stop) in it.  ``cut(rows, x)`` gives each row's first j past
+    which its values are below x on a falling row, at or above x on a
+    rising one.
 
     All values lie in [bottom, top).  A window holds at most WINDOW_PAIRS
-    pairs, or the pairs of one value (one |value| for quotients) when more
-    share it.  Pairs that fit one window get exactly one, [bottom, top),
-    with no search; no pairs at all get one too, empty.  Each edge is
-    searched from the previous window's density, then alternately by linear
-    interpolation on the exact counts and by bisection, and a window of at
-    least half the budget is taken as found.  Each step costs a cut of
-    every row, so the steps matter: on a 2-core x86-64 VM, the windows of
-    E(AP(7, 1000, 32768)) took 14 s to find this way, 18 s without the
-    density guess and 65 s by bisection alone (75 ms, 91 ms and 263 ms for
-    the product side at 8192 elements).
+    pairs, or the pairs of one value when more share it.  Pairs that fit
+    one window get exactly one, [bottom, top), with no search; no pairs at
+    all get one too, empty.  Each edge is searched from the previous
+    window's density, then alternately by linear interpolation on the
+    exact counts and by bisection, and a window of at least half the
+    budget is taken as found.  Each step costs one cut of every row, and the
+    search takes about one step a window: 89 cuts for the 89 windows of
+    E(AP(7, 1000, 8192)).  On a 2-core x86-64 VM the search alone took
+    23 ms there and 1.8-2.0 s for the 1370 windows at 32768 elements.
     """
     cap = WINDOW_PAIRS
     total = sum(int((f.hi - f.lo).sum()) for f in families)
@@ -234,19 +219,17 @@ def _windows(families: list[_Rows], at, bottom, top):
         want = base + 3 * cap // 4
         step = 0
         while hi_n - base > cap:
-            guess = None
             if step % 2 == 0:
                 x0, span, num, den = (
                     (v, density[0], want - base, density[1]) if step == 0 and density
                     else (lo_x, hi_x - lo_x, want - lo_n, hi_n - lo_n)
                 )
-                # integer edges interpolate in exact integer arithmetic
-                guess = x0 + (span * num / den if isinstance(v, float) else span * num // den)
-            x = _between(lo_x, hi_x, guess)
-            if x is None:
-                break
-            cuts = [_cut(f, at, x, np.minimum(a, b), np.maximum(a, b))
-                    for f, a, b in zip(families, lo_c, hi_c)]
+                x = x0 + span * num // den
+            if step % 2 or not lo_x < x < hi_x:
+                x = (lo_x + hi_x) // 2
+                if x == lo_x:  # [lo_x, hi_x) holds a single value
+                    break
+            cuts = [cut(f, x) for f in families]
             n = below(cuts)
             if n - base <= cap:
                 lo_x, lo_c, lo_n = x, cuts, n
@@ -337,7 +320,7 @@ def _product_windows(A: IntSet, B: IntSet):
     lo = np.arange(b.size) if same else np.zeros(a.size, dtype=np.intp)
     rows = _Rows(a, b, lo, b.size, np.less(a, 0))
     corners = [x * y for x in (A[0], A[-1]) for y in (B[0], B[-1])]
-    for v, w, (start,), (stop,) in _windows([rows], np.multiply, min(corners), max(corners) + 1):
+    for v, w, (start,), (stop,) in _windows([rows], _product_cut, min(corners), max(corners) + 1):
         vals, cnts = _sorted_counts(_pair_values((rows, start, stop), np.multiply))
         if same:
             # r(x) = 2c(x) - d(x): a pair i < j stands for (i, j) and (j, i), and
@@ -365,15 +348,9 @@ def _product_energy(A: IntSet, B: IntSet, with_histogram: bool = False):
     return e, count, hist, {"product_route": _ROUTES[dtype.kind], "product_windows": windows}
 
 
-def _magnitude(p, q):
-    """|p/q| in float64, correctly rounded, so equal fractions give equal values."""
-    x = np.true_divide(p, q)
-    return np.abs(x, out=x)
-
-
 def _quotient_windows(sets: list[IntSet], bits: int):
-    """Per window of the quotients' magnitudes |t_i/t_j|, each set's sorted
-    keys and counts.  Every |s| < 2^bits.
+    """Per window of the quotients' magnitude cells floor(|t_i/t_j| 2^bits),
+    each set's sorted keys and counts.  Every |s| < 2^bits.
 
     For bits <= FLOAT_KEY_BITS the key is the float64 value of t_i/t_j
     (exact, see the module docstring).  Otherwise it is the reduced p/q with
@@ -394,9 +371,9 @@ def _quotient_windows(sets: list[IntSet], bits: int):
 
     ts = [np.array(sorted(S, key=abs), dtype=dt) for S in sets]
     # row i is t_i over the later t_j, whose |t_j| grow, so |t_i/t_j| falls
-    # along it; windows are cut on that magnitude
+    # along it; windows are cut on the cell floor(|t_i/t_j| 2^bits) in [0, 2^bits]
     families = [_Rows(t, t, np.arange(1, t.size + 1), t.size, np.ones(t.size, dtype=bool)) for t in ts]
-    for _, _, starts, stops in _windows(families, _magnitude, 0.0, 2.0):
+    for _, _, starts, stops in _windows(families, partial(_quotient_cut, bits=bits), 0, (1 << bits) + 1):
         yield [_sorted_counts(_pair_values(part, op)) for part in zip(families, starts, stops)]
 
 

@@ -30,6 +30,7 @@ from .primestats import NkQuery, ShiuQuery, nk_last_prime_extension, nk_set, shi
 from .sieve import SEGMENT_BUDGET, mertens_sum, progression_table
 from .smirnov import (
     SmirnovBoundary,
+    check_exact_budget,
     check_line,
     noncrossing_probability_exact,
     noncrossing_probability_mc,
@@ -327,6 +328,7 @@ def cmd_smirnov(
     if c is not None:
         b = SmirnovBoundary.from_values(c)
     elif n is not None and u is not None and w is not None:
+        check_exact_budget(n)
         b = SmirnovBoundary.from_line(n, u, w)
     else:
         raise PreconditionError("give either c or (n, u, w)")
@@ -336,6 +338,8 @@ def cmd_smirnov(
         approx = 1.0 - math.exp(-2.0 * u * w / b.n)
         row["line_approx"] = approx
         row["deviation_stat"] = abs(exact - approx) * b.n / (u + w)
+        if not math.isfinite(row["deviation_stat"]):  # u + w near the smallest float
+            raise PreconditionError("u + w too small: the deviation statistic overflows")
     if samples:
         est, se = noncrossing_probability_mc(b, samples, seed)
         row["mc_estimate"] = est

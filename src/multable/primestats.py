@@ -127,6 +127,8 @@ def _admissible_tuples(m: int, d: int, alpha: float, beta: float, limit: int, vi
     if m == 0:
         visit(1, 1)
         return
+    if m >= limit.bit_length():  # m distinct primes multiply to at least 2^m >= limit
+        return
     primes = [p for p in primes_upto(limit - 1).tolist() if d % p != 0]
     # log log is increasing, so the admissible primes at each depth are a suffix
     start_at = [bisect_left(primes, alpha * j - beta, key=lambda p: log(log(p)))

@@ -40,6 +40,7 @@ from .errors import BudgetError, PreconditionError
 EXACT_BUDGET = 400
 PRECISION_WARN_AT = 200
 MC_MIN_SAMPLES = 10**4
+MC_MAX_UNIFORMS = 1 << 32  # max samples * n of one Monte Carlo call, about 40 s
 MC_BATCH = 1 << 14
 
 # Cephes lgam: log sqrt(2 pi) and the Stirling-series coefficients used for
@@ -125,6 +126,13 @@ class SmirnovBoundary:
         return cls(tuple(np.clip((alpha * j - beta) / N, 0.0, 1.0).tolist()))
 
 
+def check_exact_budget(n: int, budget: int = EXACT_BUDGET) -> None:
+    """Raise BudgetError when n points exceed the recursion's budget; callers
+    check before they build an n-point boundary."""
+    if n > budget:
+        raise BudgetError(f"n = {n} beyond recursion budget {budget}")
+
+
 def noncrossing_probability_exact(b: SmirnovBoundary, budget: int = EXACT_BUDGET) -> float:
     """P(U_(j) >= c_j for all j) for n iid uniforms, by the conditioning
     recursion; O(n^3) work, extended-precision accumulation.
@@ -133,8 +141,7 @@ def noncrossing_probability_exact(b: SmirnovBoundary, budget: int = EXACT_BUDGET
     above the budget, which defaults to 400 and can be raised explicitly.
     """
     n = b.n
-    if n > budget:
-        raise BudgetError(f"n = {n} beyond recursion budget {budget}")
+    check_exact_budget(n, budget)
     if n > PRECISION_WARN_AT:
         warnings.warn(f"n = {n} > {PRECISION_WARN_AT}: precision may degrade", RuntimeWarning)
     # carr[m] = c_m for 1 <= m <= n, with the sentinel c_{n+1} = 1 (full scale)
@@ -183,11 +190,14 @@ def noncrossing_probability_mc(
     """Monte Carlo estimate and binomial standard error of the non-crossing
     probability.  Batch i of MC_BATCH rows draws from SFC64 seeded with
     SeedSequence((seed, i)), so the result is independent of scheduling and
-    thread count; the batches share one reused buffer."""
+    thread count; the batches share one reused buffer.  Refuses past
+    MC_MAX_UNIFORMS uniforms, samples * n, before any is drawn."""
     if samples < MC_MIN_SAMPLES:
         raise PreconditionError(f"needs at least {MC_MIN_SAMPLES} samples")
     if seed < 0:
         raise PreconditionError("needs seed >= 0")
+    if samples * b.n > MC_MAX_UNIFORMS:
+        raise BudgetError(f"{samples} samples of n = {b.n} exceed {MC_MAX_UNIFORMS} uniforms")
     c = np.asarray(b.c, dtype=np.float64)
     buf = np.empty((min(MC_BATCH, samples), b.n))
     hits = 0
@@ -213,6 +223,7 @@ def q_n(u: float, w: float, n: int, budget: int = EXACT_BUDGET) -> float:
     """Probability that the empirical count stays below (n+w-u)t + u, i.e.
     the exact value approximated by 1 - exp(-2uw/n) up to O((u+w)/n)."""
     check_line(u, w)
+    check_exact_budget(n, budget)
     return noncrossing_probability_exact(SmirnovBoundary.from_line(n, u, w), budget=budget)
 
 
@@ -226,6 +237,7 @@ def region_volume(n: int, N: float, alpha: float, beta: float, budget: int = EXA
     _require_finite(N=N, alpha=alpha, beta=beta)
     if alpha * n - beta > N:
         return 0.0
+    check_exact_budget(n, budget)
     p = noncrossing_probability_exact(SmirnovBoundary.from_region(n, N, alpha, beta), budget=budget)
     if p == 0.0:
         return 0.0
@@ -270,6 +282,7 @@ def volume_sandwich(
     u = beta / alpha
     w = (N - alpha * n + beta) / alpha
     factor = u * w / n
+    check_exact_budget(n, budget)
     p = noncrossing_probability_exact(SmirnovBoundary.from_region(n, N, alpha, beta), budget=budget)
     log_scale = n * math.log(N) - math.lgamma(n + 1)
     def scaled(v: float) -> float:

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -533,6 +534,49 @@ def test_windowed_counts_match_whole_triangle(A, B, cap):
             want_keys, want_counts = _whole_quotient_counts(S, bits)
             assert len(set(keys)) == len(keys)
             assert dict(zip(keys, counts)) == dict(zip(want_keys.tolist(), want_counts.tolist()))
+
+
+def _recorded_windows(mp):
+    """Patch en._windows to record every window (v, w, starts, stops) it yields."""
+    seen = []
+    real = en._windows
+
+    def spy(families, cut, bottom, top):
+        for win in real(families, cut, bottom, top):
+            seen.append(win)
+            yield win
+
+    mp.setattr(en, "_windows", spy)
+    return seen
+
+
+@given(route_sets, route_sets, st.integers(1, 9))
+def test_windows_partition_pairs_by_exact_value(A, B, cap):
+    # every window holds exactly the pairs whose exact product, or exact cell
+    # floor(|t_i/t_j| 2^bits), lies in [v, w), and every pair lies in one window
+    bits = max(-A[0], A[-1], -B[0], B[-1]).bit_length()
+    ts = [sorted(S, key=abs) for S in (A, B)]
+    cases = [
+        (lambda X=X, Y=Y: en._product_windows(X, Y),
+         [{(i, j): X[i] * Y[j] for i in range(len(X)) for j in range(i if X == Y else 0, len(Y))}])
+        for X, Y in ((A, A), (A, B))
+    ] + [(lambda: en._quotient_windows([A, B], bits),
+          [{(i, j): math.floor(Fraction(abs(t[i]), abs(t[j])) * 2**bits)
+            for i in range(len(t)) for j in range(i + 1, len(t))} for t in ts])]
+    for run, values in cases:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(en, "WINDOW_PAIRS", cap)
+            seen = _recorded_windows(mp)
+            for _ in run():
+                pass
+        got = []
+        for v, w, starts, stops in seen:
+            pairs = [(f, i, j) for f, (start, stop) in enumerate(zip(starts, stops))
+                     for i in range(start.size) for j in range(start[i], stop[i])]
+            want = [(f, i, j) for f, vals in enumerate(values) for (i, j), x in vals.items() if v <= x < w]
+            assert sorted(pairs) == sorted(want)
+            got += pairs
+        assert sorted(got) == sorted((f, *p) for f, vals in enumerate(values) for p in vals)
 
 
 def _straddling(scales):

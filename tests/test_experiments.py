@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multable.energy import cs_product_lower_bound, energy_bruteforce, product_set
 import multable.experiments as ex
@@ -344,6 +348,66 @@ def test_cli_exit_codes():
     # a lone u or w is refused, never carried into the report
     assert cli.main(["smirnov", "--c", "0.3", "-u", "nan"]) == 2
     assert cli.main(["smirnov", "--c", "0.3", "-w", "2"]) == 2
+    # sizes are budgeted before the boundary or the Monte Carlo buffer exists
+    assert cli.main(["smirnov", "-n", "10000000", "-u", "1", "-w", "1"]) == 3
+    assert cli.main(["smirnov", "-n", "1099511627776", "-u", "1", "-w", "1"]) == 3
+    assert cli.main(["smirnov", "--c", "0.5", "--samples", "9223372036854775807"]) == 3
+
+
+# edge values of the CLI contract: int64 bounds, non-finite floats, empty
+# lists and fractions at the edges of (0, 1]
+EDGE_INTS = ["0", "1", "-1", str(2**31), str(2**62), str(2**63 - 1), str(2**63)]
+EDGE_FLOATS = EDGE_INTS + ["nan", "inf", "-inf", "0.5", "5e-324"]
+EDGE_FRACTIONS = ["1", "0", "-1/2", "3/2", f"1/{2**63}", f"{2**63 - 1}/{2**63}", "x", ""]
+EDGE_LISTS = ["", ",", "0", "1", "0.5", "0,1", "-1,1", "nan", "1,inf", f"{2**62},{2**63}"]
+# Monte Carlo sample counts that finish in milliseconds or exceed the budget
+EDGE_SAMPLES = ["0", "-1", "10000", str(2**62), str(2**63 - 1)]
+
+
+def _cli_args():
+    i, f, frac, lst = (st.sampled_from(v) for v in (EDGE_INTS, EDGE_FLOATS, EDGE_FRACTIONS, EDGE_LISTS))
+
+    def opt(flag, values):  # an option given or left out
+        return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+    def cmd(name, *parts):
+        return st.tuples(*parts).map(lambda ps: [name] + [a for p in ps for a in (p if isinstance(p, list) else [p])])
+
+    return st.one_of(
+        cmd("table", i),
+        cmd("ap-product", i, i, i),
+        cmd("energy", opt("--set", lst)),
+        cmd("reduce", i, i, i, opt("--delta", frac)),
+        cmd("nk", i, i, i, opt("--alpha", f), opt("--beta", f), opt("-k", i),
+            st.sampled_from([[], ["--witness"]])),
+        cmd("smirnov", opt("-n", i), opt("--c", lst), opt("-u", f), opt("-w", f),
+            opt("--samples", st.sampled_from(EDGE_SAMPLES))),
+        cmd("mertens", i),
+        cmd("shiu", i, i, opt("-k", i), opt("-a", i), opt("-z", f)),
+    )
+
+
+def _no_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+@settings(max_examples=120)
+@given(_cli_args())
+@example(["smirnov", "--c", "0", "-u", "5e-324", "-w", "5e-324"])  # the statistic overflows
+@example(["smirnov", "-n", str(2**63 - 1), "-u", "1", "-w", "1"])
+@example(["smirnov", "--c", "0.5", "--samples", str(2**63 - 1)])
+@example(["nk", "2", "1", "1", "--alpha", "0", "--beta", "0", "-k", str(2**63 - 1), "--witness"])
+def test_cli_contract_on_edge_values(argv):
+    # every input exits 0, 2 or 3, and a report is strict JSON
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse refuses a malformed value
+            code = e.code
+    assert code in (0, 2, 3), argv
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_no_constant)
 
 
 def test_import_loads_no_scipy():
@@ -379,6 +443,13 @@ def test_cli_closed_pipe_exits_zero_quietly():
     finally:
         os.close(write_end)
     assert (r.returncode, r.stderr) == (0, "")
+
+
+def test_cli_nk_witness_huge_k_returns(capsys):
+    # k - 1 distinct primes multiply past the prefix limit, so the walk builds nothing
+    assert cli.main(["nk", "2", "1", "1", "--alpha", "0", "--beta", "0",
+                     "-k", "9223372036854775807", "--witness"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["witness_count"] == 0
 
 
 def test_cli_rejects_negative_seed(capsys):

@@ -8,6 +8,7 @@ import pytest
 from multable.errors import BudgetError, PreconditionError
 from multable.smirnov import (
     MC_BATCH,
+    MC_MAX_UNIFORMS,
     SmirnovBoundary,
     log_gamma_int,
     volume_sandwich,
@@ -108,6 +109,26 @@ def test_budget_and_warning():
         noncrossing_probability_exact(big)
     with pytest.warns(RuntimeWarning):
         noncrossing_probability_exact(B([0.0] * 201), budget=400)
+
+
+def test_sizes_budgeted_before_allocation():
+    # a boundary of 2^40 points would take 8 TiB; every entry point refuses first
+    n = 2**40
+    with pytest.raises(BudgetError):
+        q_n(5, 5, n)
+    with pytest.raises(BudgetError):
+        region_volume(n, 2.0 * n, 1.0, 1.0)
+    with pytest.raises(BudgetError):
+        volume_sandwich(n, 2.0 * n, 1.0, 1.0)
+    # the budget argument is honoured
+    assert q_n(5, 5, 10, budget=10) == q_n(5, 5, 10)
+    with pytest.raises(BudgetError):
+        q_n(5, 5, 10, budget=9)
+    # Monte Carlo refuses past MC_MAX_UNIFORMS uniforms, samples * n
+    with pytest.raises(BudgetError):
+        noncrossing_probability_mc(B([0.5]), MC_MAX_UNIFORMS + 1, seed=0)
+    with pytest.raises(BudgetError):
+        noncrossing_probability_mc(B([0.5, 0.6]), MC_MAX_UNIFORMS // 2 + 1, seed=0)
 
 
 def test_mc_examples():
