@@ -23,8 +23,11 @@ x86-64).
 
 Monte Carlo draws batch i from its own SFC64 stream seeded with
 SeedSequence((seed, i)), so results are bit-identical under any parallel
-schedule.  This stream replaced 0.1.0's Philox keyed (seed, batch): Monte
-Carlo estimates differ from 0.1.0 at the same seed, exact values do not.
+schedule.  Each batch is drawn, sorted and tested in consecutive chunks of
+about MC_CHUNK uniforms from its one generator, which yields the bits of one
+whole-batch draw, so memory grows as max(n, MC_CHUNK) and not with the batch
+or the sample count.  This stream replaced 0.1.0's Philox keyed (seed, batch):
+Monte Carlo estimates differ from 0.1.0 at the same seed, exact values do not.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ PRECISION_WARN_AT = 200
 MC_MIN_SAMPLES = 10**4
 MC_MAX_UNIFORMS = 1 << 32  # max samples * n of one Monte Carlo call, about 40 s
 MC_BATCH = 1 << 14
+MC_CHUNK = 1 << 17  # uniforms drawn, sorted and tested at once: 1 MiB of float64
 
 # Cephes lgam: log sqrt(2 pi) and the Stirling-series coefficients used for
 # 13 <= x < 1000, highest power first
@@ -190,8 +194,11 @@ def noncrossing_probability_mc(
     """Monte Carlo estimate and binomial standard error of the non-crossing
     probability.  Batch i of MC_BATCH rows draws from SFC64 seeded with
     SeedSequence((seed, i)), so the result is independent of scheduling and
-    thread count; the batches share one reused buffer.  Refuses past
-    MC_MAX_UNIFORMS uniforms, samples * n, before any is drawn."""
+    thread count.  The batch is filled, sorted and tested a chunk of
+    max(1, MC_CHUNK // n) rows at a time, in one reused float64 buffer and
+    one bool buffer: at most 9 max(n, MC_CHUNK) bytes, whatever the batch or
+    sample count.  Refuses past MC_MAX_UNIFORMS uniforms, samples * n, before
+    any is drawn."""
     if samples < MC_MIN_SAMPLES:
         raise PreconditionError(f"needs at least {MC_MIN_SAMPLES} samples")
     if seed < 0:
@@ -199,14 +206,21 @@ def noncrossing_probability_mc(
     if samples * b.n > MC_MAX_UNIFORMS:
         raise BudgetError(f"{samples} samples of n = {b.n} exceed {MC_MAX_UNIFORMS} uniforms")
     c = np.asarray(b.c, dtype=np.float64)
-    buf = np.empty((min(MC_BATCH, samples), b.n))
+    rows = max(1, min(MC_BATCH, samples, MC_CHUNK // b.n))
+    buf = np.empty((rows, b.n))
+    above = np.empty((rows, b.n), dtype=bool)
     hits = 0
     for i, start in enumerate(range(0, samples, MC_BATCH)):
-        u = buf[: min(MC_BATCH, samples - start)]
         gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, i))))
-        gen.random(out=u)
-        u.sort(axis=1)
-        hits += int((u >= c).all(axis=1).sum())
+        stop = min(start + MC_BATCH, samples)
+        # consecutive fills of one generator give the bits of one whole-batch fill
+        for lo in range(start, stop, rows):
+            k = min(rows, stop - lo)
+            u, ok = buf[:k], above[:k]
+            gen.random(out=u)
+            u.sort(axis=1)
+            np.greater_equal(u, c, out=ok)
+            hits += int(ok.all(axis=1).sum())
     est = hits / samples
     return est, math.sqrt(est * (1.0 - est) / samples)
 
@@ -277,6 +291,8 @@ def volume_sandwich(
     needs factor <= 1 (``lower_applicable``).  Callers assert containment
     only when the flags hold; otherwise the report is informational.
     """
+    if n < 1:
+        raise PreconditionError("needs n >= 1")
     if alpha <= 0:
         raise PreconditionError("needs alpha > 0")
     u = beta / alpha

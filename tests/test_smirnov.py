@@ -1,10 +1,12 @@
 import math
 import warnings
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from multable import smirnov
 from multable.errors import BudgetError, PreconditionError
 from multable.smirnov import (
     MC_BATCH,
@@ -164,6 +166,42 @@ def test_mc_stream_contract(samples):
     assert noncrossing_probability_mc(b, samples, seed) == (est, math.sqrt(est * (1 - est) / samples))
 
 
+def _whole_batch_mc(b, samples, seed):
+    # each batch drawn, sorted and tested in one piece, as the stream contract says
+    hits = 0
+    for i, start in enumerate(range(0, samples, MC_BATCH)):
+        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, i))))
+        u = np.sort(gen.random((min(MC_BATCH, samples - start), b.n)), axis=1)
+        hits += int(np.all(u >= np.asarray(b.c), axis=1).sum())
+    est = hits / samples
+    return est, math.sqrt(est * (1 - est) / samples)
+
+
+@pytest.mark.parametrize("samples", [MC_BATCH + 17, 10**4 + 1])
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_mc_chunks_keep_the_stream(monkeypatch, samples, rows):
+    # a chunk of one row, of 3 rows (3 does not divide MC_BATCH), and the
+    # default MC_CHUNK // 30 = 4369 rows; both sample counts end in a partial
+    # chunk, and MC_BATCH + 17 also in a partial batch
+    b = SmirnovBoundary.from_line(30, 3.0, 4.0)
+    if rows is not None:
+        monkeypatch.setattr(smirnov, "MC_CHUNK", rows * b.n)
+    assert noncrossing_probability_mc(b, samples, 12345) == _whole_batch_mc(b, samples, 12345)
+
+
+def test_mc_memory_bounded():
+    # the whole 10^4 x 2000 draw would hold 160 MB; chunks hold about 1 MiB
+    b = SmirnovBoundary.from_line(2000, 5.0, 5.0)
+    tracemalloc.start()
+    try:
+        got = noncrossing_probability_mc(b, 10**4, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (0.0273, 0.001629561597485655)
+    assert peak < 8 << 20, f"traced peak {peak} bytes"
+
+
 def test_mc_rejects_negative_seed():
     with pytest.raises(PreconditionError):
         noncrossing_probability_mc(B([0.2, 0.5]), 10**4, seed=-1)
@@ -257,6 +295,12 @@ def test_sandwich_report():
     assert r.lower_applicable is False or r.factor <= 1
     # raw and normalized forms agree up to the (N^n / n!) scale
     assert r.volume == pytest.approx(r.upper / (3 * r.factor) * r.probability, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_sandwich_refuses_no_points(n):
+    with pytest.raises(PreconditionError):
+        volume_sandwich(n, 1.0, 1.0, 1.0)
 
 
 def test_sandwich_one_dimensional():
