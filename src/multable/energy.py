@@ -9,7 +9,7 @@ exactly before a result is returned.
 
 Both routes count sorted arrays, never dicts.  All arithmetic is exact:
 products run in int64 only when they provably fit, and on Python integers
-(``OBJECT_PAIR_BUDGET`` pairs at most) otherwise, so no result ever
+(the ``object_pairs`` budget) otherwise, so no result ever
 silently overflows.  A same-set energy counts only the products a_i*a_j
 with i <= j and recovers the counts over ordered pairs from them.  The
 quotient side orders each set by |s| and keys every pair i < j of that
@@ -38,14 +38,14 @@ deterministic: an interpolation search, every other step a bisection, over
 the exact counts of pairs below a value.
 Every call takes this one path: pairs that fit one window are its first
 and only window, with no search, and a side with no pairs (a one-element
-set has no quotient pairs) still gets one window, empty.  Two budgets
+set has no quotient pairs) still gets one window, empty.  Two limits
 bound the kernel, both checked before anything is allocated:
 ``WINDOW_PAIRS`` (2^20) for memory, which holds a window's values to 8 MiB
 and its peak to about twice that, for the index array that gathers short
-rows or counts the sorted values; and ``MAX_PAIRS`` = 2^30 for the time of
-one call, so E(A) takes up to 32768 elements.  ``product_set`` returns a
-Python list, and ``energy`` a histogram dict when asked, so both refuse
-past ``PRODUCT_SET_MAX`` pairs.
+rows or counts the sorted values; and the ``kernel_pairs`` budget, 2^30, for
+the time of one call, so E(A) takes up to 32768 elements.  ``product_set``
+returns a Python list, and ``energy`` a histogram dict when asked, so both
+refuse past the ``product_set_pairs`` budget.
 
 Quotient keys are float64 when every element of both sets is below 2^26
 (``FLOAT_KEY_BITS``).  That is exact: such integers convert to float
@@ -64,22 +64,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError, InternalCheckError, PreconditionError, RetriesExhaustedError
+from .errors import InternalCheckError, PreconditionError, RetriesExhaustedError, check_budget
 from .progressions import IntSet, intset
 from .sieve import divisors
 
-BRUTEFORCE_BUDGET = 10**4  # max |A|*|B| for the quadratic oracle
 WINDOW_PAIRS = 1 << 20  # max pairs the kernel holds at once: its memory
-MAX_PAIRS = 1 << 30  # max |A|*|B| of one pair-kernel call: its time
-PRODUCT_SET_MAX = 1 << 26  # max pairs of product_set, so its list stays below 2^26 ints
-OBJECT_PAIR_BUDGET = 1 << 20  # max pairs per exact Python-int fallback
 FLOAT_KEY_BITS = 26  # quotient keys are float64 for elements below 2^26
 # rows of a window at least this long on average are written by slices, shorter
 # ones gathered; for windows of 2^19-2^20 pairs the two cross at 110-220 pairs a row
 SLICE_ROW = 128
 # the kernel's dtypes by kind, named without str(dtype), which costs microseconds a call
 _ROUTES = {"i": "int64", "f": "float64", "O": "object"}
-OFFDIAG_PAIR_BUDGET = 10**7  # max co-occurring quotient pairs in offdiag_tuples
 SUBSET_MAX_DRAWS = 1000  # draws of random_energy_subset before it gives up
 
 
@@ -117,39 +112,16 @@ def _energy_sets(A: IntSet, B: IntSet | None) -> tuple[IntSet, IntSet]:
     return A, B
 
 
-def check_pair_budget(size_a: int, size_b: int) -> None:
-    """Raise BudgetError when |A||B| pairs exceed MAX_PAIRS, the time budget
-    of one pair-kernel call."""
-    if size_a * size_b > MAX_PAIRS:
-        raise BudgetError(f"{size_a} x {size_b} pairs exceed the pair budget {MAX_PAIRS}")
-
-
-def _check_list_budget(size_a: int, size_b: int) -> None:
-    """Raise BudgetError past PRODUCT_SET_MAX pairs, which bounds a Python
-    list or dict that holds one entry per distinct product."""
-    if size_a * size_b > PRODUCT_SET_MAX:
-        raise BudgetError(f"{size_a * size_b} pairs exceed the product-set budget {PRODUCT_SET_MAX}")
-
-
-def _kernel_dtype(fast, pairs: int):
-    """The dtype of the pair kernel over ``pairs`` pairs: ``fast``, a numpy
-    dtype that provably holds every value exactly, or exact Python ints in
-    object arrays when ``fast`` is None, which raises BudgetError past
-    OBJECT_PAIR_BUDGET pairs."""
-    if fast is not None:
-        return fast
-    if pairs > OBJECT_PAIR_BUDGET:
-        raise BudgetError(f"{pairs} pairs in exact object arithmetic exceed {OBJECT_PAIR_BUDGET}")
-    return object
-
-
 def _kernel_arrays(A: IntSet, B: IntSet) -> tuple[np.ndarray, np.ndarray]:
     """A and B as arrays in which every product a*b is exact: int64 when
-    |a*b| < 2^62 for all pairs, else Python ints.  A magnitude counts as at
-    least 1, so a set {0} does not let its partner's elements pass as fitting."""
-    check_pair_budget(len(A), len(B))
-    fits = max(1, -A[0], A[-1]) * max(1, -B[0], B[-1]) < 1 << 62
-    dt = _kernel_dtype(np.int64 if fits else None, len(A) * len(B))
+    |a*b| < 2^62 for all pairs, else Python ints in object arrays.  A
+    magnitude counts as at least 1, so a set {0} does not let its partner's
+    elements pass as fitting."""
+    check_budget("kernel_pairs", len(A) * len(B))
+    dt = np.int64
+    if max(1, -A[0], A[-1]) * max(1, -B[0], B[-1]) >= 1 << 62:
+        check_budget("object_pairs", len(A) * len(B))
+        dt = object
     return np.array(A, dtype=dt), np.array(B, dtype=dt)
 
 
@@ -358,12 +330,14 @@ def _quotient_windows(sets: list[IntSet], bits: int):
     the windows, so a key is counted in the same window for each.
     """
     for S in sets:
-        check_pair_budget(len(S), len(S))
+        check_budget("kernel_pairs", len(S) * len(S))
     if bits <= FLOAT_KEY_BITS:
         dt, op = np.float64, np.divide
     else:
-        pairs = max(len(S) * (len(S) - 1) // 2 for S in sets)
-        dt = _kernel_dtype(np.int64 if bits <= 31 else None, pairs)
+        dt = np.int64
+        if bits > 31:
+            check_budget("object_pairs", max(len(S) * (len(S) - 1) // 2 for S in sets))
+            dt = object
 
         def op(p, q, out):
             g = np.gcd(p, q) * np.sign(q)  # divides p/q to lowest terms with q > 0
@@ -434,11 +408,11 @@ def energy(A: IntSet, B: IntSet | None = None, with_histogram: bool = False) -> 
     recomputed on every call and must match exactly.  The product side is
     reduced to its numbers before the quotient keys are built.  The
     histogram, a dict with one entry per distinct product, is refused past
-    PRODUCT_SET_MAX pairs, as ``product_set`` is.
+    the ``product_set_pairs`` budget, as ``product_set`` is.
     """
     A, B = _energy_sets(A, B)
     if with_histogram:
-        _check_list_budget(len(A), len(B))
+        check_budget("product_set_pairs", len(A) * len(B))
     e, count, hist, kernel = _product_energy(A, B, with_histogram)
     (aa, _, ab), keys = _quotient_dots(A, None if A is B else B)
     _check_quotient_side(e, A, B, aa if A is B else ab)
@@ -456,8 +430,7 @@ def energy_bruteforce(A: IntSet, B: IntSet | None = None) -> int:
     """
     A = intset(A)
     B = A if B is None else intset(B)
-    if len(A) * len(B) > BRUTEFORCE_BUDGET:
-        raise BudgetError(f"|A|*|B| = {len(A) * len(B)} exceeds {BRUTEFORCE_BUDGET}")
+    check_budget("bruteforce_pairs", len(A) * len(B))
     p = np.multiply.outer(*_kernel_arrays(A, B)).ravel()
     total = 0
     step = max(1, (1 << 24) // max(1, p.size))
@@ -469,14 +442,14 @@ def energy_bruteforce(A: IntSet, B: IntSet | None = None) -> int:
 def product_set(A: IntSet, B: IntSet) -> IntSet:
     """Sorted distinct pairwise products of A and B, window by window from
     the pair kernel (only the a_i*a_j with i <= j when A and B are the same
-    set); raises BudgetError past PRODUCT_SET_MAX pairs, which bounds the
-    list it returns.  A k-way merge of the dilates a*B is the oracle for it
-    in tests."""
+    set); raises BudgetError past the ``product_set_pairs`` budget, which
+    bounds the list it returns.  A k-way merge of the dilates a*B is the
+    oracle for it in tests."""
     A = intset(A)
     B = intset(B)
     if not A or not B:
         raise PreconditionError("product_set needs nonempty sets")
-    _check_list_budget(len(A), len(B))
+    check_budget("product_set_pairs", len(A) * len(B))
     out: list[int] = []
     for vals, _ in _product_windows(A, B):
         out += vals.tolist()
@@ -494,7 +467,7 @@ def offdiag_tuples(A: IntSet, energy_value: int | None = None) -> int:
     side; a pair shared by c values of x gives c(c-1)/2 grids.  The keys of
     all x with s quotients are gathered by one ``np.triu_indices(s, 1)``
     into one array of exactly ``work`` entries, checked against
-    ``OFFDIAG_PAIR_BUDGET`` before it is allocated, and counted in one sort.
+    the ``offdiag_pairs`` budget before it is allocated, and counted in one sort.
     A kept incidence shares its x with another, so there are at most
     2 * work of them and the two ranks fit in 50 bits.
 
@@ -517,8 +490,7 @@ def offdiag_tuples(A: IntSet, energy_value: int | None = None) -> int:
     y = y[order]
     sizes = _sorted_counts(x[order])[1]  # the quotients of each x, in x order
     work = int((sizes * (sizes - 1) // 2).sum())
-    if work > OFFDIAG_PAIR_BUDGET:
-        raise BudgetError(f"co-occurrence work {work} exceeds budget {OFFDIAG_PAIR_BUDGET}")
+    check_budget("offdiag_pairs", work)
     shared = sizes >= 2
     # y stays sorted within each x, and so does its rank
     rank = np.unique(y[np.repeat(shared, sizes)], return_inverse=True)[1]

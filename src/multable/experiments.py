@@ -22,22 +22,19 @@ from math import gcd, isqrt, log
 import numpy as np
 
 from . import __version__
-from .energy import check_pair_budget, cs_floor, energy, offdiag_tuples
-from .errors import BudgetError, InternalCheckError, PreconditionError
+from .energy import cs_floor, energy, offdiag_tuples
+from .errors import BUDGETS, BudgetError, InternalCheckError, PreconditionError, check_budget
 from .progressions import ArithmeticProgression, intset
 from .reduction import DirectBound, Reduced, large_a_energy_bound, reduce, trimmed_set
 from .primestats import NkQuery, ShiuQuery, nk_last_prime_extension, nk_set, shiu_mean
-from .sieve import SEGMENT_BUDGET, mertens_sum, progression_table
+from .sieve import mertens_sum, progression_table
 from .smirnov import (
     SmirnovBoundary,
-    check_exact_budget,
     check_line,
     noncrossing_probability_exact,
     noncrossing_probability_mc,
 )
 
-TABLE_MAX_N = 1 << 16
-REDUCE_MAX_L = 1 << 22
 TABLE_WINDOW = 1 << 21  # values per window of the table counter, about L2-sized
 
 
@@ -125,8 +122,9 @@ def table_count(N: int) -> int:
     i, so each row is one strided slice of a reused bool buffer of
     W = TABLE_WINDOW entries.  Memory is O(W) for every N.
     """
-    if not 1 <= N <= TABLE_MAX_N:
-        raise PreconditionError(f"N must be in [1, {TABLE_MAX_N}]")
+    if N < 1:
+        raise PreconditionError("N must be >= 1")
+    check_budget("table_n", N)
     W = min(TABLE_WINDOW, N * N)
     win = np.empty(W, dtype=bool)
     total = 0
@@ -169,14 +167,14 @@ def cmd_ap_product(a: int, d: int, L: int, seed: int = 0, threads: int = 1) -> E
     n = L - zeros_removed
     # L comes from outside: refuse before the elements are built, on the
     # budget the energy kernel enforces once they exist
-    check_pair_budget(n, n)
+    check_budget("kernel_pairs", n * n)
     A = [x for x in ap.elements() if x != 0]
     rep = energy(A)
     e, n_prod = rep.energy, rep.product_count
     bound_rhs = large_a_energy_bound(ap, subset_size=len(A)) if a > 0 and gcd(a, d) == 1 else None
     # offdiag_tuples factors every element, which the sieve's trial primes
-    # (up to SEGMENT_BUDGET) cover only below about 2^48
-    factorable = a > 0 and L <= 512 and isqrt(ap.last) <= SEGMENT_BUDGET
+    # (up to the sieve budget) cover only below about 2^48
+    factorable = a > 0 and L <= 512 and isqrt(ap.last) <= BUDGETS["sieve"]
     tuples = offdiag_tuples(A, energy_value=e) if factorable else None
     row = {
         "a": a, "d": d, "L": L,
@@ -214,8 +212,7 @@ def cmd_reduce(
 ) -> ExperimentReport:
     t0 = time.perf_counter()
     # L comes from outside: refuse before the L elements are built
-    if L > REDUCE_MAX_L:
-        raise BudgetError(f"L = {L} beyond the reduce budget {REDUCE_MAX_L}")
+    check_budget("reduce_L", L)
     try:
         dlt = Fraction(delta)
     except (ValueError, ZeroDivisionError):
@@ -328,7 +325,7 @@ def cmd_smirnov(
     if c is not None:
         b = SmirnovBoundary.from_values(c)
     elif n is not None and u is not None and w is not None:
-        check_exact_budget(n)
+        check_budget("exact_n", n)
         b = SmirnovBoundary.from_line(n, u, w)
     else:
         raise PreconditionError("give either c or (n, u, w)")

@@ -18,7 +18,7 @@ from math import gcd, isqrt, log
 
 import numpy as np
 
-from .errors import BudgetError, InternalCheckError, PreconditionError
+from .errors import BUDGETS, InternalCheckError, PreconditionError, check_budget
 from .progressions import ArithmeticProgression, IntSet, intset
 from .sieve import (
     FactorizationTable,
@@ -29,9 +29,6 @@ from .sieve import (
     progression_table,
 )
 
-RECIPROCAL_MAX_K = 5
-RECIPROCAL_MAX_X = 10**7
-RECIPROCAL_MAX_NODES = 10**7  # DFS nodes per walk over admissible prime tuples
 PRIME_BOUND_MIN_LENGTH = 10**4  # below this the density floor is only reported
 
 
@@ -123,7 +120,7 @@ def prime_count_ap(ap: ArithmeticProgression) -> int:
 def _admissible_tuples(m: int, d: int, alpha: float, beta: float, limit: int, visit) -> None:
     """Depth-first, call visit(product, largest prime) for each ascending m-tuple
     of primes not dividing d with log log p_j >= alpha*j - beta and product <
-    limit (visit(1, 1) once at m = 0); BudgetError past RECIPROCAL_MAX_NODES nodes."""
+    limit (visit(1, 1) once at m = 0); BudgetError past the ``dfs_nodes`` budget."""
     if m == 0:
         visit(1, 1)
         return
@@ -133,7 +130,7 @@ def _admissible_tuples(m: int, d: int, alpha: float, beta: float, limit: int, vi
     # log log is increasing, so the admissible primes at each depth are a suffix
     start_at = [bisect_left(primes, alpha * j - beta, key=lambda p: log(log(p)))
                 for j in range(1, m + 1)]
-    nodes = 0
+    nodes, max_nodes = 0, BUDGETS["dfs_nodes"]
 
     def walk(depth: int, first_idx: int, prod: int):
         nonlocal nodes
@@ -143,8 +140,8 @@ def _admissible_tuples(m: int, d: int, alpha: float, beta: float, limit: int, vi
             if new >= limit:
                 return
             nodes += 1
-            if nodes > RECIPROCAL_MAX_NODES:
-                raise BudgetError(f"DFS exceeded {RECIPROCAL_MAX_NODES} nodes")
+            if nodes > max_nodes:
+                check_budget("dfs_nodes", nodes)
             if depth + 1 == m:
                 visit(new, p)
             else:
@@ -161,8 +158,8 @@ def reciprocal_sum_lower(x: int, k: int, d: int, beta: float, alpha: float) -> f
     """
     if k < 0 or not (math.isfinite(alpha) and math.isfinite(beta)):
         raise PreconditionError("needs k >= 0 and finite alpha, beta")
-    if k > RECIPROCAL_MAX_K or x > RECIPROCAL_MAX_X:
-        raise BudgetError(f"enumeration budget is k <= {RECIPROCAL_MAX_K}, x <= {RECIPROCAL_MAX_X}")
+    check_budget("reciprocal_k", k)
+    check_budget("reciprocal_x", x)
     terms: list[float] = []
     _admissible_tuples(k, d, alpha, beta, x, lambda prod, _: terms.append(1.0 / prod))
     return math.fsum(terms)
@@ -199,8 +196,7 @@ def shiu_mean(q: ShiuQuery) -> tuple[float, float]:
     x, y, k, a, z = q.x, q.y, q.k, q.a, q.z
     if not (k < math.sqrt(y) and math.sqrt(x) < y):
         raise PreconditionError("regime requires k < sqrt(y) and sqrt(x) < y")
-    if x > RECIPROCAL_MAX_X:
-        raise BudgetError(f"x budget is {RECIPROCAL_MAX_X}")
+    check_budget("reciprocal_x", x)
     lo = x - y
     first = lo + ((a - lo) % k)
     if first < 1:

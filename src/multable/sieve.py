@@ -28,17 +28,11 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .errors import BudgetError, InternalCheckError, PreconditionError
+from .errors import BUDGETS, InternalCheckError, PreconditionError, check_budget
 from .progressions import ArithmeticProgression
-
-SEGMENT_BUDGET = 1 << 24  # max elements per sieve, and max sieving prime
 
 _STRIDE_SPLIT = 1 << 10  # primes below this are sieved by stride
 _PAIR_BATCH = 1 << 22  # max (position, prime) pairs held at once
-# a sort key packs position << _KEY_SHIFT | prime; primes are at most
-# SEGMENT_BUDGET, so _COFACTOR is above all of them and sorts last
-_KEY_SHIFT = SEGMENT_BUDGET.bit_length()
-_COFACTOR = (1 << _KEY_SHIFT) - 1
 
 
 # (bound, every prime up to it); primes_upto grows it through prime_flags
@@ -49,14 +43,13 @@ _prime_cache[1].flags.writeable = False
 def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit, ascending: a read-only int64 view of one module
     cache, which a larger limit grows to at least twice its bound through
-    ``prime_flags``.  A limit above SEGMENT_BUDGET raises ``BudgetError``
-    before anything is allocated."""
+    ``prime_flags``.  A limit above the ``sieve`` budget raises
+    ``BudgetError`` before anything is allocated."""
     global _prime_cache
-    if limit > SEGMENT_BUDGET:
-        raise BudgetError(f"primes up to {limit} exceed budget {SEGMENT_BUDGET}")
+    check_budget("sieve", limit)
     bound, primes = _prime_cache
     if limit > bound:
-        bound = min(max(limit, 2 * bound), SEGMENT_BUDGET)
+        bound = min(max(limit, 2 * bound), BUDGETS["sieve"])
         primes = np.flatnonzero(prime_flags(ArithmeticProgression(2, 1, bound - 1))) + 2
         primes.flags.writeable = False
         _prime_cache = bound, primes
@@ -67,17 +60,15 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} by trial division up to sqrt(n).
 
     The remainder scan over the cached prime array is vectorized.  Trial
-    primes are capped at SEGMENT_BUDGET, so n must be below about 2^48;
-    larger n raises ``BudgetError`` before anything is allocated.
+    primes come from ``primes_upto``, so its budget holds: n must be below
+    about 2^48, and larger n raises ``BudgetError`` before anything is
+    allocated.
     """
     if n < 1:
         raise PreconditionError("factorize needs n >= 1")
     if n == 1:
         return {}
-    root = isqrt(n)
-    if root > SEGMENT_BUDGET:
-        raise BudgetError(f"trial primes up to {root} exceed budget {SEGMENT_BUDGET}")
-    primes = primes_upto(root)
+    primes = primes_upto(isqrt(n))
     hits = primes[n % primes == 0]
     fac: dict[int, int] = {}
     m = n
@@ -200,10 +191,9 @@ class FactorizationTable:
 def _sieving_primes(count: int, largest: int) -> np.ndarray:
     """Primes up to sqrt(largest) for sieving ``count`` numbers no larger
     than ``largest``, checked against the budget before anything is
-    allocated: at most SEGMENT_BUDGET numbers, and sieving primes up to at
-    most SEGMENT_BUDGET (so ``largest`` is below about 2^48)."""
-    if count > SEGMENT_BUDGET:
-        raise BudgetError(f"{count} numbers to sieve exceed budget {SEGMENT_BUDGET}")
+    allocated: the ``sieve`` budget bounds both the count and the sieving
+    primes (so ``largest`` is below about 2^48)."""
+    check_budget("sieve", count)
     return primes_upto(isqrt(max(largest, 0)))
 
 
@@ -253,7 +243,11 @@ def _sieve(ap: ArithmeticProgression, primes: np.ndarray, factor_lists: bool):
     omega = np.zeros(length, dtype=np.int16)
     sqdiv = np.ones(length, dtype=np.int64)
     residual = np.arange(a, a + d * length, d, dtype=np.int64)
-    keys = []  # position << _KEY_SHIFT | prime, one per prime hit
+    # a sort key packs position << shift | prime; cofactor is above every
+    # sieving prime, so it sorts last and marks the one prime above them
+    shift = (int(primes.max(initial=0)) + 1).bit_length()
+    cofactor = (1 << shift) - 1
+    keys = []  # position << shift | prime, one per prime hit
 
     stride = (primes < min(_STRIDE_SPLIT, length)) | (d % primes == 0)
     for p in primes[stride].tolist():
@@ -269,7 +263,7 @@ def _sieve(ap: ArithmeticProgression, primes: np.ndarray, factor_lists: bool):
             if k == 1:
                 omega[first::m] += 1
                 if factor_lists:
-                    keys.append(np.arange(first, length, m, dtype=np.int64) << _KEY_SHIFT | p)
+                    keys.append(np.arange(first, length, m, dtype=np.int64) << shift | p)
             residual[first::m] //= p
             if k % 2 == 0:
                 sqdiv[first::m] *= p * p
@@ -279,7 +273,7 @@ def _sieve(ap: ArithmeticProgression, primes: np.ndarray, factor_lists: bool):
     for pos, p in _hit_batches(_offsets(a, d, batched, length)[0], length, batched):
         omega += np.bincount(pos, minlength=length).astype(np.int16)
         if factor_lists:
-            keys.append(pos << _KEY_SHIFT | p)
+            keys.append(pos << shift | p)
         # round k divides out the k-th power of p from the pairs it still
         # divides; .at because several primes can share a position
         k = 1
@@ -294,12 +288,12 @@ def _sieve(ap: ArithmeticProgression, primes: np.ndarray, factor_lists: bool):
     omega[left] += 1
     if not factor_lists:
         return omega, sqdiv, None
-    keys.append(left << _KEY_SHIFT | _COFACTOR)
+    keys.append(left << shift | cofactor)
     flat = np.concatenate(keys)
     del keys  # free the pieces before the sort
     flat.sort()  # by position, then prime, with the cofactor last
-    flat &= _COFACTOR
-    flat[flat == _COFACTOR] = residual[left]
+    flat &= cofactor
+    flat[flat == cofactor] = residual[left]
     offsets = np.zeros(length + 1, dtype=np.int64)
     np.cumsum(omega, out=offsets[1:])
     return omega, sqdiv, (flat, offsets)
@@ -310,8 +304,8 @@ def progression_table(ap: ArithmeticProgression, factor_lists: bool = True) -> F
 
     Sieves in index space with every prime up to sqrt(ap.last), in the two
     regimes of the module docstring; with ``factor_lists`` the prime factors
-    are kept flat (CSR).  Raises ``BudgetError`` past SEGMENT_BUDGET elements
-    or past sieving primes above SEGMENT_BUDGET (ap.last above about 2^48).
+    are kept flat (CSR).  Raises ``BudgetError`` past the ``sieve`` budget of
+    elements or of sieving primes (ap.last above about 2^48).
     """
     if ap.a < 1:
         raise PreconditionError(f"needs positive elements, got first element {ap.a}")
@@ -335,8 +329,8 @@ def prime_flags(ap: ArithmeticProgression) -> np.ndarray:
     Eratosthenes in index space: for a prime p not dividing d, the
     elements divisible by p are the indices i = -a d^-1 (mod p), one
     strided slice.  Elements below 2 are False.  An interval [lo, hi) is
-    AP(lo, 1, hi - lo).  Raises ``BudgetError`` past SEGMENT_BUDGET
-    elements or past sieving primes above SEGMENT_BUDGET.
+    AP(lo, 1, hi - lo).  Raises ``BudgetError`` past the ``sieve`` budget
+    of elements or of sieving primes.
     """
     primes = _sieving_primes(ap.L, ap.last)
     flags = np.zeros(ap.L, dtype=bool)
@@ -361,7 +355,8 @@ def count_large_square_divisible(ap: ArithmeticProgression, T: int) -> int:
     Requires gcd(a, d) = 1 and positive a, d; in that range the count is
     provably at most sqrt(a + dL) + L/T, which is re-checked on every call.
     The square divisors come from ``progression_table``, so its budget holds:
-    ``BudgetError`` past SEGMENT_BUDGET elements or ap.last above about 2^48.
+    ``BudgetError`` past the ``sieve`` budget of elements or ap.last above
+    about 2^48.
     """
     if T < 1:
         raise PreconditionError("T must be >= 1")
@@ -379,7 +374,7 @@ def count_large_square_divisible(ap: ArithmeticProgression, T: int) -> int:
 
 def mertens_sum(x: int) -> float:
     """Sum of 1/p over primes p <= x, correctly rounded by ``math.fsum``;
-    x above SEGMENT_BUDGET raises ``BudgetError``.
+    x above the ``sieve`` budget raises ``BudgetError``.
 
     Tracks log log x to within a bounded constant (about 0.2615 plus a
     small positive remainder for x in the desk range)."""

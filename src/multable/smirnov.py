@@ -38,14 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, PreconditionError, check_budget
 
-EXACT_BUDGET = 400
 PRECISION_WARN_AT = 200
 MC_MIN_SAMPLES = 10**4
-MC_MAX_UNIFORMS = 1 << 32  # max samples * n of one Monte Carlo call, about 40 s
 MC_BATCH = 1 << 14
 MC_CHUNK = 1 << 17  # uniforms drawn, sorted and tested at once: 1 MiB of float64
+SANDWICH_C = 8.0  # C of volume_sandwich's hypotheses beta >= C alpha, C <= w
 
 # Cephes lgam: log sqrt(2 pi) and the Stirling-series coefficients used for
 # 13 <= x < 1000, highest power first
@@ -130,22 +129,16 @@ class SmirnovBoundary:
         return cls(tuple(np.clip((alpha * j - beta) / N, 0.0, 1.0).tolist()))
 
 
-def check_exact_budget(n: int, budget: int = EXACT_BUDGET) -> None:
-    """Raise BudgetError when n points exceed the recursion's budget; callers
-    check before they build an n-point boundary."""
-    if n > budget:
-        raise BudgetError(f"n = {n} beyond recursion budget {budget}")
-
-
-def noncrossing_probability_exact(b: SmirnovBoundary, budget: int = EXACT_BUDGET) -> float:
+def noncrossing_probability_exact(b: SmirnovBoundary) -> float:
     """P(U_(j) >= c_j for all j) for n iid uniforms, by the conditioning
     recursion; O(n^3) work, extended-precision accumulation.
 
     Warns above n = 200 (binomial weights start losing digits) and refuses
-    above the budget, which defaults to 400 and can be raised explicitly.
+    above the ``exact_n`` budget.  The callers that build a boundary from n
+    check that budget before they build it.
     """
     n = b.n
-    check_exact_budget(n, budget)
+    check_budget("exact_n", n)
     if n > PRECISION_WARN_AT:
         warnings.warn(f"n = {n} > {PRECISION_WARN_AT}: precision may degrade", RuntimeWarning)
     # carr[m] = c_m for 1 <= m <= n, with the sentinel c_{n+1} = 1 (full scale)
@@ -197,14 +190,13 @@ def noncrossing_probability_mc(
     thread count.  The batch is filled, sorted and tested a chunk of
     max(1, MC_CHUNK // n) rows at a time, in one reused float64 buffer and
     one bool buffer: at most 9 max(n, MC_CHUNK) bytes, whatever the batch or
-    sample count.  Refuses past MC_MAX_UNIFORMS uniforms, samples * n, before
-    any is drawn."""
+    sample count.  Refuses past the ``mc_uniforms`` budget of samples * n
+    uniforms before any is drawn."""
     if samples < MC_MIN_SAMPLES:
         raise PreconditionError(f"needs at least {MC_MIN_SAMPLES} samples")
     if seed < 0:
         raise PreconditionError("needs seed >= 0")
-    if samples * b.n > MC_MAX_UNIFORMS:
-        raise BudgetError(f"{samples} samples of n = {b.n} exceed {MC_MAX_UNIFORMS} uniforms")
+    check_budget("mc_uniforms", samples * b.n)
     c = np.asarray(b.c, dtype=np.float64)
     rows = max(1, min(MC_BATCH, samples, MC_CHUNK // b.n))
     buf = np.empty((rows, b.n))
@@ -233,15 +225,15 @@ def check_line(u: float, w: float) -> None:
         raise PreconditionError("needs u, w > 0")
 
 
-def q_n(u: float, w: float, n: int, budget: int = EXACT_BUDGET) -> float:
+def q_n(u: float, w: float, n: int) -> float:
     """Probability that the empirical count stays below (n+w-u)t + u, i.e.
     the exact value approximated by 1 - exp(-2uw/n) up to O((u+w)/n)."""
     check_line(u, w)
-    check_exact_budget(n, budget)
-    return noncrossing_probability_exact(SmirnovBoundary.from_line(n, u, w), budget=budget)
+    check_budget("exact_n", n)
+    return noncrossing_probability_exact(SmirnovBoundary.from_line(n, u, w))
 
 
-def region_volume(n: int, N: float, alpha: float, beta: float, budget: int = EXACT_BUDGET) -> float:
+def region_volume(n: int, N: float, alpha: float, beta: float) -> float:
     """Volume of {0 <= x_1 <= ... <= x_n <= N, x_j >= alpha j - beta}.
 
     Equals (N^n / n!) P(U_(j) >= c_j) with c_j = clamp((alpha j - beta)/N):
@@ -251,8 +243,8 @@ def region_volume(n: int, N: float, alpha: float, beta: float, budget: int = EXA
     _require_finite(N=N, alpha=alpha, beta=beta)
     if alpha * n - beta > N:
         return 0.0
-    check_exact_budget(n, budget)
-    p = noncrossing_probability_exact(SmirnovBoundary.from_region(n, N, alpha, beta), budget=budget)
+    check_budget("exact_n", n)
+    p = noncrossing_probability_exact(SmirnovBoundary.from_region(n, N, alpha, beta))
     if p == 0.0:
         return 0.0
     log_vol = n * math.log(N) - math.lgamma(n + 1) + math.log(p)
@@ -281,13 +273,11 @@ class SandwichReport:
     probability: float
 
 
-def volume_sandwich(
-    n: int, N: float, alpha: float, beta: float, C: float = 8.0, budget: int = EXACT_BUDGET
-) -> SandwichReport:
+def volume_sandwich(n: int, N: float, alpha: float, beta: float) -> SandwichReport:
     """Compare the exact region volume against the closed-form envelope.
 
     ``hypotheses_met`` records beta >= C*alpha and C <= (N - alpha n + beta)
-    / alpha for the configurable constant C; the lower envelope additionally
+    / alpha for the constant C = SANDWICH_C; the lower envelope additionally
     needs factor <= 1 (``lower_applicable``).  Callers assert containment
     only when the flags hold; otherwise the report is informational.
     """
@@ -298,8 +288,8 @@ def volume_sandwich(
     u = beta / alpha
     w = (N - alpha * n + beta) / alpha
     factor = u * w / n
-    check_exact_budget(n, budget)
-    p = noncrossing_probability_exact(SmirnovBoundary.from_region(n, N, alpha, beta), budget=budget)
+    check_budget("exact_n", n)
+    p = noncrossing_probability_exact(SmirnovBoundary.from_region(n, N, alpha, beta))
     log_scale = n * math.log(N) - math.lgamma(n + 1)
     def scaled(v: float) -> float:
         if v <= 0.0:
@@ -312,7 +302,7 @@ def volume_sandwich(
         lower=scaled(factor) / 4,
         upper=3 * scaled(factor),
         volume=scaled(p),
-        hypotheses_met=(beta >= C * alpha) and (C <= w),
+        hypotheses_met=(beta >= SANDWICH_C * alpha) and (SANDWICH_C <= w),
         lower_applicable=factor <= 1.0,
         factor=factor,
         probability=p,

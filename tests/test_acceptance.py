@@ -265,7 +265,7 @@ def test_criterion_10_ordered_region_sandwich():
             for beta in (8 * a, 16 * a):
                 for w_alpha in (16, 64):
                     N = a * n - beta + w_alpha * a
-                    r = volume_sandwich(n, N, a, beta, C=8.0)
+                    r = volume_sandwich(n, N, a, beta)
                     if r.hypotheses_met and r.lower_applicable:
                         assert r.factor / 4 <= r.probability <= 3 * r.factor
                         checked += 1

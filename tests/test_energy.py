@@ -21,7 +21,7 @@ from multable.energy import (
     product_set,
     random_energy_subset,
 )
-from multable.errors import BudgetError, PreconditionError
+from multable.errors import BUDGETS, BudgetError, PreconditionError
 from multable.progressions import ArithmeticProgression as AP
 from multable.progressions import dilate
 from multable.sieve import divisors
@@ -281,9 +281,9 @@ def test_offdiag_matches_counter_on_progressions():
 def test_offdiag_budget(monkeypatch):
     A = list(range(1, 61))
     work = sum(len(ys) * (len(ys) - 1) // 2 for ys in _offdiag_quotients(A).values())
-    monkeypatch.setattr(en, "OFFDIAG_PAIR_BUDGET", work)
+    monkeypatch.setitem(BUDGETS, "offdiag_pairs", work)
     assert offdiag_tuples(A) == _offdiag_counter(A)
-    monkeypatch.setattr(en, "OFFDIAG_PAIR_BUDGET", work - 1)
+    monkeypatch.setitem(BUDGETS, "offdiag_pairs", work - 1)
     with pytest.raises(BudgetError):
         offdiag_tuples(A)
 
@@ -358,7 +358,7 @@ def test_object_fallback_budget():
 
 def test_pair_budget(monkeypatch):
     # a budget of 64 pairs: 8 elements fit it and 9 do not, on every route
-    monkeypatch.setattr(en, "MAX_PAIRS", 64)
+    monkeypatch.setitem(BUDGETS, "kernel_pairs", 64)
     small, large = list(range(1, 9)), list(range(1, 10))
     big = [2**26 + i for i in range(9)]  # integer quotient keys
     assert energy(small).energy == energy_bruteforce(small)
@@ -380,7 +380,7 @@ def test_pair_budget(monkeypatch):
 
 def test_product_set_budget(monkeypatch):
     # product_set's own cap bounds the list it returns, below the time budget
-    monkeypatch.setattr(en, "PRODUCT_SET_MAX", 64)
+    monkeypatch.setitem(BUDGETS, "product_set_pairs", 64)
     assert product_set([1], list(range(1, 65))) == list(range(1, 65))
     with pytest.raises(BudgetError):
         product_set([1], list(range(1, 66)))
@@ -390,7 +390,7 @@ def test_product_set_budget(monkeypatch):
 def test_histogram_budget(monkeypatch):
     # the histogram holds one entry per distinct product, so product_set's
     # cap bounds it too, and is checked before any window is built
-    monkeypatch.setattr(en, "PRODUCT_SET_MAX", 64)
+    monkeypatch.setitem(BUDGETS, "product_set_pairs", 64)
     assert len(energy([1], list(range(1, 65)), with_histogram=True).histogram) == 64
 
     def no_windows(*args):

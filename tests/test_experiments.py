@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from multable.energy import cs_product_lower_bound, energy_bruteforce, product_set
 import multable.experiments as ex
 from multable import cli
-from multable.errors import BudgetError, InternalCheckError, PreconditionError
+from multable.errors import BUDGETS, BudgetError, InternalCheckError, PreconditionError
 from multable.sieve import factorize
 from multable.experiments import (
     THETA,
@@ -90,10 +90,12 @@ def test_table_oracle_enumeration():
 
 def test_table_bounds():
     with pytest.raises(PreconditionError):
+        table_count(0)
+    with pytest.raises(BudgetError):
         table_count(1 << 17)
     with pytest.raises(BudgetError):
         r = list(range(1, (1 << 15) + 1))
-        product_set(r, r)  # 2^30 pairs exceed PRODUCT_SET_MAX = 2^26
+        product_set(r, r)  # 2^30 pairs exceed the product_set_pairs budget 2^26
 
 
 def test_normalized_ratio_small_N_undefined():
@@ -139,7 +141,7 @@ def test_cmd_ap_product_offdiag_past_factor_budget(monkeypatch):
     assert row["offdiag_tuples"] is None
     assert row["energy"] == energy_bruteforce([2**62, 2**62 + 1, 2**62 + 2])
     # the column's own budget still refuses the command
-    monkeypatch.setattr(en, "OFFDIAG_PAIR_BUDGET", 0)
+    monkeypatch.setitem(BUDGETS, "offdiag_pairs", 0)
     with pytest.raises(BudgetError):
         cmd_ap_product(1, 1, 12)
 
@@ -168,7 +170,7 @@ def test_quotient_check_guards_product_count(monkeypatch):
 
 def test_pair_budget_counts_nonzero_elements(monkeypatch):
     # a budget of 64 pairs: 8 nonzero elements fit it, 9 do not
-    monkeypatch.setattr(en, "MAX_PAIRS", 64)
+    monkeypatch.setitem(BUDGETS, "kernel_pairs", 64)
     row = cmd_ap_product(-4, 1, 9).results[0]  # {-4, ..., 4}
     assert row["zeros_removed"] == 1 and row["energy"] == energy_bruteforce([-4, -3, -2, -1, 1, 2, 3, 4])
     for call in (lambda: cmd_ap_product(1, 1, 9), lambda: cmd_energy(range(1, 10))):
@@ -316,14 +318,15 @@ def test_cli_runs_as_package():
 
 def test_cli_exit_codes():
     assert _run_cli("mertens", "1").returncode == 2
-    assert _run_cli("smirnov", "-n", "401", "-u", "5", "-w", "5").returncode == 3  # EXACT_BUDGET
-    assert _run_cli("table", "90000").returncode == 2  # beyond the N cap
-    # 32769^2 pairs exceed MAX_PAIRS = 2^30
+    assert _run_cli("smirnov", "-n", "401", "-u", "5", "-w", "5").returncode == 3  # exact_n
+    assert _run_cli("table", "90000").returncode == 3  # beyond the N cap
+    assert cli.main(["table", "0"]) == 2
+    # 32769^2 pairs exceed the kernel_pairs budget 2^30
     assert _run_cli("ap-product", "1", "1", "32769").returncode == 3
     # in-process: one argument of 190 kB is past the kernel's limit for argv strings
     assert cli.main(["energy", "--set", ",".join(map(str, range(1, 32770)))]) == 3
     assert _run_cli("energy", "--set", "1,2,3").returncode == 0
-    assert cli.main(["mertens", "10000000000000"]) == 3  # primes past SEGMENT_BUDGET
+    assert cli.main(["mertens", "10000000000000"]) == 3  # primes past the sieve budget
     assert _run_cli("shiu", "100", "50", "-k", "0", "-a", "1").returncode == 2  # no modulus
     # malformed values: the parser exits 2
     for args in (
@@ -465,9 +468,9 @@ def test_cli_reduce_budget(monkeypatch, capsys):
     def no_elements(self):
         raise AssertionError("elements built past the budget")
     monkeypatch.setattr(ex.ArithmeticProgression, "elements", no_elements)
-    assert cli.main(["reduce", "1", "1", str(ex.REDUCE_MAX_L + 1)]) == 3
+    assert cli.main(["reduce", "1", "1", str(BUDGETS["reduce_L"] + 1)]) == 3
     monkeypatch.undo()
-    monkeypatch.setattr(ex, "REDUCE_MAX_L", 100)
+    monkeypatch.setitem(BUDGETS, "reduce_L", 100)
     assert cli.main(["reduce", "1", "1", "100"]) == 0
     assert cli.main(["reduce", "1", "1", "101"]) == 3
 

@@ -5,8 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from multable import primestats
-from multable.errors import BudgetError, InternalCheckError, PreconditionError
+from multable.errors import BUDGETS, BudgetError, InternalCheckError, PreconditionError
 from multable.progressions import ArithmeticProgression as AP
 from multable.primestats import (
     NkQuery,
@@ -175,7 +174,7 @@ def test_reciprocal_sum_budget():
 
 
 def test_tuple_walks_share_the_node_budget(monkeypatch, table_1e6):
-    monkeypatch.setattr(primestats, "RECIPROCAL_MAX_NODES", 5)
+    monkeypatch.setitem(BUDGETS, "dfs_nodes", 5)
     with pytest.raises(BudgetError):
         reciprocal_sum_lower(1000, 2, 1, 100.0, 0.0)
     q = NkQuery(0.0, 100.0, 3, ap=AP(900, 1, 400))

@@ -9,10 +9,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import multable.sieve as sieve
-from multable.errors import BudgetError, PreconditionError
+from multable.errors import BUDGETS, BudgetError, PreconditionError
 from multable.progressions import ArithmeticProgression as AP
 from multable.sieve import (
-    SEGMENT_BUDGET,
     build_table,
     count_large_square_divisible,
     divisors,
@@ -104,7 +103,7 @@ def test_sieve_oracle_equivalence_1e12():
 # the primes on either side of the 2^10 split between strided and batched sieving
 _BELOW_SPLIT, _ABOVE_SPLIT = 1021, 1031
 # the largest hi whose sieving primes stay within budget
-_TOP = (SEGMENT_BUDGET + 1) ** 2
+_TOP = (BUDGETS["sieve"] + 1) ** 2
 
 
 @given(st.integers(1, 10**12), st.integers(1, 4096))
@@ -205,12 +204,21 @@ def test_progression_table_lookups():
         progression_table(AP(7, 10, 5), factor_lists=False).prime_factors(7)
 
 
+def test_factor_keys_clear_a_mersenne_sieving_prime():
+    # the largest sieving prime is 8191 = 2^13 - 1, so the mark of a cofactor
+    # above the sieving primes needs 14 bits of the sort key
+    lo = 8191**2
+    t = progression_table(AP(lo, 1, 64))
+    for n in range(lo, lo + 64):
+        assert t.prime_factors(n) == list(factorize(n)), n
+
+
 def test_progression_table_budget_counts_elements():
     # the hull [1, 1 + 1000 * 10^5) is six times the budget; 10^5 elements are not
     t = progression_table(AP(1, 1000, 10**5), factor_lists=False)
     assert t.omega(1 + 1000 * 99999) == len(factorize(1 + 1000 * 99999))
     with pytest.raises(BudgetError):
-        progression_table(AP(1, 1, SEGMENT_BUDGET + 1))
+        progression_table(AP(1, 1, BUDGETS["sieve"] + 1))
     with pytest.raises(BudgetError):
         progression_table(AP(_TOP, 1000, 10))
 
@@ -307,7 +315,7 @@ def test_count_large_square_divisible_budget():
     with pytest.raises(BudgetError):
         count_large_square_divisible(AP(2**63 + 1, 1, 3), 2)
     with pytest.raises(BudgetError):
-        count_large_square_divisible(AP(1, 1, SEGMENT_BUDGET + 1), 2)
+        count_large_square_divisible(AP(1, 1, BUDGETS["sieve"] + 1), 2)
 
 
 def test_square_part_matches_factorization():
@@ -360,9 +368,9 @@ def test_primes_upto_matches_plain_sieve_in_any_order(monkeypatch):
 def test_primes_upto_sieves_each_bound_once(monkeypatch):
     # a limit between the largest cached prime and the cache's bound is served
     # from the cache, also at the budget, where the cache stops growing
-    primes_upto(SEGMENT_BUDGET)
+    primes_upto(BUDGETS["sieve"])
     monkeypatch.setattr(sieve, "prime_flags", lambda ap: pytest.fail("sieved again"))
-    assert primes_upto(SEGMENT_BUDGET)[-1] == 16777213
+    assert primes_upto(BUDGETS["sieve"])[-1] == 16777213
 
 
 def test_is_prime_against_sieve():
@@ -380,7 +388,7 @@ def test_divisors():
 
 def test_factorize_budget(monkeypatch):
     # n = 2^62 + 1 needs trial primes up to 2^31, a 2 GiB sieve: refused first
-    monkeypatch.setattr(sieve, "primes_upto", lambda limit: pytest.fail("sieved past the budget"))
+    monkeypatch.setattr(sieve, "prime_flags", lambda ap: pytest.fail("sieved past the budget"))
     for f in (factorize, divisors):
         with pytest.raises(BudgetError):
             f(2**62 + 1)
@@ -389,18 +397,18 @@ def test_factorize_budget(monkeypatch):
 def test_budget_errors():
     with pytest.raises(BudgetError):
         build_table(1, 2 + (1 << 24))
-    # sieving primes past SEGMENT_BUDGET: refused before anything is allocated
+    # sieving primes past the sieve budget: refused before anything is allocated
     for lo in (_TOP, 1 << 50):
         with pytest.raises(BudgetError):
             build_table(lo, lo + 10)
         with pytest.raises(BudgetError):
             prime_flags(AP(lo, 1, 10))
     with pytest.raises(BudgetError):
-        prime_flags(AP(1, 1, SEGMENT_BUDGET + 1))
+        prime_flags(AP(1, 1, BUDGETS["sieve"] + 1))
     # the prime list stops at the budget, but a factorize root may reach it
     for f in (primes_upto, mertens_sum):
         with pytest.raises(BudgetError):
-            f(SEGMENT_BUDGET + 1)
-    assert factorize(SEGMENT_BUDGET**2) == {2: 48}
+            f(BUDGETS["sieve"] + 1)
+    assert factorize(BUDGETS["sieve"] ** 2) == {2: 48}
     with pytest.raises(PreconditionError):
         build_table(0, 5)

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from multable import smirnov
-from multable.errors import BudgetError, PreconditionError
+from multable.errors import BUDGETS, BudgetError, PreconditionError
 from multable.smirnov import (
     MC_BATCH,
-    MC_MAX_UNIFORMS,
     SmirnovBoundary,
     log_gamma_int,
     volume_sandwich,
@@ -110,10 +109,10 @@ def test_budget_and_warning():
     with pytest.raises(BudgetError):
         noncrossing_probability_exact(big)
     with pytest.warns(RuntimeWarning):
-        noncrossing_probability_exact(B([0.0] * 201), budget=400)
+        noncrossing_probability_exact(B([0.0] * 201))
 
 
-def test_sizes_budgeted_before_allocation():
+def test_sizes_budgeted_before_allocation(monkeypatch):
     # a boundary of 2^40 points would take 8 TiB; every entry point refuses first
     n = 2**40
     with pytest.raises(BudgetError):
@@ -122,15 +121,19 @@ def test_sizes_budgeted_before_allocation():
         region_volume(n, 2.0 * n, 1.0, 1.0)
     with pytest.raises(BudgetError):
         volume_sandwich(n, 2.0 * n, 1.0, 1.0)
-    # the budget argument is honoured
-    assert q_n(5, 5, 10, budget=10) == q_n(5, 5, 10)
+    # Monte Carlo refuses past the mc_uniforms budget, samples * n
+    uniforms = BUDGETS["mc_uniforms"]
     with pytest.raises(BudgetError):
-        q_n(5, 5, 10, budget=9)
-    # Monte Carlo refuses past MC_MAX_UNIFORMS uniforms, samples * n
+        noncrossing_probability_mc(B([0.5]), uniforms + 1, seed=0)
     with pytest.raises(BudgetError):
-        noncrossing_probability_mc(B([0.5]), MC_MAX_UNIFORMS + 1, seed=0)
+        noncrossing_probability_mc(B([0.5, 0.6]), uniforms // 2 + 1, seed=0)
+    # the budget is read on every call
+    want = q_n(5, 5, 10)
+    monkeypatch.setitem(BUDGETS, "exact_n", 10)
+    assert q_n(5, 5, 10) == want
+    monkeypatch.setitem(BUDGETS, "exact_n", 9)
     with pytest.raises(BudgetError):
-        noncrossing_probability_mc(B([0.5, 0.6]), MC_MAX_UNIFORMS // 2 + 1, seed=0)
+        q_n(5, 5, 10)
 
 
 def test_mc_examples():
@@ -214,13 +217,14 @@ def test_qn_examples():
     assert 0.29 <= v <= 0.49
 
 
-def test_qn_deviation_statistic_grid():
+def test_qn_deviation_statistic_grid(monkeypatch):
     # full (u, w) grid at n = 100; the n = 1000 rows need the budget raised
     # past its 400 default and each cost seconds, so they are subsampled
     pairs_by_n = {
         100: [(u, w) for u in (2, 5, 10, 20) for w in (2, 5, 10, 20)],
         1000: [(2, 2), (5, 20), (20, 5), (20, 20)],
     }
+    monkeypatch.setitem(BUDGETS, "exact_n", 1024)
     worst = 0.0
     for n, pairs in pairs_by_n.items():
         for u, w in pairs:
@@ -228,7 +232,7 @@ def test_qn_deviation_statistic_grid():
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                v = q_n(u, w, n, budget=1024)
+                v = q_n(u, w, n)
             dev = abs(v - (1 - math.exp(-2 * u * w / n))) * n / (u + w)
             worst = max(worst, dev)
     assert worst <= 2.0, f"deviation statistic reached {worst}"
