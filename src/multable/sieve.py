@@ -8,10 +8,11 @@ is the general case.  Both sieve in index space with the primes up to the
 square root of the last element, in two regimes: primes below 2^10 that
 hit several elements, and primes dividing d, walk the elements by strides
 for p, p^2, p^3, ...; all other primes go in batches of (position, prime)
-pairs, so no Python loop runs per prime.  Whatever cofactor survives is
-itself prime.  Prime factors are stored flat (CSR): one int64 array plus
-offsets, not a list per element.  Budgets count the elements sieved, not
-the interval around them.
+pairs, so no Python loop runs per prime.  The sieve divides no element:
+each smooth part (sieving-prime powers) is multiplied up, and element //
+smooth, if not 1, is one more prime.  Factors go straight into their CSR
+slots (one int64 array plus offsets): a table peaks at about its arrays
+plus one int64 per element.  Budgets count elements sieved, not their hull.
 
 The one primality sieve, ``prime_flags``, runs in index space over the
 elements of a progression too; the one prime list, ``primes_upto``, is a
@@ -237,23 +238,18 @@ def _hit_batches(off: np.ndarray, length: int, primes: np.ndarray):
 
 def _sieve(ap: ArithmeticProgression, primes: np.ndarray, factor_lists: bool):
     """omega, largest square divisor and (if asked) CSR prime factors of the
-    elements of ap (all positive), sieved with ``primes`` (all primes up to
-    sqrt(ap.last))."""
+    elements of ap (all positive), sieved by smooth parts with ``primes`` (all
+    primes up to sqrt(ap.last)); a second pass writes the factors in place."""
     a, d, length = ap.a, ap.d, ap.L
     omega = np.zeros(length, dtype=np.int16)
     sqdiv = np.ones(length, dtype=np.int64)
-    residual = np.arange(a, a + d * length, d, dtype=np.int64)
-    # a sort key packs position << shift | prime; cofactor is above every
-    # sieving prime, so it sorts last and marks the one prime above them
-    shift = (int(primes.max(initial=0)) + 1).bit_length()
-    cofactor = (1 << shift) - 1
-    keys = []  # position << shift | prime, one per prime hit
+    smooth = np.ones(length, dtype=np.int64)
+    strided = []  # (p, first index, step) of each stride prime that divides an element
 
     stride = (primes < min(_STRIDE_SPLIT, length)) | (d % primes == 0)
     for p in primes[stride].tolist():
-        # the multiples of q = p^k are the indices i = -(a/g) (d/g)^-1 (mod q/g),
-        # g = gcd(d, q), or none when g does not divide a: each loses one
-        # factor p, and at even k the square divisor gains p^2
+        # the multiples of q = p^k are the indices -(a/g) (d/g)^-1 (mod q/g), g = gcd(d, q),
+        # or none if g does not divide a: their smooth parts gain p, at even k sqdiv p^2
         q, k = p, 1
         while a % (g := gcd(d, q)) == 0:
             m = q // g
@@ -262,50 +258,78 @@ def _sieve(ap: ArithmeticProgression, primes: np.ndarray, factor_lists: bool):
                 break
             if k == 1:
                 omega[first::m] += 1
-                if factor_lists:
-                    keys.append(np.arange(first, length, m, dtype=np.int64) << shift | p)
-            residual[first::m] //= p
+                strided.append((p, first, m))
+            smooth[first::m] *= p
             if k % 2 == 0:
                 sqdiv[first::m] *= p * p
             q, k = q * p, k + 1
 
     batched = primes[~stride]  # none divides d
-    for pos, p in _hit_batches(_offsets(a, d, batched, length)[0], length, batched):
+    off = _offsets(a, d, batched, length)[0]
+    for pos, p in _hit_batches(off, length, batched):
         omega += np.bincount(pos, minlength=length).astype(np.int16)
-        if factor_lists:
-            keys.append(pos << shift | p)
-        # round k divides out the k-th power of p from the pairs it still
-        # divides; .at because several primes can share a position
+        # round k takes the pairs whose element p^k divides (.at: several primes can
+        # share a position) and tests p^(k+1) on the element, then on its quotient
         k = 1
         while pos.size:
-            np.floor_divide.at(residual, pos, p)
+            np.multiply.at(smooth, pos, p)
             if k % 2 == 0:
                 np.multiply.at(sqdiv, pos, p * p)
-            live = residual[pos] % p == 0
+            live = (a + d * pos) % (p * p) == 0 if k == 1 else (a + d * pos) // smooth[pos] % p == 0
             pos, p, k = pos[live], p[live], k + 1
 
-    left = np.flatnonzero(residual > 1)  # each such cofactor is one prime above sqrt(ap.last)
-    omega[left] += 1
+    cofactor = np.arange(a, a + d * length, d, dtype=np.int64)  # the elements, for now
+    omega += cofactor > smooth  # one prime above sqrt(ap.last)
     if not factor_lists:
         return omega, sqdiv, None
-    keys.append(left << shift | cofactor)
-    flat = np.concatenate(keys)
-    del keys  # free the pieces before the sort
-    flat.sort()  # by position, then prime, with the cofactor last
-    flat &= cofactor
-    flat[flat == cofactor] = residual[left]
-    offsets = np.zeros(length + 1, dtype=np.int64)
-    np.cumsum(omega, out=offsets[1:])
+    cofactor = np.floor_divide(cofactor, smooth, out=smooth)  # 1 where none, in place of smooth
+    del smooth
+    offsets = np.empty(length + 1, dtype=np.int64)
+    offsets[0], offsets[1:] = -1, omega
+    np.cumsum(offsets, out=offsets)  # each element's last slot, for now
+    flat = np.empty(int(offsets[-1]) + 1, dtype=np.int64)
+    # the last slot of every element but 1 takes its cofactor, or a 1 that its
+    # largest sieving prime overwrites below
+    flat[offsets[1 + int(a == 1) :]] = cofactor[int(a == 1) :]
+    offsets += 1
+    del cofactor
+
+    # each element's next free slot takes its primes in ascending order, so a stride
+    # prime waits for the batched ones below it; the last, empty entry writes the rest
+    cursor = offsets[:-1]
+    cuts = np.searchsorted(batched, [p for p, _, _ in strided]).tolist() + [batched.size]
+    for (p, first, m), lo, hi in zip(strided + [(0, length, 1)], [0] + cuts, cuts):
+        for pos, q in _hit_batches(off[lo:hi], length, batched[lo:hi]) if lo < hi else ():
+            # sorted (position, index) keys group pairs by position, primes ascending;
+            # pair j goes to max(cursor[pos] - j) up to j, plus j, as each position's
+            # pairs fit below the next position's free slot
+            bits = pos.size.bit_length()
+            pos <<= bits
+            pos |= np.arange(pos.size)
+            pos.sort()
+            q = q[pos & ((1 << bits) - 1)]
+            pos >>= bits
+            slot = cursor[pos]
+            slot -= np.arange(pos.size)
+            np.maximum.accumulate(slot, out=slot)
+            slot += np.arange(pos.size)
+            flat[slot] = q
+            np.add.at(cursor, pos, 1)
+        flat[cursor[first::m]] = p
+        cursor[first::m] += 1
+    offsets[0], offsets[1:] = 0, omega
+    np.cumsum(offsets, out=offsets)
     return omega, sqdiv, (flat, offsets)
 
 
 def progression_table(ap: ArithmeticProgression, factor_lists: bool = True) -> FactorizationTable:
     """Factorization table over the L elements a + d*i of ap; requires a >= 1.
 
-    Sieves in index space with every prime up to sqrt(ap.last), in the two
-    regimes of the module docstring; with ``factor_lists`` the prime factors
-    are kept flat (CSR).  Raises ``BudgetError`` past the ``sieve`` budget of
-    elements or of sieving primes (ap.last above about 2^48).
+    Sieves in index space with every prime up to sqrt(ap.last), by the smooth
+    parts and in the two regimes of the module docstring; ``factor_lists``
+    writes the prime factors in place (CSR), peaking at about the returned
+    arrays plus one int64 per element.  Raises ``BudgetError`` past the
+    ``sieve`` budget of elements or of sieving primes (ap.last above about 2^48).
     """
     if ap.a < 1:
         raise PreconditionError(f"needs positive elements, got first element {ap.a}")
@@ -373,11 +397,17 @@ def count_large_square_divisible(ap: ArithmeticProgression, T: int) -> int:
 
 
 def mertens_sum(x: int) -> float:
-    """Sum of 1/p over primes p <= x, correctly rounded by ``math.fsum``;
+    """Sum of 1/p over primes p <= x, correctly rounded like ``math.fsum``, by
+    an exact integer sum of the mantissas of the 1/p in runs of one exponent;
     x above the ``sieve`` budget raises ``BudgetError``.
 
     Tracks log log x to within a bounded constant (about 0.2615 plus a
     small positive remainder for x in the desk range)."""
     if x < 2:
         raise PreconditionError("mertens_sum needs x >= 2")
-    return math.fsum((1.0 / primes_upto(x)).tolist())
+    m, e = np.frexp(1.0 / primes_upto(x))  # e <= 0, falling as p grows
+    mant = np.ldexp(m, 53).astype(np.int64)  # 1/p = mant * 2^(e - 53)
+    runs = np.flatnonzero(np.diff(e, prepend=1))  # in 26-bit halves a run's sum fits int64
+    hi, lo = (np.add.reduceat(h, runs).tolist() for h in (mant >> 26, mant & (1 << 26) - 1))
+    total = sum(((h << 26) + l) << k for h, l, k in zip(hi, lo, (e[runs] - e[-1]).tolist()))
+    return total / (1 << (53 - int(e[-1])))

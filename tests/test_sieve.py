@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -205,12 +206,45 @@ def test_progression_table_lookups():
 
 
 def test_factor_keys_clear_a_mersenne_sieving_prime():
-    # the largest sieving prime is 8191 = 2^13 - 1, so the mark of a cofactor
-    # above the sieving primes needs 14 bits of the sort key
+    # the largest sieving prime is 8191 = 2^13 - 1: each element's cofactor
+    # above the sieving primes must still land after them in its list
     lo = 8191**2
     t = progression_table(AP(lo, 1, 64))
     for n in range(lo, lo + 64):
         assert t.prime_factors(n) == list(factorize(n)), n
+
+
+@pytest.mark.parametrize(
+    "ap",
+    [
+        AP(1031 * 1033, 2 * 1031 * 1033, 500),  # 1031 and 1033 divide d and every element
+        AP(1031 * 7, 1031 * 29, 2000),  # 1031 divides d and every element, batched primes above it
+        AP(10**12, 1, 3000),  # several batched primes at one position
+    ],
+)
+def test_factor_lists_ascend_across_small_batches(ap, monkeypatch):
+    # batches of 64 pairs split the batched primes of one element across batches
+    monkeypatch.setattr(sieve, "_PAIR_BATCH", 64)
+    t = progression_table(ap)
+    _check_factor_lists(t, ap.elements())
+    flat, offsets = t.factor_arrays
+    assert (t.omega_array.dtype, t.square_divisor_array.dtype) == (np.int16, np.int64)
+    assert (flat.dtype, offsets.dtype) == (np.int64, np.int64)
+    assert offsets[0] == 0 and offsets[-1] == flat.size == t.omega_array.sum()
+
+
+def test_factor_lists_memory_bounded():
+    # the lists are written in place: the traced peak stays near the four
+    # arrays returned (41 MiB here) plus one int64 per element (8 MiB)
+    primes_upto(1 << 10)  # the sieving primes, cached before tracing
+    tracemalloc.start()
+    try:
+        t = build_table(1, 2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (t.omega_array, t.square_divisor_array, *t.factor_arrays)
+    assert peak <= 1.35 * sum(x.nbytes for x in arrays), f"traced peak {peak} bytes"
 
 
 def test_progression_table_budget_counts_elements():
@@ -332,6 +366,13 @@ def test_mertens_examples():
     assert 0.20 <= mertens_sum(10**6) - math.log(math.log(10**6)) <= 0.30
     with pytest.raises(PreconditionError):
         mertens_sum(1)
+
+
+def test_mertens_sum_has_the_bits_of_fsum():
+    rnd = random.Random(41)
+    grid = [*range(2, 2000), 2**24, *(rnd.randrange(2, 4 * 10**6) for _ in range(200))]
+    for x in grid:
+        assert mertens_sum(x) == math.fsum((1.0 / primes_upto(x)).tolist()), x
 
 
 def test_prime_flags_interval():
