@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import InternalCheckError, PreconditionError, RetriesExhaustedError, check_budget
 from .progressions import IntSet, intset
-from .sieve import divisors
+from .sieve import hull_table
 
 WINDOW_PAIRS = 1 << 20  # max pairs the kernel holds at once: its memory
 FLOAT_KEY_BITS = 26  # quotient keys are float64 for elements below 2^26
@@ -461,7 +461,9 @@ def offdiag_tuples(A: IntSet, energy_value: int | None = None) -> int:
     """Count of grids (x1, x2, y1, y2), x1 < x2, y1 < y2, all x_i*y_j in A.
 
     Every valid x divides some element, so the incidences (x, a/x) come from
-    the divisors of each element.  They are sorted once by (x, y), and each
+    the divisors of each element, built from its primes in ``hull_table(A)``:
+    A's hull must fit the ``sieve`` budget, or BudgetError (as for
+    ``offdiag_tuples([1, 2, 2**25])``).  They are sorted once by (x, y), and each
     x with at least two quotients y1 < y2 contributes the pair as one int64
     key, the ranks of y1 and y2 among the distinct quotients packed side by
     side; a pair shared by c values of x gives c(c-1)/2 grids.  The keys of
@@ -478,14 +480,31 @@ def offdiag_tuples(A: IntSet, energy_value: int | None = None) -> int:
     A = intset(A)
     if not A or A[0] < 1:
         raise PreconditionError("offdiag_tuples needs positive integers")
-    xs: list[int] = []
-    ys: list[int] = []
-    for a in A:
-        ds = divisors(a)
-        xs += ds
-        ys += reversed(ds)  # a // ds[i] is ds[-1 - i]
-    x = np.array(xs, dtype=np.int64)
-    y = np.array(ys, dtype=np.int64)
+    table, at = hull_table(A)
+    flat, offsets = table.factor_arrays
+    # one (element, prime) pair per prime factor, nth its place among the
+    # element's primes, and the exponent by repeated division
+    cnt = offsets[at + 1] - offsets[at]
+    elem = np.repeat(np.arange(len(A)), cnt)
+    nth = np.arange(elem.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    p = flat[np.repeat(offsets[at], cnt) + nth]
+    a = np.array(A, dtype=np.int64)
+    rest, e = a[elem] // p, np.ones_like(p)
+    live = np.flatnonzero(rest % p == 0)
+    while live.size:
+        rest[live] //= p[live]
+        e[live] += 1
+        live = live[rest[live] % p[live] == 0]
+    # round r spreads every divisor found so far over its products with
+    # p^0, ..., p^e for the r-th prime of its element
+    x, owner = np.ones_like(a), np.arange(len(A))
+    for r in range(int(cnt.max())):
+        on, pr, er = nth == r, np.ones_like(a), np.zeros_like(a)
+        pr[elem[on]], er[elem[on]] = p[on], e[on]
+        reps = er[owner] + 1
+        x, owner = np.repeat(x, reps), np.repeat(owner, reps)
+        x *= pr[owner] ** (np.arange(x.size) - np.repeat(np.cumsum(reps) - reps, reps))
+    y = a[owner] // x
     order = np.lexsort((y, x))
     y = y[order]
     sizes = _sorted_counts(x[order])[1]  # the quotients of each x, in x order

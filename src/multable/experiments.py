@@ -172,8 +172,8 @@ def cmd_ap_product(a: int, d: int, L: int, seed: int = 0, threads: int = 1) -> E
     rep = energy(A)
     e, n_prod = rep.energy, rep.product_count
     bound_rhs = large_a_energy_bound(ap, subset_size=len(A)) if a > 0 and gcd(a, d) == 1 else None
-    # offdiag_tuples factors every element, which the sieve's trial primes
-    # (up to the sieve budget) cover only below about 2^48
+    # offdiag_tuples sieves the progression, whose sieving primes (up to the
+    # sieve budget) cover only elements below about 2^48
     factorable = a > 0 and L <= 512 and isqrt(ap.last) <= BUDGETS["sieve"]
     tuples = offdiag_tuples(A, energy_value=e) if factorable else None
     row = {

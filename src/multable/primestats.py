@@ -22,7 +22,6 @@ from .errors import BUDGETS, InternalCheckError, PreconditionError, check_budget
 from .progressions import ArithmeticProgression, IntSet, intset
 from .sieve import (
     FactorizationTable,
-    factorize,
     mertens_sum,
     prime_flags,
     primes_upto,
@@ -33,9 +32,9 @@ PRIME_BOUND_MIN_LENGTH = 10**4  # below this the density floor is only reported
 
 
 def totient(n: int) -> int:
-    """Euler's phi via factorization."""
+    """Euler's phi from the primes in a one-element table (n below about 2^48)."""
     result = n
-    for p in factorize(n):
+    for p in progression_table(ArithmeticProgression(n, 1, 1)).prime_factors(n):
         result -= result // p
     return result
 
@@ -208,7 +207,8 @@ def shiu_mean(q: ShiuQuery) -> tuple[float, float]:
     powers = np.power(z, np.arange(counts.size, dtype=np.float64)).tolist()
     exact = float(sum(Fraction(c) * Fraction(v) for c, v in zip(counts.tolist(), powers) if c))
 
-    prime_cut = z * mertens_sum(x) - sum(z / p for p in factorize(k))
+    k_primes = progression_table(ArithmeticProgression(k, 1, 1)).prime_factors(k)
+    prime_cut = z * mertens_sum(x) - sum(z / p for p in k_primes)
     bound = (y / totient(k)) * (1.0 / log(x)) * math.exp(prime_cut)
     return exact, bound
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
 from .progressions import ArithmeticProgression, IntSet, dilate, intset
-from .sieve import square_parts
+from .sieve import hull_table
 
 # "L large" has no content at desk scale; the universal bound needs none.
 EXTREMAL_FLAG_FACTOR = 2.0
@@ -51,12 +51,15 @@ def largest_square_class(A: IntSet, T: int) -> tuple[IntSet, int, IntSet]:
 
     Returns (B0, t, B) with B = B0 / t^2 square-free; among equally large
     classes the smallest t wins.  Elements whose largest square divisor
-    exceeds T^2 are discarded before classing.
+    exceeds T^2 are discarded before classing.  Square divisors come from
+    ``hull_table`` over A, then over B for its check, so A's hull must fit the
+    ``sieve`` budget, or BudgetError (as for ``largest_square_class([2, 3, 2**30], 2)``).
     """
     A = intset(A)
     if not A or A[0] < 1 or A[-1] >= 2**63:
         raise PreconditionError("needs positive integers below 2^63")
-    sq = square_parts(np.array(A, dtype=np.int64))
+    table, at = hull_table(A, factor_lists=False)
+    sq = table.square_divisor_array[at]
     small = sq <= T * T
     if not small.any():
         raise PreconditionError(f"every element has a square divisor above T^2 = {T * T}")
@@ -66,7 +69,8 @@ def largest_square_class(A: IntSet, T: int) -> tuple[IntSet, int, IntSet]:
     B0 = list(compress(A, (sq == best_sq).tolist()))
     t = math.isqrt(best_sq)
     B = [x // best_sq for x in B0]
-    if np.any(square_parts(np.array(B, dtype=np.int64)) != 1):
+    table, at = hull_table(B, factor_lists=False)
+    if np.any(table.square_divisor_array[at] != 1):
         raise InternalCheckError("divided class is not square-free")
     return B0, t, B
 

@@ -12,14 +12,14 @@ pairs, so no Python loop runs per prime.  The sieve divides no element:
 each smooth part (sieving-prime powers) is multiplied up, and element //
 smooth, if not 1, is one more prime.  Factors go straight into their CSR
 slots (one int64 array plus offsets): a table peaks at about its arrays
-plus one int64 per element.  Budgets count elements sieved, not their hull.
+plus one int64 per element.  Budgets count elements sieved, not the
+interval around them.
 
-The one primality sieve, ``prime_flags``, runs in index space over the
-elements of a progression too; the one prime list, ``primes_upto``, is a
-cache that grows through it.  Also here: one-off factorization by
-numpy-assisted trial division, vectorized largest-square-divisor
-extraction for integer arrays, and the prime-reciprocal sum used as an
-empirical Mertens check.
+Tables are the library's one source of prime factors, nothing trial-divides:
+``hull_table`` sieves the shortest progression through a set.  The one
+primality sieve, ``prime_flags``, runs in index space over the elements of a
+progression too; the one prime list, ``primes_upto``, is a cache that grows
+through it.  Also here: the prime-reciprocal sum, an empirical Mertens check.
 """
 
 from __future__ import annotations
@@ -55,84 +55,6 @@ def primes_upto(limit: int) -> np.ndarray:
         primes.flags.writeable = False
         _prime_cache = bound, primes
     return primes[: np.searchsorted(primes, limit, side="right")]
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: exponent} by trial division up to sqrt(n).
-
-    The remainder scan over the cached prime array is vectorized.  Trial
-    primes come from ``primes_upto``, so its budget holds: n must be below
-    about 2^48, and larger n raises ``BudgetError`` before anything is
-    allocated.
-    """
-    if n < 1:
-        raise PreconditionError("factorize needs n >= 1")
-    if n == 1:
-        return {}
-    primes = primes_upto(isqrt(n))
-    hits = primes[n % primes == 0]
-    fac: dict[int, int] = {}
-    m = n
-    for p in hits.tolist():
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        fac[p] = e
-    if m > 1:
-        # any prime factor <= sqrt(n) of m would already have been a hit
-        fac[m] = 1
-    return dict(sorted(fac.items()))
-
-
-def divisors(n: int) -> list[int]:
-    """Sorted list of all positive divisors of n; n below about 2^48, as for
-    ``factorize``."""
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-def square_parts(values: np.ndarray) -> np.ndarray:
-    """Largest square divisor of each entry of an int64 array of positives.
-
-    Trial-divides by primes up to cbrt(max); the surviving cofactor is
-    1, p, p^2, or pq with p, q distinct primes above the cube root, and of
-    those only a perfect square p^2 contributes to the square part.
-    """
-    values = np.asarray(values, dtype=np.int64)
-    if values.size == 0:
-        return np.ones(0, dtype=np.int64)
-    if values.min() < 1:
-        raise PreconditionError("square_parts needs positive integers")
-    residual = values.copy()
-    sq = np.ones_like(values)
-    top = int(values.max())
-    cbrt = int(round(top ** (1 / 3))) + 2
-    for p in primes_upto(cbrt).tolist():
-        sel = np.nonzero(residual % p == 0)[0]
-        if sel.size == 0:
-            continue
-        e = np.ones(sel.size, dtype=np.int64)
-        residual[sel] //= p
-        live = np.nonzero(residual[sel] % p == 0)[0]
-        while live.size:
-            pos = sel[live]
-            residual[pos] //= p
-            e[live] += 1
-            live = live[residual[pos] % p == 0]
-        k = e >> 1
-        big = k > 0
-        if big.any():
-            sq[sel[big]] *= np.int64(p) ** (2 * k[big])
-    r = residual
-    s = np.floor(np.sqrt(r.astype(np.float64)) + 0.5).astype(np.int64)
-    s = np.where(s * s > r, s - 1, s)
-    s = np.where((s + 1) * (s + 1) <= r, s + 1, s)
-    is_sq = (s * s == r) & (r > 1)
-    sq[is_sq] *= r[is_sq]
-    return sq
 
 
 class FactorizationTable:
@@ -345,6 +267,18 @@ def build_table(lo: int, hi: int, factor_lists: bool = True) -> FactorizationTab
     if lo < 1 or hi <= lo:
         raise PreconditionError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     return progression_table(ArithmeticProgression(lo, 1, hi - lo), factor_lists)
+
+
+def hull_table(values: list[int], factor_lists: bool = True) -> tuple[FactorizationTable, np.ndarray]:
+    """Table over the hull of sorted distinct positives, and each value's
+    index in it.  The hull is the shortest progression through them (step:
+    the gcd of the gaps), so a progression is its own hull.  It counts against
+    the ``sieve`` budget: ``BudgetError`` past 2^24 numbers or a last one
+    above about 2^48."""
+    step = gcd(*(y - x for x, y in zip(values, values[1:]))) or 1
+    hull = ArithmeticProgression(values[0], step, (values[-1] - values[0]) // step + 1)
+    table = progression_table(hull, factor_lists)
+    return table, table.positions(values)
 
 
 def prime_flags(ap: ArithmeticProgression) -> np.ndarray:

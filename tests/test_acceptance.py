@@ -36,7 +36,7 @@ from multable.primestats import (
     totient,
 )
 from multable.reduction import DirectBound, Reduced, reduce
-from multable.sieve import build_table, count_large_square_divisible, factorize, mertens_sum
+from multable.sieve import build_table, count_large_square_divisible, mertens_sum
 from multable.smirnov import (
     SmirnovBoundary,
     volume_sandwich,
@@ -44,7 +44,7 @@ from multable.smirnov import (
     noncrossing_probability_mc,
     region_volume,
 )
-from test_sieve import square_part
+from test_sieve import factorize, square_part
 
 SHIU_RATIO_K = 1.5  # empirical ceiling for exact/envelope on the grid below
 

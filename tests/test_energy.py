@@ -24,7 +24,7 @@ from multable.energy import (
 from multable.errors import BUDGETS, BudgetError, PreconditionError
 from multable.progressions import ArithmeticProgression as AP
 from multable.progressions import dilate
-from multable.sieve import divisors
+from test_sieve import divisors
 
 # multable.energy is also the name of the function the package re-exports
 en = importlib.import_module("multable.energy")
@@ -273,7 +273,16 @@ def test_offdiag_matches_counter(A):
 
 def test_offdiag_matches_counter_on_progressions():
     assert offdiag_tuples([1, 2, 3, 6]) == _offdiag_counter([1, 2, 3, 6]) == 2
-    for a, d, L in [(720720, 60, 200), (1, 1, 512), (7, 1000, 64)]:
+    progressions = [
+        (720720, 60, 200),
+        (1, 1, 512),
+        (7, 1000, 64),
+        (10**12 + 1, 997, 300),
+        # 1031^2 * 1064017, then 89 * 1033^2 * 11909: squares of batched primes
+        # above 2^10, and a prime cofactor above sqrt of the last element
+        (1031**2 * 1064017, 123852, 300),
+    ]
+    for a, d, L in progressions:
         A = AP(a, d, L).elements()
         assert offdiag_tuples(A) == _offdiag_counter(A)
 

@@ -17,7 +17,6 @@ from multable.energy import cs_product_lower_bound, energy_bruteforce, product_s
 import multable.experiments as ex
 from multable import cli
 from multable.errors import BUDGETS, BudgetError, InternalCheckError, PreconditionError
-from multable.sieve import factorize
 from multable.experiments import (
     THETA,
     TWO_LOG2_MINUS_1,
@@ -34,6 +33,7 @@ from multable.experiments import (
     table_count,
 )
 from test_energy import _offdiag_counter, _product_merge
+from test_sieve import factorize
 
 # multable.energy is also the name of the function the package re-exports
 en = importlib.import_module("multable.energy")

@@ -17,8 +17,8 @@ from multable.primestats import (
     shiu_mean,
     totient,
 )
-from multable.sieve import build_table, factorize, primes_upto, progression_table
-from test_sieve import is_prime
+from multable.sieve import build_table, primes_upto, progression_table
+from test_sieve import factorize, is_prime
 
 LOG4 = math.log(4)
 

@@ -1,8 +1,12 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from multable.energy import energy
 from multable.errors import InternalCheckError, PreconditionError
@@ -52,6 +56,34 @@ def test_largest_square_class_examples():
     assert len(B0) == 1 and square_part(B[0]) == 1
     with pytest.raises(PreconditionError):  # past int64
         largest_square_class([2**63 + 1], 2)
+
+
+@st.composite
+def _progression_subsets(draw):
+    """A subset of AP(a, d, L) with gcd(a, d) = 1 whose elements all share the
+    square m, so its hull step is a multiple of d m, and for m > 1 the
+    class t > 1 usually wins."""
+    m = draw(st.sampled_from((1, 4, 9, 25)))
+    d = draw(st.integers(1, 200).filter(lambda d: gcd(d, m) == 1))
+    a = draw(st.integers(1, 10**9).filter(lambda a: gcd(a, d) == 1))
+    first = -a * pow(d, -1, m) % m
+    picks = draw(st.sets(st.integers(0, 300), min_size=1, max_size=40))
+    return sorted(a + d * (first + m * j) for j in picks)
+
+
+@given(_progression_subsets(), st.integers(1, 30))
+@example([4, 16, 28, 40, 52], 5)  # of AP(1, 3, 18): step 12, t = 2
+@example([2, 8, 18, 50], 1)  # t = 1 only: the square-free 2
+def test_largest_square_class_matches_square_part(A, T):
+    sq = {x: square_part(x) for x in A}
+    counts = Counter(s for s in sq.values() if s <= T * T)
+    if not counts:
+        with pytest.raises(PreconditionError):
+            largest_square_class(A, T)
+        return
+    best = min(counts, key=lambda s: (-counts[s], s))
+    B0 = [x for x in A if sq[x] == best]
+    assert largest_square_class(A, T) == (B0, math.isqrt(best), [x // best for x in B0])
 
 
 def _hull_prefix_by_trimming(B, d):

@@ -2,7 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -10,18 +10,18 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import multable.sieve as sieve
+from multable.energy import offdiag_tuples
 from multable.errors import BUDGETS, BudgetError, PreconditionError
 from multable.progressions import ArithmeticProgression as AP
+from multable.reduction import largest_square_class
 from multable.sieve import (
     build_table,
     count_large_square_divisible,
-    divisors,
-    factorize,
+    hull_table,
     mertens_sum,
     prime_flags,
     primes_upto,
     progression_table,
-    square_parts,
 )
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -50,9 +50,46 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: exponent} by trial division up to sqrt(n).
+
+    The remainder scan over the cached prime array is vectorized.  Trial
+    primes come from ``primes_upto``, so its budget holds: n must be below
+    about 2^48, and larger n raises ``BudgetError`` before anything is
+    allocated.
+    """
+    if n < 1:
+        raise PreconditionError("factorize needs n >= 1")
+    if n == 1:
+        return {}
+    primes = primes_upto(isqrt(n))
+    hits = primes[n % primes == 0]
+    fac: dict[int, int] = {}
+    m = n
+    for p in hits.tolist():
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        fac[p] = e
+    if m > 1:
+        # any prime factor <= sqrt(n) of m would already have been a hit
+        fac[m] = 1
+    return dict(sorted(fac.items()))
+
+
+def divisors(n: int) -> list[int]:
+    """Sorted list of all positive divisors of n; n below about 2^48, as for
+    ``factorize``."""
+    divs = [1]
+    for p, e in factorize(n).items():
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
 def square_part(n: int) -> int:
     """The largest square divisor of a single integer n >= 1."""
-    return int(square_parts(np.array([n], dtype=np.int64))[0])
+    return math.prod(p ** (2 * (e // 2)) for p, e in factorize(n).items())
 
 
 def test_build_small():
@@ -353,11 +390,12 @@ def test_count_large_square_divisible_budget():
 
 
 def test_square_part_matches_factorization():
+    # the oracle against its definition: the largest k^2 dividing n
     rnd = random.Random(17)
-    for _ in range(300):
-        n = rnd.randrange(1, 10**10)
-        want = math.prod(p ** (2 * (e // 2)) for p, e in factorize(n).items())
-        assert square_part(n) == want
+    grid = [*range(1, 200), *(rnd.randrange(1, 10**6) for _ in range(300)), 2**18 * 3**5, 997**2]
+    for n in grid:
+        want = max(k * k for k in range(1, isqrt(n) + 1) if n % (k * k) == 0)
+        assert square_part(n) == want, n
 
 
 def test_mertens_examples():
@@ -427,12 +465,30 @@ def test_divisors():
     assert divisors(97) == [1, 97]
 
 
-def test_factorize_budget(monkeypatch):
-    # n = 2^62 + 1 needs trial primes up to 2^31, a 2 GiB sieve: refused first
-    monkeypatch.setattr(sieve, "prime_flags", lambda ap: pytest.fail("sieved past the budget"))
-    for f in (factorize, divisors):
-        with pytest.raises(BudgetError):
-            f(2**62 + 1)
+def test_hull_table():
+    # the step is the gcd of the gaps; a progression is its own hull
+    t, at = hull_table([4, 16, 36])
+    assert (t.lo, t.d, t.hi) == (4, 4, 40) and at.tolist() == [0, 3, 8]
+    t, at = hull_table(AP(10**12 + 1, 997, 300).elements(), factor_lists=False)
+    assert (t.lo, t.d, t.hi) == (10**12 + 1, 997, 10**12 + 1 + 997 * 300)
+    assert at.tolist() == list(range(300))
+    t, at = hull_table([2**40 + 15])
+    assert t.prime_factors(2**40 + 15) == list(factorize(2**40 + 15)) and at.tolist() == [0]
+    with pytest.raises(PreconditionError):
+        hull_table([0, 3])
+
+
+def test_hull_past_the_sieve_budget():
+    # a few elements with a long hull: the hull, not the set, is sieved, so
+    # the table's callers refuse before anything of its size is allocated
+    with pytest.raises(BudgetError):
+        hull_table([1, 2, 2**25])
+    with pytest.raises(BudgetError):
+        offdiag_tuples([1, 2, 2**25])
+    with pytest.raises(BudgetError):
+        largest_square_class([2, 3, 2**30], 2)
+    with pytest.raises(BudgetError):  # a short hull ending past about 2^48
+        offdiag_tuples([2**50, 2**50 + 1])
 
 
 def test_budget_errors():
