@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .energy import cs_floor, energy, offdiag_tuples
 from .errors import BUDGETS, BudgetError, InternalCheckError, PreconditionError, check_budget
-from .progressions import ArithmeticProgression, intset
+from .progressions import ArithmeticProgression, int_array, intset
 from .reduction import DirectBound, Reduced, large_a_energy_bound, reduce, trimmed_set
 from .primestats import NkQuery, ShiuQuery, nk_last_prime_extension, nk_set, shiu_mean
 from .sieve import mertens_sum, progression_table
@@ -220,24 +220,15 @@ def cmd_reduce(
     if not 0 < dlt <= 1:
         raise PreconditionError(f"delta must be in (0, 1], got {delta}")
     ap = ArithmeticProgression(a, d, L)
-    elems = ap.elements()
-    if dlt == 1:
-        A = elems
-    else:
-        want = math.ceil(dlt * L)
+    idx = np.arange(L)
+    if dlt != 1:
         if seed < 0:
             raise PreconditionError("needs seed >= 0")
-        rng = np.random.default_rng(seed)
-        A = sorted(elems[i] for i in rng.choice(L, size=want, replace=False))
+        idx = np.sort(np.random.default_rng(seed).choice(L, size=math.ceil(dlt * L), replace=False))
+    A = ap.a + ap.d * int_array(idx, ap.a, ap.last)  # ascending, as idx is
     trace = reduce(A, ap, dlt)
-    rows = [
-        {
-            "step": s.step,
-            "density_before": str(s.density_before),
-            "density_after": str(s.density_after),
-            "length_after": s.length_after,
-            "note": s.note,
-        }
+    rows = [  # the step's fields in order, densities as strings
+        {**vars(s), "density_before": str(s.density_before), "density_after": str(s.density_after)}
         for s in trace.steps
     ]
     out = trace.outcome
@@ -260,10 +251,10 @@ def cmd_reduce(
 def _omega_trim_row(A, ap) -> dict:
     """Fraction of A retained after dropping elements with many distinct
     prime factors, at the cutoff loglog(a+dL) + loglog(a+dL)^(2/3)."""
-    pos = [x for x in A if x > 0]
+    pos = A[np.searchsorted(A, 0, side="right"):]
     hull_hi = ap.last + 1
     skipped = {"step": "omega-trim", "note": "skipped (hull outside sieve budget)"}
-    if not pos or hull_hi < 16:
+    if not pos.size or hull_hi < 16:
         return skipped
     try:  # A lies in ap, so its positive members lie in ap's positive part
         table = progression_table(ap.positive_part(), factor_lists=False)

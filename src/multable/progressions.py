@@ -4,9 +4,9 @@ partition, and dilation.
 
 A progression is the triple (a, d, L) representing {a + i*d : 0 <= i < L}
 with d >= 1 and L >= 1, so elements are strictly increasing.  Generic
-integer sets are plain sorted, duplicate-free lists of Python ints;
-``intset`` normalizes arbitrary iterables into that form.  All arithmetic
-is exact (Python integers), so there is no overflow to detect here; the
+integer sets are plain sorted, duplicate-free lists of Python ints
+(``intset``) or one sorted array (``int_array``), int64 only where no sum or
+difference of two elements overflows.  Progression arithmetic is exact; the
 energy module guards its fixed-width fast paths separately.
 """
 
@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+
+import numpy as np
 
 from .errors import PreconditionError
 
@@ -23,6 +25,20 @@ IntSet = list[int]
 def intset(values) -> IntSet:
     """Normalize an iterable of integers into a sorted duplicate-free list."""
     return sorted(set(values))
+
+
+def int_array(values, *ends: int) -> np.ndarray:
+    """The integers ``values`` as one sorted, duplicate-free array: int64 when
+    they and every one of ``ends`` lie below 2^62 in magnitude, so a sum or
+    difference of two fits, else Python ints in an object array.  An array
+    that is already strictly increasing is not sorted again."""
+    try:
+        v = np.array(values, dtype=np.int64)
+    except OverflowError:
+        v = np.array(values, dtype=object)
+    v = v if (v[1:] > v[:-1]).all() else np.unique(v)
+    fits = all(-(1 << 62) < x < 1 << 62 for x in (*ends, *v[:1], *v[-1:]))
+    return v if fits or v.dtype == object else v.astype(object)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,10 @@ block where the set keeps at least half its density, bail out with the
 universal energy bound when the first term dominates L log L, and finally
 extract a square-free core by pigeonholing on the largest square divisor.
 
+The set becomes one sorted array at entry (``int_array``: int64 while it and
+the progression's ends lie below 2^62 in magnitude, else Python ints), which
+every step slices, divides or searches; only the public results are lists.
+
 Every step keeps exact rational density bookkeeping, and the outcome is
 either ``DirectBound`` (a subset together with a proven upper bound on its
 multiplicative energy) or ``Reduced`` (a square-free set B, its enclosing
@@ -18,16 +22,14 @@ which is valid unconditionally, and the trace notes say so.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
 from math import gcd
 
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .progressions import ArithmeticProgression, IntSet, dilate, intset
+from .progressions import ArithmeticProgression, IntSet, int_array
 from .sieve import hull_table
 
 # "L large" has no content at desk scale; the universal bound needs none.
@@ -55,29 +57,32 @@ def largest_square_class(A: IntSet, T: int) -> tuple[IntSet, int, IntSet]:
     ``hull_table`` over A, then over B for its check, so A's hull must fit the
     ``sieve`` budget, or BudgetError (as for ``largest_square_class([2, 3, 2**30], 2)``).
     """
-    A = intset(A)
-    if not A or A[0] < 1 or A[-1] >= 2**63:
+    B0, t, B = _square_class(int_array(A), T)
+    return B0.tolist(), t, B.tolist()
+
+
+def _square_class(A: np.ndarray, T: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """``largest_square_class`` on a sorted array, returning arrays."""
+    if not A.size or A[0] < 1 or A[-1] >= 2**63:
         raise PreconditionError("needs positive integers below 2^63")
     table, at = hull_table(A, factor_lists=False)
     sq = table.square_divisor_array[at]
+    del table, at  # freed before B's table is built
     small = sq <= T * T
     if not small.any():
         raise PreconditionError(f"every element has a square divisor above T^2 = {T * T}")
     # np.unique sorts, so the first largest count belongs to the smallest t
     classes, counts = np.unique(sq[small], return_counts=True)
     best_sq = int(classes[np.argmax(counts)])
-    B0 = list(compress(A, (sq == best_sq).tolist()))
-    t = math.isqrt(best_sq)
-    B = [x // best_sq for x in B0]
+    B0 = A[sq == best_sq]
+    B = B0 // best_sq
     table, at = hull_table(B, factor_lists=False)
     if np.any(table.square_divisor_array[at] != 1):
         raise InternalCheckError("divided class is not square-free")
-    return B0, t, B
+    return B0, math.isqrt(best_sq), B
 
 
-def squarefree_reduce(
-    A: IntSet, ap: ArithmeticProgression, delta
-) -> tuple[IntSet, int, IntSet]:
+def squarefree_reduce(A: IntSet, ap: ArithmeticProgression, delta) -> tuple[IntSet, int, IntSet]:
     """Extract the largest same-square-divisor class of A and divide it out.
 
     Returns (B0, t, B): B0 are the elements of A sharing largest square
@@ -85,8 +90,12 @@ def squarefree_reduce(
     Requires the room hypothesis a + dL < (delta^2 / 9) L^2 and d <= L;
     under it |B0| >= delta^2 L / 18, which is re-checked exactly.
     """
-    delta = Fraction(delta)
-    A = intset(A)
+    B0, t, B = _squarefree_reduce(int_array(A, ap.a, ap.last), ap, Fraction(delta))
+    return B0.tolist(), t, B.tolist()
+
+
+def _squarefree_reduce(A: np.ndarray, ap: ArithmeticProgression, delta: Fraction) -> tuple:
+    """``squarefree_reduce`` on a sorted array, returning arrays."""
     L = ap.L
     _check_subset(A, ap)
     if ap.a <= 0 or gcd(ap.a, ap.d) != 1:
@@ -102,7 +111,7 @@ def squarefree_reduce(
         )
 
     T = math.ceil(Fraction(3) / delta)
-    B0, t, B = largest_square_class(A, T)
+    B0, t, B = _square_class(A, T)
     if 18 * len(B0) < delta * delta * L:
         raise InternalCheckError(
             f"pigeonhole class size {len(B0)} below delta^2 L / 18 = "
@@ -111,22 +120,28 @@ def squarefree_reduce(
     return B0, t, B
 
 
-def _check_subset(A: IntSet, ap: ArithmeticProgression) -> None:
-    """PreconditionError unless the sorted set A is a nonempty subset of ap."""
-    if not A or A[0] < ap.a or A[-1] > ap.last or any((x - ap.a) % ap.d for x in A):
+def _check_subset(A: np.ndarray, ap: ArithmeticProgression) -> None:
+    """PreconditionError unless the sorted array A is a nonempty subset of ap."""
+    if not A.size or A[0] < ap.a or A[-1] > ap.last or np.any((A - ap.a) % ap.d):
         raise PreconditionError("A must be a nonempty subset of ap")
 
 
-def _hull_prefix(B: IntSet, d: int) -> int:
+def _within(values: np.ndarray, original: np.ndarray) -> bool:
+    """Whether every element of the sorted array ``values`` is in ``original``."""
+    at = np.searchsorted(original, values)
+    return not at.size or (at[-1] < original.size and np.array_equal(original[at], values))
+
+
+def _hull_prefix(B, d: int) -> int:
     """Length of the longest prefix of the sorted set B (at least 1) whose
     hull B[0] + d*i, i < span, keeps B[0] > d*span."""
-    return max(1, bisect_left(B, B[0] + d * (-(-B[0] // d) - 1)))
+    return max(1, int(np.searchsorted(B, B[0] + d * (-(-B[0] // d) - 1))))
 
 
 def trimmed_set(A: IntSet, table, T: float) -> IntSet:
     """Elements of A with at most T distinct prime factors (table-backed)."""
-    A = intset(A)
-    return list(compress(A, (table.omega_array[table.positions(A)] <= T).tolist()))
+    A = int_array(A)
+    return A[table.omega_array[table.positions(A)] <= T].tolist()
 
 
 @dataclass
@@ -165,26 +180,22 @@ class ReductionTrace:
 def reduce(A: IntSet, ap: ArithmeticProgression, delta) -> ReductionTrace:
     """Run the five-step pipeline on (A, ap) with density at least delta."""
     delta = Fraction(delta)
-    A = intset(A)
+    A = original = int_array(A, ap.a, ap.last)
     _check_subset(A, ap)
     if len(A) < delta * ap.L:
         raise PreconditionError(f"|A| = {len(A)} below delta * L = {float(delta * ap.L)}")
 
     trace = ReductionTrace()
     density = Fraction(len(A), ap.L)
-    original = set(A)
 
     # Step 1: positivity, mirroring if fewer than 1/3 of elements are positive
-    sign = 1
-    note = ""
-    if 3 * (len(A) - bisect_right(A, 0)) < len(A):
-        sign = -1
-        A = [-x for x in reversed(A)]
-        ap = ap.negated()
+    sign, note = 1, ""
+    if 3 * (len(A) - int(np.searchsorted(A, 0, side="right"))) < len(A):
+        A, ap, sign = -A[::-1], ap.negated(), -1
         note = "mirrored to -A (fewer than 1/3 positive)"
-    A1 = A[bisect_right(A, 0):]
+    A1 = A[np.searchsorted(A, 0, side="right"):]
     P1 = ap.positive_part()
-    if not A1 or P1 is None:
+    if not A1.size or P1 is None:
         raise PreconditionError("no positive elements on either side")
     d1 = Fraction(len(A1), P1.L)
     trace.steps.append(ReductionStep("Positivity", density, d1, P1.L, note))
@@ -193,34 +204,32 @@ def reduce(A: IntSet, ap: ArithmeticProgression, delta) -> ReductionTrace:
 
     # Step 2: divide out gcd(a, d)
     P2, g = P1.normalize_gcd()
-    A2 = [x // g for x in A1]
+    A2 = A1 // g
     d2 = Fraction(len(A2), P2.L)
     trace.steps.append(ReductionStep("GcdNormalize", d1, d2, P2.L, f"g={g}"))
     trace.dilation_factor = sign * g
 
-    def direct(subset_norm: IntSet, prog: ArithmeticProgression, why: str) -> ReductionTrace:
+    def direct(subset_norm: np.ndarray, prog: ArithmeticProgression, why: str) -> ReductionTrace:
         bound = large_a_energy_bound(prog, subset_size=len(subset_norm))
-        back = dilate(subset_norm, sign * g)
-        if not set(back) <= original:
+        back = (subset_norm * (sign * g))[::sign]  # ascending again
+        if not _within(back, original):
             raise InternalCheckError("bounded subset escapes the original set")
-        trace.steps.append(
-            ReductionStep("ExtremalCheck", trace.steps[-1].density_after,
-                          trace.steps[-1].density_after, prog.L, why)
-        )
-        trace.outcome = DirectBound(subset=back, energy_value=bound)
+        last = trace.steps[-1].density_after
+        trace.steps.append(ReductionStep("ExtremalCheck", last, last, prog.L, why))
+        trace.outcome = DirectBound(subset=back.tolist(), energy_value=bound)
         return trace
 
     # Step 3: dyadic block selection over indices 1..L-1
     if P2.L < 2:
         return direct(A2, P2, "singleton progression; universal bound")
     blocks = P2.dyadic_index_blocks()
-    index = [(x - P2.a) // P2.d for x in A2]  # ascending, as A2 is
-    cuts = [(bisect_left(index, lo), bisect_left(index, hi)) for _, lo, hi in blocks]
+    # A2 lies in P2, so the elements with index in [lo, hi) start at a + d*lo
+    ends = np.array([[P2.a + P2.d * lo, P2.a + P2.d * hi] for _, lo, hi in blocks], dtype=A2.dtype)
+    cuts = np.searchsorted(A2, ends).tolist()
     counts = [j - i for i, j in cuts]
     lengths = [hi - lo for _, lo, hi in blocks]
-    total = P2.L - 1
     # smallest t0 whose tail mass fits inside half the set's index mass
-    tail = total
+    total = tail = P2.L - 1
     t0 = 0
     while tail > d2 * total / 2 and t0 < len(blocks):
         tail -= lengths[t0]
@@ -259,25 +268,21 @@ def reduce(A: IntSet, ap: ArithmeticProgression, delta) -> ReductionTrace:
     # Step 5: square-free core via the largest-square-divisor pigeonhole
     room = d3 * d3 / 9 * P3.L * P3.L
     if P3.a + P3.d * P3.L >= room or P3.d > P3.L:
-        return direct(
-            A3, P3,
-            "square-free pigeonhole lacks room at this scale; universal bound",
-        )
-    B0, t, B = squarefree_reduce(A3, P3, d3)
+        return direct(A3, P3, "square-free pigeonhole lacks room at this scale; universal bound")
+    B0, t, B = _squarefree_reduce(A3, P3, d3)
     note5 = f"t={t}, |B0|={len(B0)}" + band
     keep = _hull_prefix(B, P3.d)
     if keep < len(B):
         note5 += f", trimmed {len(B) - keep} for the hull guarantee"
         B = B[:keep]
-    span = (B[-1] - B[0]) // P3.d + 1
-    P5 = ArithmeticProgression(B[0], P3.d, span)
+    P5 = ArithmeticProgression(int(B[0]), P3.d, int(B[-1] - B[0]) // P3.d + 1)
     if P5.a <= P5.d * P5.L:
         return direct(A3, P3, "square-free hull too tight; universal bound")
     m = sign * g * t * t
-    if not set(dilate(B, m)) <= original:
+    if not _within((B * m)[::sign], original):
         raise InternalCheckError("dilated square-free core escapes the original set")
     d5 = Fraction(len(B), P5.L)
     trace.steps.append(ReductionStep("SquarefreeReduce", d3, d5, P5.L, note5))
     trace.dilation_factor = m
-    trace.outcome = Reduced(B=B, P_prime=P5, m=m)
+    trace.outcome = Reduced(B=B.tolist(), P_prime=P5, m=m)
     return trace

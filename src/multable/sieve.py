@@ -30,7 +30,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .errors import BUDGETS, InternalCheckError, PreconditionError, check_budget
-from .progressions import ArithmeticProgression
+from .progressions import ArithmeticProgression, int_array
 
 _STRIDE_SPLIT = 1 << 10  # primes below this are sieved by stride
 _PAIR_BATCH = 1 << 22  # max (position, prime) pairs held at once
@@ -269,16 +269,18 @@ def build_table(lo: int, hi: int, factor_lists: bool = True) -> FactorizationTab
     return progression_table(ArithmeticProgression(lo, 1, hi - lo), factor_lists)
 
 
-def hull_table(values: list[int], factor_lists: bool = True) -> tuple[FactorizationTable, np.ndarray]:
+def hull_table(values, factor_lists: bool = True) -> tuple[FactorizationTable, np.ndarray]:
     """Table over the hull of sorted distinct positives, and each value's
     index in it.  The hull is the shortest progression through them (step:
     the gcd of the gaps), so a progression is its own hull.  It counts against
     the ``sieve`` budget: ``BudgetError`` past 2^24 numbers or a last one
-    above about 2^48."""
-    step = gcd(*(y - x for x, y in zip(values, values[1:]))) or 1
-    hull = ArithmeticProgression(values[0], step, (values[-1] - values[0]) // step + 1)
+    above about 2^48.  Cost follows the hull, not the values: [2, 3, 2**22 + 1]
+    sieves 2^22 numbers, at about 30 traced bytes each (50 with factor lists)."""
+    v = int_array(values)
+    step = int(np.gcd.reduce(np.diff(v))) or 1
+    hull = ArithmeticProgression(int(v[0]), step, int(v[-1] - v[0]) // step + 1)
     table = progression_table(hull, factor_lists)
-    return table, table.positions(values)
+    return table, table.positions(v)
 
 
 def prime_flags(ap: ArithmeticProgression) -> np.ndarray:

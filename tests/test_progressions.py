@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from multable.errors import PreconditionError
 from multable.progressions import ArithmeticProgression as AP
-from multable.progressions import dilate, intset
+from multable.progressions import dilate, int_array, intset
 
 
 def test_elements_examples():
@@ -92,3 +93,18 @@ def test_bad_parameters():
         AP(1, 0, 5)
     with pytest.raises(PreconditionError):
         AP(1, 1, 0)
+
+
+def test_int_array_guard():
+    # int64 only while a sum or difference of two elements fits
+    lim = 2**62
+    A = int_array([5, 3, 5, -(lim - 1), lim - 1])
+    assert A.dtype == np.int64 and A.tolist() == [-(lim - 1), 3, 5, lim - 1]
+    for values in ([lim], [-lim], [2**63 - 1], [2**63], [-(2**63)], [3, 10**30]):
+        A = int_array(values)
+        assert A.dtype == object and A.tolist() == values and type(A[0]) is int
+    assert int_array([1, 2], lim).dtype == object  # an end past the guard
+    assert int_array([1, 2], -(lim - 1), lim - 1).dtype == np.int64
+    assert int_array([]).dtype == np.int64
+    A = np.arange(5)
+    assert int_array(A) is not A and int_array(A).tolist() == A.tolist()

@@ -1,20 +1,29 @@
 import math
 import random
+import tracemalloc
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from multable.energy import energy
-from multable.errors import InternalCheckError, PreconditionError
+from multable.energy import energy, offdiag_tuples
+from multable.errors import BudgetError, InternalCheckError, PreconditionError
+from multable.experiments import cmd_reduce
+from multable.progressions import ArithmeticProgression
 from multable.progressions import ArithmeticProgression as AP
-from multable.progressions import dilate
+from multable.progressions import IntSet, dilate, int_array, intset
 from multable.reduction import (
+    EXTREMAL_FLAG_FACTOR,
     DirectBound,
     Reduced,
+    ReductionStep,
+    ReductionTrace,
     _hull_prefix,
     large_a_energy_bound,
     largest_square_class,
@@ -22,8 +31,213 @@ from multable.reduction import (
     squarefree_reduce,
     trimmed_set,
 )
-from multable.sieve import build_table, progression_table
+from multable.sieve import build_table, hull_table, progression_table
 from test_sieve import square_part
+
+# The list pipeline the array pipeline replaced, kept verbatim as the oracle
+# for whole traces; only the names are prefixed.
+
+
+def list_largest_square_class(A: IntSet, T: int) -> tuple[IntSet, int, IntSet]:
+    """Largest class of A sharing one largest square divisor t^2 <= T^2.
+
+    Returns (B0, t, B) with B = B0 / t^2 square-free; among equally large
+    classes the smallest t wins.  Elements whose largest square divisor
+    exceeds T^2 are discarded before classing.  Square divisors come from
+    ``hull_table`` over A, then over B for its check, so A's hull must fit the
+    ``sieve`` budget, or BudgetError (as for ``list_largest_square_class([2, 3, 2**30], 2)``).
+    """
+    A = intset(A)
+    if not A or A[0] < 1 or A[-1] >= 2**63:
+        raise PreconditionError("needs positive integers below 2^63")
+    table, at = hull_table(A, factor_lists=False)
+    sq = table.square_divisor_array[at]
+    small = sq <= T * T
+    if not small.any():
+        raise PreconditionError(f"every element has a square divisor above T^2 = {T * T}")
+    # np.unique sorts, so the first largest count belongs to the smallest t
+    classes, counts = np.unique(sq[small], return_counts=True)
+    best_sq = int(classes[np.argmax(counts)])
+    B0 = list(compress(A, (sq == best_sq).tolist()))
+    t = math.isqrt(best_sq)
+    B = [x // best_sq for x in B0]
+    table, at = hull_table(B, factor_lists=False)
+    if np.any(table.square_divisor_array[at] != 1):
+        raise InternalCheckError("divided class is not square-free")
+    return B0, t, B
+
+
+
+def list_squarefree_reduce(
+    A: IntSet, ap: ArithmeticProgression, delta
+) -> tuple[IntSet, int, IntSet]:
+    """Extract the largest same-square-divisor class of A and divide it out.
+
+    Returns (B0, t, B): B0 are the elements of A sharing largest square
+    divisor t^2 with t <= ceil(3/delta), and B = B0 / t^2 is square-free.
+    Requires the room hypothesis a + dL < (delta^2 / 9) L^2 and d <= L;
+    under it |B0| >= delta^2 L / 18, which is re-checked exactly.
+    """
+    delta = Fraction(delta)
+    A = intset(A)
+    L = ap.L
+    _list_check_subset(A, ap)
+    if ap.a <= 0 or gcd(ap.a, ap.d) != 1:
+        raise PreconditionError("requires a > 0 and gcd(a, d) = 1")
+    if len(A) < delta * L:
+        raise PreconditionError(f"|A| = {len(A)} below delta * L = {delta * L}")
+    if ap.d > L:
+        raise PreconditionError(f"needs d <= L, got d = {ap.d}, L = {L}")
+    if ap.a + ap.d * L >= delta * delta / 9 * L * L:
+        raise PreconditionError(
+            f"a + dL = {ap.a + ap.d * L} not below (delta^2/9) L^2 = "
+            f"{float(delta * delta / 9 * L * L):.4g}; route to the extremal bound instead"
+        )
+
+    T = math.ceil(Fraction(3) / delta)
+    B0, t, B = list_largest_square_class(A, T)
+    if 18 * len(B0) < delta * delta * L:
+        raise InternalCheckError(
+            f"pigeonhole class size {len(B0)} below delta^2 L / 18 = "
+            f"{float(delta * delta * L / 18):.4g}"
+        )
+    return B0, t, B
+
+
+
+def _list_check_subset(A: IntSet, ap: ArithmeticProgression) -> None:
+    """PreconditionError unless the sorted set A is a nonempty subset of ap."""
+    if not A or A[0] < ap.a or A[-1] > ap.last or any((x - ap.a) % ap.d for x in A):
+        raise PreconditionError("A must be a nonempty subset of ap")
+
+
+
+def _list_hull_prefix(B: IntSet, d: int) -> int:
+    """Length of the longest prefix of the sorted set B (at least 1) whose
+    hull B[0] + d*i, i < span, keeps B[0] > d*span."""
+    return max(1, bisect_left(B, B[0] + d * (-(-B[0] // d) - 1)))
+
+
+
+def list_reduce(A: IntSet, ap: ArithmeticProgression, delta) -> ReductionTrace:
+    """Run the five-step pipeline on (A, ap) with density at least delta."""
+    delta = Fraction(delta)
+    A = intset(A)
+    _list_check_subset(A, ap)
+    if len(A) < delta * ap.L:
+        raise PreconditionError(f"|A| = {len(A)} below delta * L = {float(delta * ap.L)}")
+
+    trace = ReductionTrace()
+    density = Fraction(len(A), ap.L)
+    original = set(A)
+
+    # Step 1: positivity, mirroring if fewer than 1/3 of elements are positive
+    sign = 1
+    note = ""
+    if 3 * (len(A) - bisect_right(A, 0)) < len(A):
+        sign = -1
+        A = [-x for x in reversed(A)]
+        ap = ap.negated()
+        note = "mirrored to -A (fewer than 1/3 positive)"
+    A1 = A[bisect_right(A, 0):]
+    P1 = ap.positive_part()
+    if not A1 or P1 is None:
+        raise PreconditionError("no positive elements on either side")
+    d1 = Fraction(len(A1), P1.L)
+    trace.steps.append(ReductionStep("Positivity", density, d1, P1.L, note))
+    if 3 * d1 <= delta:
+        raise InternalCheckError("positivity step lost more than two thirds of density")
+
+    # Step 2: divide out gcd(a, d)
+    P2, g = P1.normalize_gcd()
+    A2 = [x // g for x in A1]
+    d2 = Fraction(len(A2), P2.L)
+    trace.steps.append(ReductionStep("GcdNormalize", d1, d2, P2.L, f"g={g}"))
+    trace.dilation_factor = sign * g
+
+    def direct(subset_norm: IntSet, prog: ArithmeticProgression, why: str) -> ReductionTrace:
+        bound = large_a_energy_bound(prog, subset_size=len(subset_norm))
+        back = dilate(subset_norm, sign * g)
+        if not set(back) <= original:
+            raise InternalCheckError("bounded subset escapes the original set")
+        trace.steps.append(
+            ReductionStep("ExtremalCheck", trace.steps[-1].density_after,
+                          trace.steps[-1].density_after, prog.L, why)
+        )
+        trace.outcome = DirectBound(subset=back, energy_value=bound)
+        return trace
+
+    # Step 3: dyadic block selection over indices 1..L-1
+    if P2.L < 2:
+        return direct(A2, P2, "singleton progression; universal bound")
+    blocks = P2.dyadic_index_blocks()
+    index = [(x - P2.a) // P2.d for x in A2]  # ascending, as A2 is
+    cuts = [(bisect_left(index, lo), bisect_left(index, hi)) for _, lo, hi in blocks]
+    counts = [j - i for i, j in cuts]
+    lengths = [hi - lo for _, lo, hi in blocks]
+    total = P2.L - 1
+    # smallest t0 whose tail mass fits inside half the set's index mass
+    tail = total
+    t0 = 0
+    while tail > d2 * total / 2 and t0 < len(blocks):
+        tail -= lengths[t0]
+        t0 += 1
+    qualifying = [i for i in range(t0) if 2 * counts[i] >= d2 * lengths[i]]
+    if not qualifying:
+        return direct(A2, P2, "no dyadic block kept half density at this scale")
+    t1 = max(qualifying, key=lambda i: (counts[i], -i))
+    _, lo, hi = blocks[t1]
+    P3 = ArithmeticProgression(P2.a + lo * P2.d, P2.d, hi - lo)
+    first, end = cuts[t1]
+    A3 = A2[first:end]
+    d3 = Fraction(len(A3), P3.L)
+    if 2 * d3 < d2:
+        raise InternalCheckError("selected block density below half")
+    if P3.a <= P3.d * P3.L:
+        raise InternalCheckError("dyadic block lost the a > dL guarantee")
+    trace.steps.append(
+        ReductionStep("DyadicSelect", d2, d3, P3.L, f"t1={blocks[t1][0]}, indices [{lo},{hi})")
+    )
+
+    # Step 4: first term large enough for the universal bound to win outright
+    threshold = P3.L * math.log(P3.L)
+    band = ""
+    if P3.L >= 3:
+        half = 0.5 * P3.L * math.sqrt(math.log(P3.L))
+        if half <= P3.a <= 2 * half:
+            # the narrowing constant is ambiguous in this band; record it
+            band = "; a between (1/2) L sqrt(log L) and L sqrt(log L)"
+    if P3.a >= threshold:
+        why = "a >= L log L; universal bound"
+        if P3.a < EXTREMAL_FLAG_FACTOR * threshold:
+            why += " (within factor 2 of threshold)"
+        return direct(A3, P3, why + band)
+
+    # Step 5: square-free core via the largest-square-divisor pigeonhole
+    room = d3 * d3 / 9 * P3.L * P3.L
+    if P3.a + P3.d * P3.L >= room or P3.d > P3.L:
+        return direct(
+            A3, P3,
+            "square-free pigeonhole lacks room at this scale; universal bound",
+        )
+    B0, t, B = list_squarefree_reduce(A3, P3, d3)
+    note5 = f"t={t}, |B0|={len(B0)}" + band
+    keep = _list_hull_prefix(B, P3.d)
+    if keep < len(B):
+        note5 += f", trimmed {len(B) - keep} for the hull guarantee"
+        B = B[:keep]
+    span = (B[-1] - B[0]) // P3.d + 1
+    P5 = ArithmeticProgression(B[0], P3.d, span)
+    if P5.a <= P5.d * P5.L:
+        return direct(A3, P3, "square-free hull too tight; universal bound")
+    m = sign * g * t * t
+    if not set(dilate(B, m)) <= original:
+        raise InternalCheckError("dilated square-free core escapes the original set")
+    d5 = Fraction(len(B), P5.L)
+    trace.steps.append(ReductionStep("SquarefreeReduce", d3, d5, P5.L, note5))
+    trace.dilation_factor = m
+    trace.outcome = Reduced(B=B, P_prime=P5, m=m)
+    return trace
 
 
 def test_large_a_bound_values():
@@ -83,7 +297,9 @@ def test_largest_square_class_matches_square_part(A, T):
         return
     best = min(counts, key=lambda s: (-counts[s], s))
     B0 = [x for x in A if sq[x] == best]
-    assert largest_square_class(A, T) == (B0, math.isqrt(best), [x // best for x in B0])
+    got = largest_square_class(A, T)
+    assert got == (B0, math.isqrt(best), [x // best for x in B0])
+    assert repr(got) == repr(list_largest_square_class(A, T))  # Python ints, as the lists gave
 
 
 def _hull_prefix_by_trimming(B, d):
@@ -247,3 +463,93 @@ def test_reduce_reaches_squarefree_core():
     assert isinstance(trace.outcome, Reduced)
     sq_step = [s for s in trace.steps if s.step == "SquarefreeReduce"]
     assert sq_step and trace.outcome.m == 1
+
+
+def _outcome(f, *args) -> str:
+    """repr of f's result, so types leak into the comparison, or its refusal."""
+    try:
+        return repr(f(*args))
+    except (PreconditionError, InternalCheckError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+# first terms at the int64 edges: past 2^62 in magnitude the object path runs
+_EDGE_STARTS = (2**31, 2**62 - 7, 2**62, 2**63 - 1, 2**63 + 1, 10**30, -(2**62), -(2**63) - 5)
+
+
+@st.composite
+def _reduce_inputs(draw):
+    """An unsorted subset of AP(a, d, L) and a density it meets: first terms
+    small, straddling zero or negative (mirrored), large, or at the int64
+    edges, and a common factor g of a and d."""
+    L = draw(st.integers(1, 500))
+    g = draw(st.sampled_from((1, 1, 2, 6)))
+    d = g * draw(st.integers(1, 6))
+    a = g * draw(st.one_of(
+        st.integers(1, 3 * L), st.integers(-2 * L, 10),
+        st.integers(10**5, 10**7), st.sampled_from(_EDGE_STARTS),
+    ))
+    k = draw(st.integers(1, L))
+    picks = random.Random(draw(st.integers(0, 2**32 - 1))).sample(range(L), k)
+    delta = Fraction(k, L) / draw(st.sampled_from((1, 1, 2, 3)))
+    return [a + d * i for i in picks], AP(a, d, L), delta
+
+
+_TRACE_CASES = [
+    (list(range(-20, -15)), AP(-20, 1, 5), 1),  # mirrored
+    (AP(2, 2, 64).elements(), AP(2, 2, 64), 1),  # g = 2, Reduced
+    (AP(1, 1, 4096).elements(), AP(1, 1, 4096), 1),  # Reduced at a larger L
+    (AP(6, 4, 300).elements()[::3], AP(6, 4, 300), Fraction(1, 3)),
+    (AP(2**31, 1, 300).elements(), AP(2**31, 1, 300), 1),
+    (AP(2**62, 3, 40).elements()[::2], AP(2**62, 3, 40), Fraction(1, 2)),
+    (AP(2**63 + 1, 2, 30).elements(), AP(2**63 + 1, 2, 30), 1),
+    (AP(2**63 - 10, 5, 2).elements(), AP(2**63 - 10, 5, 2), 1),  # the block end passes 2^63
+    (AP(-(2**63) - 100, 7, 30).elements(), AP(-(2**63) - 100, 7, 30), 1),  # mirrored objects
+    (AP(6 * 10**30, 4, 50).elements(), AP(6 * 10**30, 4, 50), 1),
+]
+
+
+@given(_reduce_inputs())
+def test_reduce_matches_list_oracle(case):
+    # whole traces: step names, densities, lengths, notes and outcome fields
+    assert _outcome(reduce, *case) == _outcome(list_reduce, *case)
+
+
+def test_reduce_matches_list_oracle_on_chosen_cases():
+    for case in _TRACE_CASES:
+        assert _outcome(reduce, *case) == _outcome(list_reduce, *case), case[1]
+    # the cases cover both outcomes, mirroring, g > 1 and the object path
+    traces = [reduce(*case) for case in _TRACE_CASES]
+    assert {type(t.outcome) for t in traces} == {DirectBound, Reduced}
+    assert any("mirrored" in t.steps[0].note for t in traces)
+    assert any(t.steps[1].note != "g=1" for t in traces)
+    assert any(int_array(A, ap.a, ap.last).dtype == object for A, ap, _ in _TRACE_CASES)
+
+
+@pytest.mark.parametrize("x", [2**62, 2**63 - 1, 2**63, 10**30, -5, -(2**63), -(10**30)])
+def test_refusals_at_the_int64_edge(x):
+    # int64 conversion must never turn a refusal into an OverflowError or a wrap
+    def refused(f, *args):
+        with pytest.raises((BudgetError, PreconditionError)) as e:
+            f(*args)
+        return e.type
+
+    big = BudgetError if x > 0 else PreconditionError
+    assert refused(offdiag_tuples, sorted([1, 2, x])) is big
+    assert refused(hull_table, sorted([5, x])) is big
+    assert refused(largest_square_class, sorted([2, x]), 2) is (big if x < 2**63 else PreconditionError)
+    table = progression_table(AP(1, 1, 100), factor_lists=False)
+    assert refused(trimmed_set, [x], table, 2) is PreconditionError
+    assert refused(trimmed_set, [3, x], table, 2) is PreconditionError
+
+
+def test_cmd_reduce_memory_bounded():
+    # the set stays one array from the draw to the results: the list
+    # pipeline peaked at 223 MiB traced here
+    tracemalloc.start()
+    try:
+        cmd_reduce(3, 1, 2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 112 * 2**20

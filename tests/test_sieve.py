@@ -491,6 +491,18 @@ def test_hull_past_the_sieve_budget():
         offdiag_tuples([2**50, 2**50 + 1])
 
 
+def test_sparse_hull_cost_is_per_hull_number():
+    # three values with a hull of 2^22 numbers: the cost hull_table declares
+    # follows the hull, and stays below 48 traced bytes per hull number
+    tracemalloc.start()
+    try:
+        largest_square_class([2, 3, 2**22 + 1], 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**22
+
+
 def test_budget_errors():
     with pytest.raises(BudgetError):
         build_table(1, 2 + (1 << 24))
