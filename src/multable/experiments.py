@@ -225,10 +225,16 @@ def cmd_reduce(
         if seed < 0:
             raise PreconditionError("needs seed >= 0")
         idx = np.sort(np.random.default_rng(seed).choice(L, size=math.ceil(dlt * L), replace=False))
-    A = ap.a + ap.d * int_array(idx, ap.a, ap.last)  # ascending, as idx is
+    A = ap.a + ap.d * int_array(idx, ap.a, ap.last, ap.d)  # ascending, as idx is
     trace = reduce(A, ap, dlt)
-    rows = [  # the step's fields in order, densities as strings
-        {**vars(s), "density_before": str(s.density_before), "density_after": str(s.density_after)}
+    rows = [
+        {
+            "step": s.step,
+            "density_before": str(s.density_before),
+            "density_after": str(s.density_after),
+            "length_after": s.length_after,
+            "note": s.note,
+        }
         for s in trace.steps
     ]
     out = trace.outcome

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 import numpy as np
 
@@ -27,18 +28,21 @@ def intset(values) -> IntSet:
     return sorted(set(values))
 
 
-def int_array(values, *ends: int) -> np.ndarray:
+def int_array(values, *bounds: int) -> np.ndarray:
     """The integers ``values`` as one sorted, duplicate-free array: int64 when
-    they and every one of ``ends`` lie below 2^62 in magnitude, so a sum or
-    difference of two fits, else Python ints in an object array.  An array
-    that is already strictly increasing is not sorted again."""
-    try:
-        v = np.array(values, dtype=np.int64)
-    except OverflowError:
-        v = np.array(values, dtype=object)
+    they and every one of ``bounds`` (a progression's ends and step) lie below
+    2^62 in magnitude, so a sum or difference of two fits, else Python ints in
+    an object array; anything but integers is refused.  A strictly increasing
+    array is not sorted again."""
+    v = np.array(values)
+    if v.dtype.kind != "i" or v.ndim != 1:  # past int64, an iterable, or not integers
+        try:
+            v = np.fromiter(map(index, values), dtype=object)
+        except TypeError:
+            raise PreconditionError("needs integers") from None
     v = v if (v[1:] > v[:-1]).all() else np.unique(v)
-    fits = all(-(1 << 62) < x < 1 << 62 for x in (*ends, *v[:1], *v[-1:]))
-    return v if fits or v.dtype == object else v.astype(object)
+    fits = all(-(1 << 62) < x < 1 << 62 for x in (*bounds, *v[:1], *v[-1:]))
+    return v.astype(np.int64 if fits else object, copy=False)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ universal energy bound when the first term dominates L log L, and finally
 extract a square-free core by pigeonholing on the largest square divisor.
 
 The set becomes one sorted array at entry (``int_array``: int64 while it and
-the progression's ends lie below 2^62 in magnitude, else Python ints), which
-every step slices, divides or searches; only the public results are lists.
+the progression's ends and step lie below 2^62 in magnitude, else Python
+ints), which every step slices, divides or searches; only the public results
+are lists.
 
 Every step keeps exact rational density bookkeeping, and the outcome is
 either ``DirectBound`` (a subset together with a proven upper bound on its
@@ -82,7 +83,9 @@ def _square_class(A: np.ndarray, T: int) -> tuple[np.ndarray, int, np.ndarray]:
     return B0, math.isqrt(best_sq), B
 
 
-def squarefree_reduce(A: IntSet, ap: ArithmeticProgression, delta) -> tuple[IntSet, int, IntSet]:
+def squarefree_reduce(
+    A: IntSet, ap: ArithmeticProgression, delta
+) -> tuple[IntSet, int, IntSet]:
     """Extract the largest same-square-divisor class of A and divide it out.
 
     Returns (B0, t, B): B0 are the elements of A sharing largest square
@@ -90,7 +93,7 @@ def squarefree_reduce(A: IntSet, ap: ArithmeticProgression, delta) -> tuple[IntS
     Requires the room hypothesis a + dL < (delta^2 / 9) L^2 and d <= L;
     under it |B0| >= delta^2 L / 18, which is re-checked exactly.
     """
-    B0, t, B = _squarefree_reduce(int_array(A, ap.a, ap.last), ap, Fraction(delta))
+    B0, t, B = _squarefree_reduce(int_array(A, ap.a, ap.last, ap.d), ap, Fraction(delta))
     return B0.tolist(), t, B.tolist()
 
 
@@ -180,7 +183,7 @@ class ReductionTrace:
 def reduce(A: IntSet, ap: ArithmeticProgression, delta) -> ReductionTrace:
     """Run the five-step pipeline on (A, ap) with density at least delta."""
     delta = Fraction(delta)
-    A = original = int_array(A, ap.a, ap.last)
+    A = original = int_array(A, ap.a, ap.last, ap.d)
     _check_subset(A, ap)
     if len(A) < delta * ap.L:
         raise PreconditionError(f"|A| = {len(A)} below delta * L = {float(delta * ap.L)}")
@@ -189,9 +192,12 @@ def reduce(A: IntSet, ap: ArithmeticProgression, delta) -> ReductionTrace:
     density = Fraction(len(A), ap.L)
 
     # Step 1: positivity, mirroring if fewer than 1/3 of elements are positive
-    sign, note = 1, ""
+    sign = 1
+    note = ""
     if 3 * (len(A) - int(np.searchsorted(A, 0, side="right"))) < len(A):
-        A, ap, sign = -A[::-1], ap.negated(), -1
+        sign = -1
+        A = -A[::-1]
+        ap = ap.negated()
         note = "mirrored to -A (fewer than 1/3 positive)"
     A1 = A[np.searchsorted(A, 0, side="right"):]
     P1 = ap.positive_part()
@@ -214,8 +220,10 @@ def reduce(A: IntSet, ap: ArithmeticProgression, delta) -> ReductionTrace:
         back = (subset_norm * (sign * g))[::sign]  # ascending again
         if not _within(back, original):
             raise InternalCheckError("bounded subset escapes the original set")
-        last = trace.steps[-1].density_after
-        trace.steps.append(ReductionStep("ExtremalCheck", last, last, prog.L, why))
+        trace.steps.append(
+            ReductionStep("ExtremalCheck", trace.steps[-1].density_after,
+                          trace.steps[-1].density_after, prog.L, why)
+        )
         trace.outcome = DirectBound(subset=back.tolist(), energy_value=bound)
         return trace
 
@@ -228,8 +236,9 @@ def reduce(A: IntSet, ap: ArithmeticProgression, delta) -> ReductionTrace:
     cuts = np.searchsorted(A2, ends).tolist()
     counts = [j - i for i, j in cuts]
     lengths = [hi - lo for _, lo, hi in blocks]
+    total = P2.L - 1
     # smallest t0 whose tail mass fits inside half the set's index mass
-    total = tail = P2.L - 1
+    tail = total
     t0 = 0
     while tail > d2 * total / 2 and t0 < len(blocks):
         tail -= lengths[t0]
@@ -268,14 +277,18 @@ def reduce(A: IntSet, ap: ArithmeticProgression, delta) -> ReductionTrace:
     # Step 5: square-free core via the largest-square-divisor pigeonhole
     room = d3 * d3 / 9 * P3.L * P3.L
     if P3.a + P3.d * P3.L >= room or P3.d > P3.L:
-        return direct(A3, P3, "square-free pigeonhole lacks room at this scale; universal bound")
+        return direct(
+            A3, P3,
+            "square-free pigeonhole lacks room at this scale; universal bound",
+        )
     B0, t, B = _squarefree_reduce(A3, P3, d3)
     note5 = f"t={t}, |B0|={len(B0)}" + band
     keep = _hull_prefix(B, P3.d)
     if keep < len(B):
         note5 += f", trimmed {len(B) - keep} for the hull guarantee"
         B = B[:keep]
-    P5 = ArithmeticProgression(int(B[0]), P3.d, int(B[-1] - B[0]) // P3.d + 1)
+    span = int(B[-1] - B[0]) // P3.d + 1
+    P5 = ArithmeticProgression(int(B[0]), P3.d, span)
     if P5.a <= P5.d * P5.L:
         return direct(A3, P3, "square-free hull too tight; universal bound")
     m = sign * g * t * t

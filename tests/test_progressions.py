@@ -108,3 +108,9 @@ def test_int_array_guard():
     assert int_array([]).dtype == np.int64
     A = np.arange(5)
     assert int_array(A) is not A and int_array(A).tolist() == A.tolist()
+    assert int_array({3, 1, 2}).tolist() == [1, 2, 3]  # any iterable, like intset
+    A = int_array(np.array([2**63], dtype=np.uint64))
+    assert A.dtype == object and type(A[0]) is int  # not an np.uint64 that wraps
+    for values in ([1.5, 2], [2.0], ["3"], np.array([1.0]), [[1, 2]]):
+        with pytest.raises(PreconditionError):
+            int_array(values)

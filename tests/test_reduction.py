@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import random
 import tracemalloc
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from multable import cli
 from multable.energy import energy, offdiag_tuples
 from multable.errors import BudgetError, InternalCheckError, PreconditionError
 from multable.experiments import cmd_reduce
@@ -475,16 +478,18 @@ def _outcome(f, *args) -> str:
 
 # first terms at the int64 edges: past 2^62 in magnitude the object path runs
 _EDGE_STARTS = (2**31, 2**62 - 7, 2**62, 2**63 - 1, 2**63 + 1, 10**30, -(2**62), -(2**63) - 5)
+# steps at and past the int64 edges: with L = 1 the set's ends stay small
+_EDGE_STEPS = (2**62, 2**63, 10**30)
 
 
 @st.composite
 def _reduce_inputs(draw):
     """An unsorted subset of AP(a, d, L) and a density it meets: first terms
     small, straddling zero or negative (mirrored), large, or at the int64
-    edges, and a common factor g of a and d."""
+    edges, a common factor g of a and d, and now and then a step past int64."""
     L = draw(st.integers(1, 500))
     g = draw(st.sampled_from((1, 1, 2, 6)))
-    d = g * draw(st.integers(1, 6))
+    d = g * draw(st.one_of(st.integers(1, 6), st.sampled_from(_EDGE_STEPS)))
     a = g * draw(st.one_of(
         st.integers(1, 3 * L), st.integers(-2 * L, 10),
         st.integers(10**5, 10**7), st.sampled_from(_EDGE_STARTS),
@@ -506,6 +511,8 @@ _TRACE_CASES = [
     (AP(2**63 - 10, 5, 2).elements(), AP(2**63 - 10, 5, 2), 1),  # the block end passes 2^63
     (AP(-(2**63) - 100, 7, 30).elements(), AP(-(2**63) - 100, 7, 30), 1),  # mirrored objects
     (AP(6 * 10**30, 4, 50).elements(), AP(6 * 10**30, 4, 50), 1),
+    ([1], AP(1, 2**63, 1), 1),  # a small set, its step past int64
+    ([2**31], AP(2**31, 2**63, 1), 1),
 ]
 
 
@@ -553,3 +560,29 @@ def test_cmd_reduce_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 112 * 2**20
+
+
+@pytest.mark.parametrize("a", [1, 2**31, 0, -1])
+def test_reduce_with_a_step_past_int64(a):
+    # the step joins the int64 guard: a one-element set of small numbers
+    # still takes the object path, so (A - a) % d and a + d*i stay exact
+    ap = AP(a, 2**63, 1)
+    assert _outcome(reduce, [a], ap, 1) == _outcome(list_reduce, [a], ap, 1)
+    if a:  # -1 is mirrored to 1; 0 has no positive side
+        assert reduce([a], ap, 1).outcome.subset == [a]
+    with pytest.raises(PreconditionError):
+        squarefree_reduce([a], ap, 1)
+    code = 0 if a else 2
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["reduce", str(a), str(2**63), "1"]) == code
+
+
+@pytest.mark.parametrize("A", [[1.5, 2], [2.0, 3], ["1", "2"], [[1], [2]]])
+def test_non_integer_elements_refused(A):
+    # floats are not truncated, nor strings parsed, into a subset of ap
+    with pytest.raises(PreconditionError):
+        reduce(A, AP(1, 1, 3), Fraction(1, 3))
+    with pytest.raises(PreconditionError):
+        largest_square_class(A, 2)
+    with pytest.raises(PreconditionError):
+        trimmed_set(A, progression_table(AP(1, 1, 10), factor_lists=False), 2)
