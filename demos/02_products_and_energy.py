@@ -27,7 +27,7 @@ cases = {
 }
 
 for name, A in cases.items():
-    e = energy(A, with_histogram=False).energy
+    e = energy(A).energy
     pa = len(product_set(A, A))
     floor = cs_product_lower_bound(A, A)
     print(f"{name:>18}: |A|={len(A):>3} E(A)={e:>8} |A.A|={pa:>5} CS floor={floor:8.1f}")
@@ -35,15 +35,15 @@ for name, A in cases.items():
 print("\nenergy cap for progressions with a coprime large first term:")
 for a in (10**3, 10**5, 10**9):
     ap = AP(a, 1, L)
-    e = energy(ap.elements(), with_histogram=False).energy
+    e = energy(ap.elements()).energy
     cap = large_a_energy_bound(ap)
     print(f"  a={a:>10}: E = {e:>6} <= {cap:10.1f}")
 
 print("\nextracting a low-energy subset from {1..200} by random thinning:")
 A = list(range(1, 201))
-eA = energy(A, with_histogram=False).energy
+eA = energy(A).energy
 sub = random_energy_subset(A, seed=0)
-eS = energy(sub, with_histogram=False).energy
+eS = energy(sub).energy
 print(f"  |A| = {len(A)}, E(A) = {eA}")
 print(f"  kept {len(sub)} elements, E = {eS} <= 4|A'|^2 = {4 * len(sub) ** 2}")
 print(f"  size floor |A|^3 / (2 E(A)) = {len(A) ** 3 / (2 * eA):.1f}")

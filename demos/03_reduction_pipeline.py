@@ -30,7 +30,7 @@ def show(title, A, ap, delta):
               f"  length {s.length_after}  {s.note}")
     out = trace.outcome
     if isinstance(out, DirectBound):
-        exact = energy(out.subset, with_histogram=False).energy
+        exact = energy(out.subset).energy
         print(f"  DirectBound: |subset| = {len(out.subset)}, "
               f"E = {exact} <= {out.energy_value:.1f}\n")
     elif isinstance(out, Reduced):

@@ -5,11 +5,10 @@ with constrained factorizations, and order-statistic boundary probabilities.
 
 __version__ = "0.1.0"
 
-from .progressions import ArithmeticProgression, dilate, intset
+from .progressions import ArithmeticProgression, intset
 from .sieve import (
     FactorizationTable,
     build_table,
-    count_large_square_divisible,
     mertens_sum,
     progression_table,
 )
@@ -29,7 +28,6 @@ from .reduction import (
     ReductionTrace,
     large_a_energy_bound,
     reduce,
-    squarefree_reduce,
     trimmed_set,
 )
 from .primestats import (
@@ -38,7 +36,6 @@ from .primestats import (
     nk_last_prime_extension,
     nk_set,
     prime_count_ap,
-    reciprocal_sum_lower,
     shiu_mean,
 )
 from .smirnov import (
@@ -62,10 +59,8 @@ __all__ = [
     "SmirnovBoundary",
     "build_table",
     "volume_sandwich",
-    "count_large_square_divisible",
     "cs_energy_split",
     "cs_product_lower_bound",
-    "dilate",
     "energy",
     "energy_bruteforce",
     "intset",
@@ -83,8 +78,6 @@ __all__ = [
     "random_energy_subset",
     "reduce",
     "region_volume",
-    "reciprocal_sum_lower",
     "shiu_mean",
-    "squarefree_reduce",
     "trimmed_set",
 ]

@@ -43,9 +43,8 @@ bound the kernel, both checked before anything is allocated:
 ``WINDOW_PAIRS`` (2^20) for memory, which holds a window's values to 8 MiB
 and its peak to about twice that, for the index array that gathers short
 rows or counts the sorted values; and the ``kernel_pairs`` budget, 2^30, for
-the time of one call, so E(A) takes up to 32768 elements.  ``product_set``
-returns a Python list, and ``energy`` a histogram dict when asked, so both
-refuse past the ``product_set_pairs`` budget.
+the time of one call, so E(A) takes up to 32768 elements.  The list
+``product_set`` returns is bounded by the ``product_set_pairs`` budget.
 
 Quotient keys are float64 when every element of both sets is below 2^26
 (``FLOAT_KEY_BITS``).  That is exact: such integers convert to float
@@ -81,13 +80,12 @@ SUBSET_MAX_DRAWS = 1000  # draws of random_energy_subset before it gives up
 @dataclass
 class EnergyReport:
     """Exact energy, the trivial 2|A||B| cap ``diag_bound`` on tuples that
-    reuse a pair, the number of distinct products |A.B|, the product
-    histogram when it was asked for, and ``kernel``: the dtype each side
-    ran in and how many windows it used.
+    reuse a pair, the number of distinct products |A.B|, and ``kernel``: the
+    dtype each side ran in and how many windows it used.
 
-    ``product_count`` is the number of distinct keys of the product-side
-    histogram and has no second route of its own, because it needs none:
-    on every call the quotient side checks that histogram's sum of r(x)^2
+    ``product_count`` is the number of distinct products the product side
+    counted and has no second route of its own, because it needs none: on
+    every call the quotient side checks those counts' sum of r(x)^2
     exactly, and a lost product, or a product class wrongly split or
     merged, changes that sum.  ``cs_floor`` also checks |A|^2|B|^2 <=
     E |A.B| exactly, in integers.
@@ -96,7 +94,6 @@ class EnergyReport:
     energy: int
     diag_bound: int
     product_count: int
-    histogram: dict[int, int] | None = None
     kernel: dict = field(default_factory=dict)
 
 
@@ -304,20 +301,16 @@ def _product_windows(A: IntSet, B: IntSet):
         del vals, cnts  # free this window before the next one is built
 
 
-def _product_energy(A: IntSet, B: IntSet, with_histogram: bool = False):
-    """E(A, B) from the product side, |A.B|, the product histogram when
-    asked for, and the kernel's route."""
+def _product_energy(A: IntSet, B: IntSet):
+    """E(A, B) from the product side, |A.B| and the kernel's route."""
     e = count = windows = 0
-    hist: dict[int, int] | None = {} if with_histogram else None
     for vals, cnts in _product_windows(A, B):
         e += int(np.dot(cnts, cnts))
         count += vals.size
         windows += 1
-        if hist is not None:
-            hist.update(zip(vals.tolist(), cnts.tolist()))
         dtype = vals.dtype
         del vals, cnts  # free this window before the next one is built
-    return e, count, hist, {"product_route": _ROUTES[dtype.kind], "product_windows": windows}
+    return e, count, {"product_route": _ROUTES[dtype.kind], "product_windows": windows}
 
 
 def _quotient_windows(sets: list[IntSet], bits: int):
@@ -399,27 +392,21 @@ def _check_quotient_side(e_prod: int, A: IntSet, B: IntSet, dot: int) -> None:
         )
 
 
-def energy(A: IntSet, B: IntSet | None = None, with_histogram: bool = False) -> EnergyReport:
+def energy(A: IntSet, B: IntSet | None = None) -> EnergyReport:
     """Multiplicative energy of A (or of the pair A, B), via both routes.
 
     Requires 0 absent from both sets.  The product-side sum of squared
     representation counts is the returned value; the quotient-side sum
     (same-set: sum of r_{A/A}^2; cross: dot of r_{A/A} with r_{B/B}) is
     recomputed on every call and must match exactly.  The product side is
-    reduced to its numbers before the quotient keys are built.  The
-    histogram, a dict with one entry per distinct product, is refused past
-    the ``product_set_pairs`` budget, as ``product_set`` is.
+    reduced to its numbers before the quotient keys are built.
     """
     A, B = _energy_sets(A, B)
-    if with_histogram:
-        check_budget("product_set_pairs", len(A) * len(B))
-    e, count, hist, kernel = _product_energy(A, B, with_histogram)
+    e, count, kernel = _product_energy(A, B)
     (aa, _, ab), keys = _quotient_dots(A, None if A is B else B)
     _check_quotient_side(e, A, B, aa if A is B else ab)
-    return EnergyReport(
-        energy=e, diag_bound=2 * len(A) * len(B), product_count=count, histogram=hist,
-        kernel=kernel | keys,
-    )
+    return EnergyReport(energy=e, diag_bound=2 * len(A) * len(B), product_count=count,
+                        kernel=kernel | keys)
 
 
 def energy_bruteforce(A: IntSet, B: IntSet | None = None) -> int:

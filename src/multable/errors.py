@@ -29,7 +29,7 @@ class RetriesExhaustedError(InternalCheckError):
 # allocated; README.md's budget table names what each bounds and who refuses
 BUDGETS = {
     "kernel_pairs": 1 << 30,  # |A||B| of one pair-kernel call: its time
-    "product_set_pairs": 1 << 26,  # |A||B| of a product list or histogram
+    "product_set_pairs": 1 << 26,  # |A||B| of a product list
     "object_pairs": 1 << 20,  # pairs of one exact Python-int fallback
     "bruteforce_pairs": 10**4,  # |A||B| of the quadratic energy oracle
     "offdiag_pairs": 10**7,  # co-occurring quotient pairs in offdiag_tuples
@@ -38,8 +38,7 @@ BUDGETS = {
     "mc_uniforms": 1 << 32,  # samples * n of one Monte Carlo call
     "table_n": 1 << 16,  # N of the multiplication-table count
     "reduce_L": 1 << 22,  # elements of one reduce
-    "reciprocal_k": 5,  # tuple length of the prime-reciprocal sum
-    "reciprocal_x": 10**7,  # x of the prime-reciprocal sum and of shiu
+    "reciprocal_x": 10**7,  # x of shiu_mean's window and its Mertens sum
     "dfs_nodes": 10**7,  # nodes of one walk over admissible prime tuples
 }
 

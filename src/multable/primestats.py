@@ -3,9 +3,9 @@
 Covers the constrained square-free sets N_k (elements with exactly k
 distinct prime factors whose j-th smallest prime p_j satisfies
 log log p_j >= alpha*j - beta), exact prime counting along progressions
-with its density floor, the depth-first reciprocal-sum enumerator over
-admissible prime tuples, and short-interval means of z^omega(n) compared
-against their multiplicative-function envelope.
+with its density floor, the constructive last-prime witness for N_k built
+on one depth-first walk over admissible prime tuples, and short-interval
+means of z^omega(n) compared against their multiplicative-function envelope.
 """
 
 from __future__ import annotations
@@ -147,21 +147,6 @@ def _admissible_tuples(m: int, d: int, alpha: float, beta: float, limit: int, vi
                 walk(depth + 1, i + 1, new)
 
     walk(0, 0, 1)
-
-
-def reciprocal_sum_lower(x: int, k: int, d: int, beta: float, alpha: float) -> float:
-    """Sum of 1/(p_1 ... p_k) over ascending prime tuples with product < x,
-    no p_j dividing d, and log log p_j >= alpha*j - beta, by exhaustive DFS.
-
-    The reference scale for ratio inspection is (e log 4)^k.
-    """
-    if k < 0 or not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise PreconditionError("needs k >= 0 and finite alpha, beta")
-    check_budget("reciprocal_k", k)
-    check_budget("reciprocal_x", x)
-    terms: list[float] = []
-    _admissible_tuples(k, d, alpha, beta, x, lambda prod, _: terms.append(1.0 / prod))
-    return math.fsum(terms)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Arithmetic progressions and the elementary transformations used by the
-reduction pipeline: positivity restriction, gcd normalization, dyadic
-partition, and dilation.
+reduction pipeline: negation, positivity restriction, gcd normalization and
+dyadic partition.
 
 A progression is the triple (a, d, L) representing {a + i*d : 0 <= i < L}
 with d >= 1 and L >= 1, so elements are strictly increasing.  Generic
@@ -24,8 +24,11 @@ IntSet = list[int]
 
 
 def intset(values) -> IntSet:
-    """Normalize an iterable of integers into a sorted duplicate-free list."""
-    return sorted(set(values))
+    """Integers as a sorted, duplicate-free list of Python ints, or PreconditionError."""
+    try:
+        return sorted(set(map(index, values)))
+    except TypeError:
+        raise PreconditionError("needs integers") from None
 
 
 def int_array(values, *bounds: int) -> np.ndarray:
@@ -54,6 +57,11 @@ class ArithmeticProgression:
     L: int
 
     def __post_init__(self):
+        try:  # Python ints, so nothing wraps as numpy scalars would
+            for name in ("a", "d", "L"):
+                object.__setattr__(self, name, index(getattr(self, name)))
+        except TypeError:
+            raise PreconditionError("a, d and L must be integers") from None
         if self.d < 1:
             raise PreconditionError(f"common difference must be >= 1, got {self.d}")
         if self.L < 1:
@@ -121,9 +129,3 @@ class ArithmeticProgression:
             t += 1
         return blocks
 
-
-def dilate(s: IntSet, m: int) -> IntSet:
-    """The set {m*x : x in s} for m != 0; preserves cardinality."""
-    if m == 0:
-        raise PreconditionError("dilation factor must be nonzero")
-    return sorted(m * x for x in s)

@@ -49,21 +49,15 @@ def large_a_energy_bound(ap: ArithmeticProgression, subset_size: int | None = No
     return 2.0 * size * size + 4.0 * ap.L**3 / ap.a * (1.0 + math.log(ap.L))
 
 
-def largest_square_class(A: IntSet, T: int) -> tuple[IntSet, int, IntSet]:
-    """Largest class of A sharing one largest square divisor t^2 <= T^2.
+def _square_class(A: np.ndarray, T: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Largest class of sorted A sharing one largest square divisor t^2 <= T^2.
 
-    Returns (B0, t, B) with B = B0 / t^2 square-free; among equally large
-    classes the smallest t wins.  Elements whose largest square divisor
+    Returns arrays (B0, t, B) with B = B0 / t^2 square-free; among equally
+    large classes the smallest t wins.  Elements whose largest square divisor
     exceeds T^2 are discarded before classing.  Square divisors come from
     ``hull_table`` over A, then over B for its check, so A's hull must fit the
-    ``sieve`` budget, or BudgetError (as for ``largest_square_class([2, 3, 2**30], 2)``).
+    ``sieve`` budget, or BudgetError (as for A = [2, 3, 2**30], T = 2).
     """
-    B0, t, B = _square_class(int_array(A), T)
-    return B0.tolist(), t, B.tolist()
-
-
-def _square_class(A: np.ndarray, T: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """``largest_square_class`` on a sorted array, returning arrays."""
     if not A.size or A[0] < 1 or A[-1] >= 2**63:
         raise PreconditionError("needs positive integers below 2^63")
     table, at = hull_table(A, factor_lists=False)
@@ -83,22 +77,14 @@ def _square_class(A: np.ndarray, T: int) -> tuple[np.ndarray, int, np.ndarray]:
     return B0, math.isqrt(best_sq), B
 
 
-def squarefree_reduce(
-    A: IntSet, ap: ArithmeticProgression, delta
-) -> tuple[IntSet, int, IntSet]:
-    """Extract the largest same-square-divisor class of A and divide it out.
-
-    Returns (B0, t, B): B0 are the elements of A sharing largest square
-    divisor t^2 with t <= ceil(3/delta), and B = B0 / t^2 is square-free.
-    Requires the room hypothesis a + dL < (delta^2 / 9) L^2 and d <= L;
-    under it |B0| >= delta^2 L / 18, which is re-checked exactly.
-    """
-    B0, t, B = _squarefree_reduce(int_array(A, ap.a, ap.last, ap.d), ap, Fraction(delta))
-    return B0.tolist(), t, B.tolist()
-
-
 def _squarefree_reduce(A: np.ndarray, ap: ArithmeticProgression, delta: Fraction) -> tuple:
-    """``squarefree_reduce`` on a sorted array, returning arrays."""
+    """Extract the largest same-square-divisor class of sorted A; divide it out.
+
+    Returns arrays (B0, t, B): B0 are the elements of A sharing largest
+    square divisor t^2 with t <= ceil(3/delta), and B = B0 / t^2 is
+    square-free.  Requires the room hypothesis a + dL < (delta^2 / 9) L^2 and
+    d <= L; under it |B0| >= delta^2 L / 18, which is re-checked exactly.
+    """
     L = ap.L
     _check_subset(A, ap)
     if ap.a <= 0 or gcd(ap.a, ap.d) != 1:

@@ -19,17 +19,16 @@ Tables are the library's one source of prime factors, nothing trial-divides:
 ``hull_table`` sieves the shortest progression through a set.  The one
 primality sieve, ``prime_flags``, runs in index space over the elements of a
 progression too; the one prime list, ``primes_upto``, is a cache that grows
-through it.  Also here: the prime-reciprocal sum, an empirical Mertens check.
+through it.  Also here: ``mertens_sum``, the sum of 1/p over primes up to x.
 """
 
 from __future__ import annotations
 
-import math
 from math import gcd, isqrt
 
 import numpy as np
 
-from .errors import BUDGETS, InternalCheckError, PreconditionError, check_budget
+from .errors import BUDGETS, PreconditionError, check_budget
 from .progressions import ArithmeticProgression, int_array
 
 _STRIDE_SPLIT = 1 << 10  # primes below this are sieved by stride
@@ -91,12 +90,6 @@ class FactorizationTable:
         if off.any():
             self._index(int(v[off][0]))  # raises, naming the first such value
         return pos
-
-    def omega(self, n: int) -> int:
-        return int(self.omega_array[self._index(n)])
-
-    def largest_square_divisor(self, n: int) -> int:
-        return int(self.square_divisor_array[self._index(n)])
 
     def prime_factors(self, n: int) -> list[int]:
         flat, offsets = self.factor_arrays
@@ -307,29 +300,6 @@ def prime_flags(ap: ArithmeticProgression) -> np.ndarray:
     own = (primes - a) // d  # set back the sieving primes that are elements
     live[own[(primes >= a) & ((primes - a) % d == 0) & (own < n)]] = True
     return flags
-
-
-def count_large_square_divisible(ap: ArithmeticProgression, T: int) -> int:
-    """How many elements of ap are divisible by some square exceeding T^2.
-
-    Requires gcd(a, d) = 1 and positive a, d; in that range the count is
-    provably at most sqrt(a + dL) + L/T, which is re-checked on every call.
-    The square divisors come from ``progression_table``, so its budget holds:
-    ``BudgetError`` past the ``sieve`` budget of elements or ap.last above
-    about 2^48.
-    """
-    if T < 1:
-        raise PreconditionError("T must be >= 1")
-    if ap.a <= 0 or gcd(ap.a, ap.d) != 1:
-        raise PreconditionError("requires a > 0 and gcd(a, d) = 1")
-    sqdiv = progression_table(ap, factor_lists=False).square_divisor_array
-    count = int((sqdiv > T * T).sum())
-    bound = math.sqrt(ap.a + ap.d * ap.L) + ap.L / T
-    if count > bound:
-        raise InternalCheckError(
-            f"square-divisible count {count} exceeds sqrt(a+dL) + L/T = {bound}"
-        )
-    return count
 
 
 def mertens_sum(x: int) -> float:

@@ -25,7 +25,6 @@ from multable.energy import (
 )
 from multable.experiments import cmd_table
 from multable.progressions import ArithmeticProgression as AP
-from multable.progressions import dilate
 from multable.primestats import (
     NkQuery,
     ShiuQuery,
@@ -36,7 +35,7 @@ from multable.primestats import (
     totient,
 )
 from multable.reduction import DirectBound, Reduced, reduce
-from multable.sieve import build_table, count_large_square_divisible, mertens_sum
+from multable.sieve import build_table, mertens_sum
 from multable.smirnov import (
     SmirnovBoundary,
     volume_sandwich,
@@ -44,7 +43,8 @@ from multable.smirnov import (
     noncrossing_probability_mc,
     region_volume,
 )
-from test_sieve import factorize, square_part
+from test_progressions import dilate
+from test_sieve import factorize, large_square_count, square_part
 
 SHIU_RATIO_K = 1.5  # empirical ceiling for exact/envelope on the grid below
 
@@ -64,7 +64,7 @@ def test_criterion_01_energy_oracle_equivalence():
         for _ in range(500):
             A = sorted(rnd.sample(range(1, 10**6 + 1), rnd.randrange(1, 61)))
             B = sorted(rnd.sample(range(1, 10**6 + 1), rnd.randrange(1, 61)))
-            assert energy(A, B, with_histogram=False).energy == energy_bruteforce(A, B)
+            assert energy(A, B).energy == energy_bruteforce(A, B)
 
 
 def test_criterion_02_cauchy_schwarz_inequalities():
@@ -88,7 +88,7 @@ def test_criterion_03_progression_energy_bound():
             if math.gcd(a, d) != 1:
                 continue
             L = rnd.randrange(1, 401)
-            e = energy(AP(a, d, L).elements(), with_histogram=False).energy
+            e = energy(AP(a, d, L).elements()).energy
             bound = 2 * L * L + 4 * L**3 / a * (1 + math.log(L))
             assert e <= bound  # int vs float compares exactly in Python
             done += 1
@@ -96,7 +96,7 @@ def test_criterion_03_progression_energy_bound():
 
 def test_criterion_04_large_square_divisor_count():
     with criterion(4, "square-divisor count bound on 200 APs + exact [1,100] value", 10):
-        assert count_large_square_divisible(AP(1, 1, 100), 3) == 15
+        assert large_square_count(AP(1, 1, 100), 3) == 15
         rnd = random.Random(1004)
         done = 0
         while done < 200:
@@ -106,7 +106,7 @@ def test_criterion_04_large_square_divisor_count():
                 continue
             L = rnd.randrange(1, 500)
             T = rnd.randrange(1, 20)
-            c = count_large_square_divisible(AP(a, d, L), T)
+            c = large_square_count(AP(a, d, L), T)
             assert c <= math.sqrt(a + d * L) + L / T
             done += 1
 
@@ -143,7 +143,7 @@ def test_criterion_05_reduction_pipeline_soundness():
                 outcomes[type(out).__name__] += 1
                 if isinstance(out, DirectBound):
                     assert set(out.subset) <= set(A)
-                    exact = energy(out.subset, with_histogram=False).energy
+                    exact = energy(out.subset).energy
                     assert exact <= out.energy_value
                 else:
                     assert isinstance(out, Reduced)

@@ -6,7 +6,8 @@ import pytest
 from multable.energy import energy, energy_bruteforce, offdiag_tuples, product_set
 from multable.errors import BUDGETS, BudgetError
 from multable.experiments import cmd_reduce, table_count
-from multable.primestats import reciprocal_sum_lower
+from multable.primestats import NkQuery, ShiuQuery, nk_last_prime_extension, shiu_mean
+from multable.progressions import ArithmeticProgression as AP
 from multable.sieve import mertens_sum
 from multable.smirnov import SmirnovBoundary, noncrossing_probability_mc, q_n
 
@@ -24,9 +25,9 @@ CHEAPEST = {
     "mc_uniforms": (lambda: noncrossing_probability_mc(SmirnovBoundary.from_values([0.5]), 10**4, 0), 10**4),
     "table_n": (lambda: table_count(4), 4),
     "reduce_L": (lambda: cmd_reduce(1, 1, 10), 10),
-    "reciprocal_k": (lambda: reciprocal_sum_lower(100, 1, 1, 1.0, 0.0), 1),
-    "reciprocal_x": (lambda: reciprocal_sum_lower(100, 0, 1, 1.0, 0.0), 100),
-    "dfs_nodes": (lambda: reciprocal_sum_lower(100, 1, 1, 1.0, 0.0), 25),  # the 25 primes below 100
+    "reciprocal_x": (lambda: shiu_mean(ShiuQuery(4, 3, 1, 0, 1.0)), 4),
+    # the prefixes 2, 3, 5 and 7 below sqrt(101)
+    "dfs_nodes": (lambda: nk_last_prime_extension(NkQuery(0.0, 1.0, 2, ap=AP(101, 1, 10)), 10), 4),
 }
 
 

@@ -22,8 +22,9 @@ from multable.energy import (
     random_energy_subset,
 )
 from multable.errors import BUDGETS, BudgetError, PreconditionError
+import multable.experiments as ex
 from multable.progressions import ArithmeticProgression as AP
-from multable.progressions import dilate
+from test_progressions import dilate
 from test_sieve import divisors
 
 # multable.energy is also the name of the function the package re-exports
@@ -167,7 +168,7 @@ def test_energy_examples():
 
 
 def test_energy_histogram():
-    hist = energy([1, 2, 3], with_histogram=True).histogram
+    hist = dict(zip(*_windowed(en._product_windows([1, 2, 3], [1, 2, 3]))))
     assert hist == {1: 1, 2: 2, 3: 2, 4: 1, 6: 2, 9: 1}
     assert sum(c * c for c in hist.values()) == 15
 
@@ -177,12 +178,25 @@ def test_energy_rejects_zero():
         energy([0, 1, 2])
 
 
+def test_numpy_input_matches_lists():
+    # numpy integers become Python ints: none lacks bit_length, no product wraps
+    for A, B in (([1, 2, 3], [2, 5]), ([2**40 + 1], [2**40 + 3]), ([-7, 3, 2**31], [5, 2**33])):
+        a, b = np.array(A), np.array(B)
+        assert energy(a) == energy(A) and energy(a, b) == energy(A, B)
+        assert cs_energy_split(a, b) == cs_energy_split(A, B)
+        assert product_set(a, b) == product_set(A, B)
+    assert product_set(np.array([2**40 + 1]), np.array([2**40 + 3])) == [(2**40 + 1) * (2**40 + 3)]
+    assert offdiag_tuples(np.array([1, 2, 3, 6])) == offdiag_tuples([1, 2, 3, 6])
+    assert random_energy_subset(np.arange(1, 30), 3) == random_energy_subset(list(range(1, 30)), 3)
+    assert ex.cmd_energy(np.array([0, 2, 3])).results == ex.cmd_energy([0, 2, 3]).results
+
+
 def test_bruteforce_matches_seeded_random():
     rnd = random.Random(99)
     for _ in range(60):
         A = sorted(rnd.sample(range(1, 10**6), rnd.randrange(1, 40)))
         B = sorted(rnd.sample(range(1, 10**6), rnd.randrange(1, 40)))
-        assert energy(A, B, with_histogram=False).energy == energy_bruteforce(A, B)
+        assert energy(A, B).energy == energy_bruteforce(A, B)
 
 
 def test_bruteforce_budget():
@@ -192,7 +206,7 @@ def test_bruteforce_budget():
 
 @given(nonzero_sets, st.sampled_from([-3, 2, 7]))
 def test_energy_dilation_invariance(A, m):
-    assert energy(dilate(A, m), with_histogram=False).energy == energy(A, with_histogram=False).energy
+    assert energy(dilate(A, m)).energy == energy(A).energy
 
 
 @given(nonzero_sets, nonzero_sets)
@@ -201,7 +215,7 @@ def test_cauchy_schwarz_pair(A, B):
     cs_product_lower_bound(A, B)
     rhs, ok = cs_energy_split(A, B)
     assert ok
-    assert energy(A, B, with_histogram=False).energy <= rhs + 1e-9
+    assert energy(A, B).energy <= rhs + 1e-9
 
 
 def test_cs_examples():
@@ -319,11 +333,11 @@ def test_random_energy_subset_examples():
     sub = random_energy_subset(A, seed=1)
     e_sub = energy_bruteforce(sub)
     assert e_sub <= 4 * len(sub) ** 2
-    assert 2 * energy(A, with_histogram=False).energy * len(sub) >= len(A) ** 3
+    assert 2 * energy(A).energy * len(sub) >= len(A) ** 3
 
     geo = [2**i for i in range(16)]
     sub = random_energy_subset(geo, seed=2)
-    e_a = energy(geo, with_histogram=False).energy
+    e_a = energy(geo).energy
     assert energy_bruteforce(sub) <= 4 * len(sub) ** 2
     assert 2 * e_a * len(sub) >= len(geo) ** 3
 
@@ -332,7 +346,7 @@ def test_quotient_product_identity_object_path():
     # elements beyond the packed-key range take the exact object-array keys
     big = 1 << 33
     A = [big + 1, big + 2, big + 3]
-    assert energy(A, with_histogram=False).energy == energy_bruteforce(A)
+    assert energy(A).energy == energy_bruteforce(A)
 
 
 def test_zero_set_partner_past_int64():
@@ -345,15 +359,15 @@ def test_zero_set_partner_past_int64():
 def test_cross_energy_mixed_width():
     # A fits the packed quotient keys and B does not; one encoding serves both
     A, B = [1, 2], [2**31, 2**32]
-    assert energy(A, B, with_histogram=False).energy == energy_bruteforce(A, B) == 6
+    assert energy(A, B).energy == energy_bruteforce(A, B) == 6
     rhs, ok = cs_energy_split(A, B)
     assert ok and rhs == pytest.approx(math.sqrt(6 * 6))
 
 
 @given(wide_sets, wide_sets)
 def test_energy_matches_bruteforce_across_int64_guards(A, B):
-    assert energy(A, with_histogram=False).energy == energy_bruteforce(A)
-    assert energy(A, B, with_histogram=False).energy == energy_bruteforce(A, B)
+    assert energy(A).energy == energy_bruteforce(A)
+    assert energy(A, B).energy == energy_bruteforce(A, B)
 
 
 def test_object_fallback_budget():
@@ -396,22 +410,6 @@ def test_product_set_budget(monkeypatch):
     assert energy([1], list(range(1, 66))).energy == 65
 
 
-def test_histogram_budget(monkeypatch):
-    # the histogram holds one entry per distinct product, so product_set's
-    # cap bounds it too, and is checked before any window is built
-    monkeypatch.setitem(BUDGETS, "product_set_pairs", 64)
-    assert len(energy([1], list(range(1, 65)), with_histogram=True).histogram) == 64
-
-    def no_windows(*args):
-        raise AssertionError("a window was built")
-
-    monkeypatch.setattr(en, "_windows", no_windows)
-    with pytest.raises(BudgetError):
-        energy([1], list(range(1, 66)), with_histogram=True)
-    with pytest.raises(BudgetError):
-        energy(list(range(1, 9)) + [10], with_histogram=True)  # 81 pairs of one set
-
-
 def test_one_window_kernel_provenance():
     # a call that fits one window takes it, and a one-element set, which has
     # no quotient pairs, still gets one window, empty
@@ -425,16 +423,16 @@ def test_dilation_invariance_100_random_sets():
     rnd = random.Random(77)
     for _ in range(100):
         A = sorted(rnd.sample([x for x in range(-500, 501) if x], rnd.randrange(1, 30)))
-        base = energy(A, with_histogram=False).energy
+        base = energy(A).energy
         for m in (-3, 2, 7):
-            assert energy(dilate(A, m), with_histogram=False).energy == base
+            assert energy(dilate(A, m)).energy == base
 
 
 def test_energy_diagonal_floor():
     rnd = random.Random(78)
     for _ in range(50):
         A = sorted(rnd.sample(range(1, 10**5), rnd.randrange(1, 30)))
-        e = energy(A, with_histogram=False).energy
+        e = energy(A).energy
         n = len(A)
         assert e >= max(n * n, 2 * n * n - n)
 
@@ -453,9 +451,8 @@ def test_energy_matches_bruteforce_across_key_routes(A, B):
 @given(any_key_sets)
 def test_energy_histogram_counts_ordered_pairs(A):
     want = Counter(a * b for a in A for b in A)
-    rep = energy(A, with_histogram=True)
-    assert rep.histogram == want
-    assert rep.product_count == len(want)
+    assert dict(zip(*_windowed(en._product_windows(A, A)))) == want
+    assert energy(A).product_count == len(want)
 
 
 @given(small_key_sets)

@@ -10,17 +10,26 @@ from multable.progressions import ArithmeticProgression as AP
 from multable.primestats import (
     NkQuery,
     ShiuQuery,
+    _admissible_tuples,
     nk_last_prime_extension,
     nk_set,
     prime_count_ap,
-    reciprocal_sum_lower,
     shiu_mean,
     totient,
 )
 from multable.sieve import build_table, primes_upto, progression_table
-from test_sieve import factorize, is_prime
+from test_sieve import factorize, is_prime, omega, square_divisor
 
 LOG4 = math.log(4)
+
+
+def reciprocal_sum(x, k, d, beta, alpha):
+    """Sum of 1/(p_1 ... p_k) over the tuples the admissible-prime walk of
+    ``nk --witness`` visits: ascending primes not dividing d with product < x
+    and log log p_j >= alpha*j - beta."""
+    terms = []
+    _admissible_tuples(k, d, alpha, beta, x, lambda prod, _: terms.append(1.0 / prod))
+    return math.fsum(terms)
 
 
 def _nk_oracle(values, alpha, beta, k):
@@ -61,7 +70,7 @@ def _nk_per_member(q, table):
     """nk_set one member at a time, through the scalar table lookups."""
     out = []
     for n in q.domain():
-        if n >= 1 and table.largest_square_divisor(n) == 1 and table.omega(n) == q.k:
+        if n >= 1 and square_divisor(table, n) == 1 and omega(table, n) == q.k:
             pf = table.prime_factors(n)
             if all(math.log(math.log(p)) >= q.alpha * (j + 1) - q.beta for j, p in enumerate(pf)):
                 out.append(n)
@@ -142,11 +151,11 @@ def test_prime_count_density_floor_cell():
 
 
 def test_reciprocal_sum_examples():
-    assert reciprocal_sum_lower(10, 1, 1, 100.0, 0.0) == pytest.approx(
+    assert reciprocal_sum(10, 1, 1, 100.0, 0.0) == pytest.approx(
         1 / 2 + 1 / 3 + 1 / 5 + 1 / 7
     )
-    assert reciprocal_sum_lower(10, 1, 6, 100.0, 0.0) == pytest.approx(1 / 5 + 1 / 7)
-    assert reciprocal_sum_lower(10, 0, 1, 100.0, 0.0) == 1.0
+    assert reciprocal_sum(10, 1, 6, 100.0, 0.0) == pytest.approx(1 / 5 + 1 / 7)
+    assert reciprocal_sum(10, 0, 1, 100.0, 0.0) == 1.0
 
 
 def test_reciprocal_sum_constrained_matches_enumeration():
@@ -160,23 +169,13 @@ def test_reciprocal_sum_constrained_matches_enumeration():
                 math.log(math.log(p)) >= alpha * j - beta for j, p in enumerate(tup, 1)
             ):
                 want += 1.0 / math.prod(tup)
-        assert reciprocal_sum_lower(x, k, d, beta, alpha) == pytest.approx(want, rel=1e-12), (alpha, d, k)
-
-
-def test_reciprocal_sum_budget():
-    with pytest.raises(BudgetError):
-        reciprocal_sum_lower(10**7 + 1, 1, 1, 1.0, 0.0)
-    with pytest.raises(BudgetError):
-        reciprocal_sum_lower(100, 6, 1, 1.0, 0.0)
-    for k, alpha in ((-1, 0.0), (1, math.nan), (1, math.inf)):
-        with pytest.raises(PreconditionError):
-            reciprocal_sum_lower(100, k, 1, 1.0, alpha)
+        assert reciprocal_sum(x, k, d, beta, alpha) == pytest.approx(want, rel=1e-12), (alpha, d, k)
 
 
 def test_tuple_walks_share_the_node_budget(monkeypatch, table_1e6):
     monkeypatch.setitem(BUDGETS, "dfs_nodes", 5)
     with pytest.raises(BudgetError):
-        reciprocal_sum_lower(1000, 2, 1, 100.0, 0.0)
+        reciprocal_sum(1000, 2, 1, 100.0, 0.0)
     q = NkQuery(0.0, 100.0, 3, ap=AP(900, 1, 400))
     with pytest.raises(BudgetError):
         nk_last_prime_extension(q, len(nk_set(q, table_1e6)))

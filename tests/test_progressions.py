@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 from multable.errors import PreconditionError
 from multable.progressions import ArithmeticProgression as AP
-from multable.progressions import dilate, int_array, intset
+from multable.progressions import int_array, intset
+
+
+def dilate(s, m):
+    """The sorted dilate {m*x : x in s}."""
+    return sorted(m * x for x in s)
 
 
 def test_elements_examples():
@@ -76,16 +81,13 @@ def test_dyadic_partition_exhaustive():
             assert hi - lo <= lo
 
 
-def test_dilate():
-    assert dilate([1, 2, 3], 2) == [2, 4, 6]
-    assert dilate([2, 3], 1) == [2, 3]
-    assert dilate([1, 2], -3) == [-6, -3]
-    with pytest.raises(PreconditionError):
-        dilate([1], 0)
-
-
 def test_intset_normalizes():
     assert intset([3, 1, 2, 3, 1]) == [1, 2, 3]
+    got = intset(np.array([2**40, 3, 3]))
+    assert got == [3, 2**40] and all(type(x) is int for x in got)
+    for values in ([1.5], [2.0], ["3"], np.array([1.0]), 7):
+        with pytest.raises(PreconditionError):
+            intset(values)
 
 
 def test_bad_parameters():
@@ -93,6 +95,12 @@ def test_bad_parameters():
         AP(1, 0, 5)
     with pytest.raises(PreconditionError):
         AP(1, 1, 0)
+    # numpy integers become Python ints, so last does not wrap past 2^63
+    ap = AP(np.int64(2**62), np.int64(2**61), np.int64(3))
+    assert ap.last == 2**63 and all(type(x) is int for x in (ap.a, ap.d, ap.L))
+    for a, d, L in ((1.5, 1, 3), (1, 2.0, 3), (1, 1, "3")):
+        with pytest.raises(PreconditionError):
+            AP(a, d, L)
 
 
 def test_int_array_guard():

@@ -15,12 +15,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from multable import cli
-from multable.energy import energy, offdiag_tuples
+from multable.energy import cs_energy_split, energy, offdiag_tuples, product_set
 from multable.errors import BudgetError, InternalCheckError, PreconditionError
 from multable.experiments import cmd_reduce
 from multable.progressions import ArithmeticProgression
 from multable.progressions import ArithmeticProgression as AP
-from multable.progressions import IntSet, dilate, int_array, intset
+from multable.progressions import IntSet, int_array, intset
 from multable.reduction import (
     EXTREMAL_FLAG_FACTOR,
     DirectBound,
@@ -28,14 +28,28 @@ from multable.reduction import (
     ReductionStep,
     ReductionTrace,
     _hull_prefix,
+    _square_class,
+    _squarefree_reduce,
     large_a_energy_bound,
-    largest_square_class,
     reduce,
-    squarefree_reduce,
     trimmed_set,
 )
 from multable.sieve import build_table, hull_table, progression_table
-from test_sieve import square_part
+from test_progressions import dilate
+from test_sieve import omega, square_part
+
+
+def square_class(A, T):
+    """``_square_class`` on the array of A, its arrays as lists."""
+    B0, t, B = _square_class(int_array(A), T)
+    return B0.tolist(), t, B.tolist()
+
+
+def squarefree_core(A, ap, delta):
+    """``_squarefree_reduce`` on the array of A, its arrays as lists."""
+    B0, t, B = _squarefree_reduce(int_array(A, ap.a, ap.last, ap.d), ap, Fraction(delta))
+    return B0.tolist(), t, B.tolist()
+
 
 # The list pipeline the array pipeline replaced, kept verbatim as the oracle
 # for whole traces; only the names are prefixed.
@@ -250,7 +264,7 @@ def test_large_a_bound_values():
     ap = AP(10**6, 1, 100)
     bound = large_a_energy_bound(ap)
     assert bound == pytest.approx(20000 + 4 * (1 + math.log(100)), rel=1e-12)
-    assert energy(ap.elements(), with_histogram=False).energy <= bound
+    assert energy(ap.elements()).energy <= bound
 
 
 def test_large_a_corollary_regime():
@@ -266,13 +280,13 @@ def test_large_a_precondition():
 
 
 def test_largest_square_class_examples():
-    assert largest_square_class([8, 12, 18, 27, 50], 5) == ([8, 12], 2, [2, 3])
+    assert square_class([8, 12, 18, 27, 50], 5) == ([8, 12], 2, [2, 3])
     A = [2, 3, 5, 7, 11]
-    assert largest_square_class(A, 3) == (A, 1, A)
-    B0, t, B = largest_square_class([4, 16, 36], 6)
+    assert square_class(A, 3) == (A, 1, A)
+    B0, t, B = square_class([4, 16, 36], 6)
     assert len(B0) == 1 and square_part(B[0]) == 1
     with pytest.raises(PreconditionError):  # past int64
-        largest_square_class([2**63 + 1], 2)
+        square_class([2**63 + 1], 2)
 
 
 @st.composite
@@ -296,11 +310,11 @@ def test_largest_square_class_matches_square_part(A, T):
     counts = Counter(s for s in sq.values() if s <= T * T)
     if not counts:
         with pytest.raises(PreconditionError):
-            largest_square_class(A, T)
+            square_class(A, T)
         return
     best = min(counts, key=lambda s: (-counts[s], s))
     B0 = [x for x in A if sq[x] == best]
-    got = largest_square_class(A, T)
+    got = square_class(A, T)
     assert got == (B0, math.isqrt(best), [x // best for x in B0])
     assert repr(got) == repr(list_largest_square_class(A, T))  # Python ints, as the lists gave
 
@@ -326,7 +340,7 @@ def test_squarefree_reduce_valid_instance():
     ap = AP(1, 1, 2000)
     A = sorted(rnd.sample(ap.elements(), 900))
     delta = Fraction(9, 20)
-    B0, t, B = squarefree_reduce(A, ap, delta)
+    B0, t, B = squarefree_core(A, ap, delta)
     assert 18 * len(B0) >= delta * delta * ap.L
     assert all(square_part(b) == 1 for b in B)
     assert set(dilate(B, t * t)) == set(B0) <= set(A)
@@ -335,14 +349,14 @@ def test_squarefree_reduce_valid_instance():
 def test_squarefree_reduce_squarefree_input():
     ap = AP(1, 1, 3000)
     A = [n for n in ap.elements() if square_part(n) == 1]
-    B0, t, B = squarefree_reduce(A, ap, Fraction(1, 2))
+    B0, t, B = squarefree_core(A, ap, Fraction(1, 2))
     assert t == 1 and B0 == B == A
 
 
 def test_squarefree_reduce_hypothesis_error():
     ap = AP(10**6, 1, 50)
     with pytest.raises(PreconditionError):
-        squarefree_reduce(ap.elements(), ap, 1)
+        squarefree_core(ap.elements(), ap, 1)
 
 
 def test_trimmed_set(table_1e6):
@@ -359,7 +373,7 @@ def test_trimmed_set_over_progression_table_matches_hull():
         A = sorted(rnd.sample(ap.elements(), rnd.randrange(0, ap.L + 1)))
         hull = build_table(ap.a, ap.last + 1, factor_lists=False)
         T = rnd.choice([0, 1, 2, 2.5, 3])
-        want = [n for n in A if hull.omega(n) <= T]
+        want = [n for n in A if omega(hull, n) <= T]
         assert trimmed_set(A, progression_table(ap, factor_lists=False), T) == want
         assert trimmed_set(A, hull, T) == want
     with pytest.raises(PreconditionError):
@@ -389,7 +403,7 @@ def test_reduce_large_first_term_direct_bound():
     assert isinstance(trace.outcome, DirectBound)
     out = trace.outcome
     assert set(out.subset) <= set(ap.elements())
-    exact = energy(out.subset, with_histogram=False).energy
+    exact = energy(out.subset).energy
     assert exact <= out.energy_value
 
 
@@ -420,7 +434,7 @@ def _trace_invariants(trace, A, ap, delta):
     if isinstance(trace.outcome, DirectBound):
         sub = trace.outcome.subset
         assert set(sub) <= set(A)
-        exact = energy(sub, with_histogram=False).energy
+        exact = energy(sub).energy
         assert exact <= trace.outcome.energy_value
     else:
         out = trace.outcome
@@ -544,7 +558,7 @@ def test_refusals_at_the_int64_edge(x):
     big = BudgetError if x > 0 else PreconditionError
     assert refused(offdiag_tuples, sorted([1, 2, x])) is big
     assert refused(hull_table, sorted([5, x])) is big
-    assert refused(largest_square_class, sorted([2, x]), 2) is (big if x < 2**63 else PreconditionError)
+    assert refused(square_class, sorted([2, x]), 2) is (big if x < 2**63 else PreconditionError)
     table = progression_table(AP(1, 1, 100), factor_lists=False)
     assert refused(trimmed_set, [x], table, 2) is PreconditionError
     assert refused(trimmed_set, [3, x], table, 2) is PreconditionError
@@ -571,18 +585,21 @@ def test_reduce_with_a_step_past_int64(a):
     if a:  # -1 is mirrored to 1; 0 has no positive side
         assert reduce([a], ap, 1).outcome.subset == [a]
     with pytest.raises(PreconditionError):
-        squarefree_reduce([a], ap, 1)
+        squarefree_core([a], ap, 1)
     code = 0 if a else 2
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["reduce", str(a), str(2**63), "1"]) == code
 
 
-@pytest.mark.parametrize("A", [[1.5, 2], [2.0, 3], ["1", "2"], [[1], [2]]])
+@pytest.mark.parametrize("A", [[1.5, 2], [2.0, 3], ["1", "2"], [[1], [2]], np.array([2.0, 3.0])])
 def test_non_integer_elements_refused(A):
-    # floats are not truncated, nor strings parsed, into a subset of ap
+    # floats are not truncated, nor strings parsed, into a subset of ap or a set
+    for f in (energy, product_set, cs_energy_split):
+        with pytest.raises(PreconditionError):
+            f(A, [5])
     with pytest.raises(PreconditionError):
         reduce(A, AP(1, 1, 3), Fraction(1, 3))
     with pytest.raises(PreconditionError):
-        largest_square_class(A, 2)
+        square_class(A, 2)
     with pytest.raises(PreconditionError):
         trimmed_set(A, progression_table(AP(1, 1, 10), factor_lists=False), 2)

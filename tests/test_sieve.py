@@ -13,10 +13,10 @@ import multable.sieve as sieve
 from multable.energy import offdiag_tuples
 from multable.errors import BUDGETS, BudgetError, PreconditionError
 from multable.progressions import ArithmeticProgression as AP
-from multable.reduction import largest_square_class
+from multable.progressions import int_array
+from multable.reduction import _square_class
 from multable.sieve import (
     build_table,
-    count_large_square_divisible,
     hull_table,
     mertens_sum,
     prime_flags,
@@ -92,27 +92,42 @@ def square_part(n: int) -> int:
     return math.prod(p ** (2 * (e // 2)) for p, e in factorize(n).items())
 
 
+def omega(t, n: int) -> int:
+    """omega of the element n of table t, read at its position."""
+    return int(t.omega_array[t.positions([n])[0]])
+
+
+def square_divisor(t, n: int) -> int:
+    """The largest square divisor of the element n of table t, read at its position."""
+    return int(t.square_divisor_array[t.positions([n])[0]])
+
+
+def large_square_count(ap, T: int) -> int:
+    """How many elements of ap a square above T^2 divides, from its table."""
+    return int((progression_table(ap, factor_lists=False).square_divisor_array > T * T).sum())
+
+
 def test_build_small():
     t = build_table(1, 11)
-    assert t.omega(1) == 0
-    assert t.omega(6) == 2
-    assert t.omega(8) == 1
+    assert omega(t, 1) == 0
+    assert omega(t, 6) == 2
+    assert omega(t, 8) == 1
     assert t.prime_factors(10) == [2, 5]
-    assert t.largest_square_divisor(10) == 1 and t.largest_square_divisor(8) == 4
+    assert square_divisor(t, 10) == 1 and square_divisor(t, 8) == 4
 
 
 def test_build_72():
     t = build_table(72, 73)
-    assert t.largest_square_divisor(72) == 36
+    assert square_divisor(t, 72) == 36
     assert t.prime_factors(72) == [2, 3]
 
 
 def _check_against_trial_division(t, n):
     fac = factorize(n)
     assert t.prime_factors(n) == sorted(fac)
-    assert t.omega(n) == len(fac)
+    assert omega(t, n) == len(fac)
     sq = math.prod(p ** (2 * (e // 2)) for p, e in fac.items())
-    assert t.largest_square_divisor(n) == sq
+    assert square_divisor(t, n) == sq
     assert (sq == 1) == all(e == 1 for e in fac.values())
 
 
@@ -124,8 +139,8 @@ def test_build_1e9_window_invariants():
     for n in samples:
         pf = t.prime_factors(n)
         assert math.prod(pf) and n % math.prod(pf) == 0
-        assert t.omega(n) == len(pf)
-        d = t.largest_square_divisor(n)
+        assert omega(t, n) == len(pf)
+        d = square_divisor(t, n)
         assert d >= 1 and n % d == 0 and math.isqrt(d) ** 2 == d
         _check_against_trial_division(t, n)
 
@@ -180,8 +195,8 @@ def _check_factor_lists(t, values):
             assert e >= 1
             sq *= p ** (2 * (e // 2))
         assert m == 1
-        assert t.omega(n) == len(pf)
-        assert t.largest_square_divisor(n) == sq
+        assert omega(t, n) == len(pf)
+        assert square_divisor(t, n) == sq
 
 
 # a times one of these is a multiple of a high prime power
@@ -222,20 +237,20 @@ def test_progression_table_matches_hull_and_factorize(ap, factor_lists):
             _check_against_trial_division(t, n)
         else:
             fac = factorize(n)
-            assert t.omega(n) == len(fac)
-            assert t.largest_square_divisor(n) == math.prod(p ** (2 * (e // 2)) for p, e in fac.items())
+            assert omega(t, n) == len(fac)
+            assert square_divisor(t, n) == math.prod(p ** (2 * (e // 2)) for p, e in fac.items())
 
 
 def test_progression_table_lookups():
     t = progression_table(AP(7, 10, 5))  # 7, 17, 27, 37, 47
     assert t.positions([47, 7, 27]).tolist() == [4, 0, 2]
-    assert t.prime_factors(27) == [3] and t.largest_square_divisor(27) == 9
+    assert t.prime_factors(27) == [3] and square_divisor(t, 27) == 9
     for bad in ([8], [57], [-3], [2**70], [7, 17, 18]):
         with pytest.raises(PreconditionError):
             t.positions(bad)
     for bad in (8, 57, -3):
         with pytest.raises(PreconditionError):
-            t.omega(bad)
+            omega(t, bad)
     with pytest.raises(PreconditionError):
         progression_table(AP(0, 3, 5))
     with pytest.raises(PreconditionError):
@@ -287,7 +302,7 @@ def test_factor_lists_memory_bounded():
 def test_progression_table_budget_counts_elements():
     # the hull [1, 1 + 1000 * 10^5) is six times the budget; 10^5 elements are not
     t = progression_table(AP(1, 1000, 10**5), factor_lists=False)
-    assert t.omega(1 + 1000 * 99999) == len(factorize(1 + 1000 * 99999))
+    assert omega(t, 1 + 1000 * 99999) == len(factorize(1 + 1000 * 99999))
     with pytest.raises(BudgetError):
         progression_table(AP(1, 1, BUDGETS["sieve"] + 1))
     with pytest.raises(BudgetError):
@@ -328,7 +343,7 @@ def test_omega_multiplicative_on_coprime_pairs():
         if math.gcd(m, n) != 1:
             continue
         t = build_table(m * n, m * n + 1)
-        assert t.omega(m * n) == len(factorize(m)) + len(factorize(n))
+        assert omega(t, m * n) == len(factorize(m)) + len(factorize(n))
 
 
 def test_square_divisor_times_squarefree_part(table_1e6):
@@ -352,9 +367,9 @@ def test_hardy_ramanujan_fraction(table_1e6):
 
 
 def test_count_large_square_divisible_examples():
-    assert count_large_square_divisible(AP(1, 1, 100), 3) == 15
-    assert count_large_square_divisible(AP(1, 1, 3), 1) == 0
-    assert count_large_square_divisible(AP(2, 3, 5), 1) == 1
+    assert large_square_count(AP(1, 1, 100), 3) == 15
+    assert large_square_count(AP(1, 1, 3), 1) == 0
+    assert large_square_count(AP(2, 3, 5), 1) == 1
 
 
 def test_count_large_square_divisible_bound_random():
@@ -367,7 +382,7 @@ def test_count_large_square_divisible_bound_random():
             continue
         L = rnd.randrange(1, 400)
         T = rnd.randrange(1, 10)
-        c = count_large_square_divisible(AP(a, d, L), T)
+        c = large_square_count(AP(a, d, L), T)
         assert c <= math.sqrt(a + d * L) + L / T
         done += 1
 
@@ -379,14 +394,16 @@ def test_count_large_square_divisible_matches_square_part():
         ap = AP(a, d, L)
         sq = [square_part(n) for n in ap.elements()]
         for T in (1, 2, 5, 30):
-            assert count_large_square_divisible(ap, T) == sum(s > T * T for s in sq), (ap, T)
+            c = large_square_count(ap, T)
+            assert c == sum(s > T * T for s in sq), (ap, T)
+            assert c <= math.sqrt(a + d * L) + L / T
 
 
 def test_count_large_square_divisible_budget():
     with pytest.raises(BudgetError):
-        count_large_square_divisible(AP(2**63 + 1, 1, 3), 2)
+        large_square_count(AP(2**63 + 1, 1, 3), 2)
     with pytest.raises(BudgetError):
-        count_large_square_divisible(AP(1, 1, BUDGETS["sieve"] + 1), 2)
+        large_square_count(AP(1, 1, BUDGETS["sieve"] + 1), 2)
 
 
 def test_square_part_matches_factorization():
@@ -486,7 +503,7 @@ def test_hull_past_the_sieve_budget():
     with pytest.raises(BudgetError):
         offdiag_tuples([1, 2, 2**25])
     with pytest.raises(BudgetError):
-        largest_square_class([2, 3, 2**30], 2)
+        _square_class(int_array([2, 3, 2**30]), 2)
     with pytest.raises(BudgetError):  # a short hull ending past about 2^48
         offdiag_tuples([2**50, 2**50 + 1])
 
@@ -496,7 +513,7 @@ def test_sparse_hull_cost_is_per_hull_number():
     # follows the hull, and stays below 48 traced bytes per hull number
     tracemalloc.start()
     try:
-        largest_square_class([2, 3, 2**22 + 1], 2)
+        _square_class(int_array([2, 3, 2**22 + 1]), 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
