@@ -5,7 +5,7 @@ with constrained factorizations, and order-statistic boundary probabilities.
 
 __version__ = "0.1.0"
 
-from .progressions import ArithmeticProgression, intset
+from .progressions import ArithmeticProgression
 from .sieve import (
     FactorizationTable,
     build_table,
@@ -28,7 +28,6 @@ from .reduction import (
     ReductionTrace,
     large_a_energy_bound,
     reduce,
-    trimmed_set,
 )
 from .primestats import (
     NkQuery,
@@ -63,7 +62,6 @@ __all__ = [
     "cs_product_lower_bound",
     "energy",
     "energy_bruteforce",
-    "intset",
     "large_a_energy_bound",
     "mertens_sum",
     "nk_last_prime_extension",
@@ -79,5 +77,4 @@ __all__ = [
     "reduce",
     "region_volume",
     "shiu_mean",
-    "trimmed_set",
 ]

@@ -7,13 +7,15 @@ product-side value against the quotient-side identity (representation
 counts over reduced fractions a1/a2), so the two routes must agree
 exactly before a result is returned.
 
-Both routes count sorted arrays, never dicts.  All arithmetic is exact:
-products run in int64 only when they provably fit, and on Python integers
-(the ``object_pairs`` budget) otherwise, so no result ever
-silently overflows.  A same-set energy counts only the products a_i*a_j
-with i <= j and recovers the counts over ordered pairs from them.  The
-quotient side orders each set by |s| and keys every pair i < j of that
-order on t_i/t_j, so every key lies in [-1, 1] and a pair {s, -s} gives -1.
+A set is any iterable of integers, read once at each public entry by
+``int_array`` into a sorted, duplicate-free array.  Both routes count sorted
+arrays, never dicts.  All arithmetic is exact: products run in int64 only
+when they provably fit, and on Python integers (the ``object_pairs``
+budget) otherwise, so no result ever silently overflows.  A same-set energy
+counts only the products a_i*a_j with i <= j and recovers the counts over
+ordered pairs from them.  The quotient side orders each set by |s| and keys
+every pair i < j of that order on t_i/t_j, so every key lies in [-1, 1] and
+a pair {s, -s} gives -1.
 
 One windowed kernel serves both sides.  Its pairs form rows that are
 monotone in j: row i of the products is a_i*b_j over the sorted B (j >= i
@@ -64,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError, RetriesExhaustedError, check_budget
-from .progressions import IntSet, intset
+from .progressions import int_array
 from .sieve import hull_table
 
 WINDOW_PAIRS = 1 << 20  # max pairs the kernel holds at once: its memory
@@ -97,29 +99,29 @@ class EnergyReport:
     kernel: dict = field(default_factory=dict)
 
 
-def _energy_sets(A: IntSet, B: IntSet | None) -> tuple[IntSet, IntSet]:
-    """A and B (A again when B is None) as sorted sets, nonempty and free of 0."""
-    A = intset(A)
-    B = A if B is None else intset(B)
-    if not A or not B:
-        raise PreconditionError("energy needs nonempty sets")
-    for name, s in (("A", A), ("B", B)):
-        if 0 in s:
-            raise PreconditionError(f"{name} must not contain 0 (drop it first)")
-    return A, B
+def _energy_sets(A, B) -> tuple[np.ndarray, np.ndarray]:
+    """A and B (A again when B is None) through ``int_array``; 0 is refused,
+    as the quotient side divides by every element."""
+    a = int_array(A)
+    b = a if B is None else int_array(B)
+    if 0 in a or 0 in b:
+        raise PreconditionError("energy needs sets without 0 (drop it first)")
+    return a, b
 
 
-def _kernel_arrays(A: IntSet, B: IntSet) -> tuple[np.ndarray, np.ndarray]:
-    """A and B as arrays in which every product a*b is exact: int64 when
-    |a*b| < 2^62 for all pairs, else Python ints in object arrays.  A
-    magnitude counts as at least 1, so a set {0} does not let its partner's
-    elements pass as fitting."""
-    check_budget("kernel_pairs", len(A) * len(B))
-    dt = np.int64
-    if max(1, -A[0], A[-1]) * max(1, -B[0], B[-1]) >= 1 << 62:
-        check_budget("object_pairs", len(A) * len(B))
-        dt = object
-    return np.array(A, dtype=dt), np.array(B, dtype=dt)
+def _kernel_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``int_array`` sets a and b, refused when empty, as arrays in which
+    every product is exact: as they are, int64, when |a*b| < 2^62 for all
+    pairs, else Python ints in object arrays.  A magnitude counts as at least
+    1, so a set {0} does not let its partner's elements pass as fitting."""
+    if not a.size or not b.size:
+        raise PreconditionError("needs nonempty sets")
+    check_budget("kernel_pairs", a.size * b.size)
+    (a0, a1), (b0, b1) = a[[0, -1]].tolist(), b[[0, -1]].tolist()
+    if max(1, -a0, a1) * max(1, -b0, b1) >= 1 << 62:
+        check_budget("object_pairs", a.size * b.size)
+        a, b = a.astype(object, copy=False), b.astype(object, copy=False)
+    return a, b
 
 
 class _Rows(NamedTuple):
@@ -278,17 +280,17 @@ def _sorted_counts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[: idx.size], idx
 
 
-def _product_windows(A: IntSet, B: IntSet):
-    """Sorted distinct products a*b and their counts over ordered pairs,
-    window by window in increasing order; when A and B are the same set,
-    from the a_i*a_j with i <= j."""
-    a, b = _kernel_arrays(A, B)
-    same = A == B
+def _product_windows(a: np.ndarray, b: np.ndarray):
+    """Sorted distinct products x*y of the ``int_array`` sets a and b and
+    their counts over ordered pairs, window by window in increasing order;
+    when a and b hold the same set, from the a_i*a_j with i <= j."""
+    a, b = _kernel_arrays(a, b)
+    same = np.array_equal(a, b)
     if same:
         sq, d = _sorted_counts(np.square(a))
     lo = np.arange(b.size) if same else np.zeros(a.size, dtype=np.intp)
     rows = _Rows(a, b, lo, b.size, np.less(a, 0))
-    corners = [x * y for x in (A[0], A[-1]) for y in (B[0], B[-1])]
+    corners = [x * y for x in a[[0, -1]].tolist() for y in b[[0, -1]].tolist()]
     for v, w, (start,), (stop,) in _windows([rows], _product_cut, min(corners), max(corners) + 1):
         vals, cnts = _sorted_counts(_pair_values((rows, start, stop), np.multiply))
         if same:
@@ -301,10 +303,10 @@ def _product_windows(A: IntSet, B: IntSet):
         del vals, cnts  # free this window before the next one is built
 
 
-def _product_energy(A: IntSet, B: IntSet):
-    """E(A, B) from the product side, |A.B| and the kernel's route."""
+def _product_energy(a: np.ndarray, b: np.ndarray):
+    """E(a, b) from the product side, |a.b| and the kernel's route."""
     e = count = windows = 0
-    for vals, cnts in _product_windows(A, B):
+    for vals, cnts in _product_windows(a, b):
         e += int(np.dot(cnts, cnts))
         count += vals.size
         windows += 1
@@ -313,7 +315,7 @@ def _product_energy(A: IntSet, B: IntSet):
     return e, count, {"product_route": _ROUTES[dtype.kind], "product_windows": windows}
 
 
-def _quotient_windows(sets: list[IntSet], bits: int):
+def _quotient_windows(sets: list[np.ndarray], bits: int):
     """Per window of the quotients' magnitude cells floor(|t_i/t_j| 2^bits),
     each set's sorted keys and counts.  Every |s| < 2^bits.
 
@@ -336,7 +338,7 @@ def _quotient_windows(sets: list[IntSet], bits: int):
             g = np.gcd(p, q) * np.sign(q)  # divides p/q to lowest terms with q > 0
             np.add(p // g * (1 << bits), q // g, out=out)
 
-    ts = [np.array(sorted(S, key=abs), dtype=dt) for S in sets]
+    ts = [S[np.argsort(np.abs(S), kind="stable")].astype(dt) for S in sets]
     # row i is t_i over the later t_j, whose |t_j| grow, so |t_i/t_j| falls
     # along it; windows are cut on the cell floor(|t_i/t_j| 2^bits) in [0, 2^bits]
     families = [_Rows(t, t, np.arange(1, t.size + 1), t.size, np.ones(t.size, dtype=bool)) for t in ts]
@@ -355,12 +357,12 @@ def _matched_dot(qa, qb) -> int:
     return int(np.dot(ca[same], cb[at[same]]))
 
 
-def _quotient_dots(A: IntSet, B: IntSet | None):
+def _quotient_dots(A: np.ndarray, B: np.ndarray | None):
     """sum r_A(x)^2, sum r_B(x)^2 and sum r_A(x) r_B(x) over the quotient
-    keys of A and of B (B None: A's alone), in one key width, window by
-    window, and the kernel's route."""
+    keys of the ``int_array`` sets A and B (B None: A's alone), in one key
+    width, window by window, and the kernel's route."""
     sets = [A] if B is None else [A, B]
-    bits = max(max(-S[0], S[-1]) for S in sets).bit_length()
+    bits = int(max(max(-S[0], S[-1]) for S in sets)).bit_length()
     aa = bb = ab = windows = 0
     for qs in _quotient_windows(sets, bits):
         dtype = qs[0][0].dtype
@@ -373,12 +375,14 @@ def _quotient_dots(A: IntSet, B: IntSet | None):
     return (aa, bb, ab), {"key_route": _ROUTES[dtype.kind], "key_windows": windows}
 
 
-def _antipodes(S: IntSet) -> int:
-    """Number of pairs {s, -s} in S."""
-    return len({-s for s in S if s < 0}.intersection(S))
+def _antipodes(S: np.ndarray) -> int:
+    """Number of pairs {s, -s} in the sorted set S."""
+    neg = -S[S < 0]
+    at = np.minimum(np.searchsorted(S, neg), S.size - 1)
+    return int(np.count_nonzero(S[at] == neg))
 
 
-def _check_quotient_side(e_prod: int, A: IntSet, B: IntSet, dot: int) -> None:
+def _check_quotient_side(e_prod: int, A: np.ndarray, B: np.ndarray, dot: int) -> None:
     """Raise InternalCheckError unless the quotient side gives E(A, B) =
     ``e_prod`` exactly, from ``dot`` = sum_x r_{A/A}(x) r_{B/B}(x) over the
     keys of the pairs i < j."""
@@ -392,33 +396,34 @@ def _check_quotient_side(e_prod: int, A: IntSet, B: IntSet, dot: int) -> None:
         )
 
 
-def energy(A: IntSet, B: IntSet | None = None) -> EnergyReport:
+def energy(A, B=None) -> EnergyReport:
     """Multiplicative energy of A (or of the pair A, B), via both routes.
 
-    Requires 0 absent from both sets.  The product-side sum of squared
-    representation counts is the returned value; the quotient-side sum
-    (same-set: sum of r_{A/A}^2; cross: dot of r_{A/A} with r_{B/B}) is
-    recomputed on every call and must match exactly.  The product side is
-    reduced to its numbers before the quotient keys are built.
+    A and B are any integers, read by ``int_array``; 0 must be absent.  The
+    product-side sum of squared representation counts is the returned
+    value; the quotient-side sum (same-set: sum of r_{A/A}^2; cross: dot of
+    r_{A/A} with r_{B/B}) is recomputed on every call and must match
+    exactly.  The product side is reduced to its numbers before the
+    quotient keys are built.
     """
-    A, B = _energy_sets(A, B)
-    e, count, kernel = _product_energy(A, B)
-    (aa, _, ab), keys = _quotient_dots(A, None if A is B else B)
-    _check_quotient_side(e, A, B, aa if A is B else ab)
-    return EnergyReport(energy=e, diag_bound=2 * len(A) * len(B), product_count=count,
+    a, b = _energy_sets(A, B)
+    e, count, kernel = _product_energy(a, b)
+    (aa, _, ab), keys = _quotient_dots(a, None if a is b else b)
+    _check_quotient_side(e, a, b, aa if a is b else ab)
+    return EnergyReport(energy=e, diag_bound=2 * a.size * b.size, product_count=count,
                         kernel=kernel | keys)
 
 
-def energy_bruteforce(A: IntSet, B: IntSet | None = None) -> int:
+def energy_bruteforce(A, B=None) -> int:
     """Quadratic pair-against-pair oracle for the energy; independent path.
 
     Compares every ordered (a1, b1) product against every (a2, b2) product,
     so the cost is (|A||B|)^2 comparisons; guarded at |A||B| <= 10^4.
     """
-    A = intset(A)
-    B = A if B is None else intset(B)
-    check_budget("bruteforce_pairs", len(A) * len(B))
-    p = np.multiply.outer(*_kernel_arrays(A, B)).ravel()
+    a = int_array(A)
+    b = a if B is None else int_array(B)
+    check_budget("bruteforce_pairs", a.size * b.size)
+    p = np.multiply.outer(*_kernel_arrays(a, b)).ravel()
     total = 0
     step = max(1, (1 << 24) // max(1, p.size))
     for i in range(0, p.size, step):
@@ -426,25 +431,22 @@ def energy_bruteforce(A: IntSet, B: IntSet | None = None) -> int:
     return total
 
 
-def product_set(A: IntSet, B: IntSet) -> IntSet:
+def product_set(A, B) -> list[int]:
     """Sorted distinct pairwise products of A and B, window by window from
     the pair kernel (only the a_i*a_j with i <= j when A and B are the same
     set); raises BudgetError past the ``product_set_pairs`` budget, which
     bounds the list it returns.  A k-way merge of the dilates a*B is the
     oracle for it in tests."""
-    A = intset(A)
-    B = intset(B)
-    if not A or not B:
-        raise PreconditionError("product_set needs nonempty sets")
-    check_budget("product_set_pairs", len(A) * len(B))
+    a, b = int_array(A), int_array(B)
+    check_budget("product_set_pairs", a.size * b.size)
     out: list[int] = []
-    for vals, _ in _product_windows(A, B):
+    for vals, _ in _product_windows(a, b):
         out += vals.tolist()
         del vals  # free this window before the next one is built
     return out
 
 
-def offdiag_tuples(A: IntSet, energy_value: int | None = None) -> int:
+def offdiag_tuples(A, energy_value: int | None = None) -> int:
     """Count of grids (x1, x2, y1, y2), x1 < x2, y1 < y2, all x_i*y_j in A.
 
     Every valid x divides some element, so the incidences (x, a/x) come from
@@ -464,18 +466,17 @@ def offdiag_tuples(A: IntSet, energy_value: int | None = None) -> int:
     E(A) <= 2|A|^2 + 4|X| is re-checked against the exact energy, or
     against ``energy_value`` when the caller already has E(A).
     """
-    A = intset(A)
-    if not A or A[0] < 1:
+    a = int_array(A)
+    if not a.size or a[0] < 1:
         raise PreconditionError("offdiag_tuples needs positive integers")
-    table, at = hull_table(A)
+    table, at = hull_table(a)
     flat, offsets = table.factor_arrays
     # one (element, prime) pair per prime factor, nth its place among the
     # element's primes, and the exponent by repeated division
     cnt = offsets[at + 1] - offsets[at]
-    elem = np.repeat(np.arange(len(A)), cnt)
+    elem = np.repeat(np.arange(a.size), cnt)
     nth = np.arange(elem.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
     p = flat[np.repeat(offsets[at], cnt) + nth]
-    a = np.array(A, dtype=np.int64)
     rest, e = a[elem] // p, np.ones_like(p)
     live = np.flatnonzero(rest % p == 0)
     while live.size:
@@ -484,7 +485,7 @@ def offdiag_tuples(A: IntSet, energy_value: int | None = None) -> int:
         live = live[rest[live] % p[live] == 0]
     # round r spreads every divisor found so far over its products with
     # p^0, ..., p^e for the r-th prime of its element
-    x, owner = np.ones_like(a), np.arange(len(A))
+    x, owner = np.ones_like(a), np.arange(a.size)
     for r in range(int(cnt.max())):
         on, pr, er = nth == r, np.ones_like(a), np.zeros_like(a)
         pr[elem[on]], er[elem[on]] = p[on], e[on]
@@ -516,20 +517,19 @@ def offdiag_tuples(A: IntSet, energy_value: int | None = None) -> int:
     counts = _sorted_counts(keys)[1]
     x_count = int((counts * (counts - 1) // 2).sum())
     e = energy_value
-    if e is None and len(A) <= 3000:
-        e = energy(A).energy
-    if e is not None and e > 2 * len(A) ** 2 + 4 * x_count:
+    if e is None and a.size <= 3000:
+        e = energy(a).energy
+    if e is not None and e > 2 * a.size**2 + 4 * x_count:
         raise InternalCheckError(
-            f"E = {e} exceeds 2|A|^2 + 4|X| = {2 * len(A) ** 2 + 4 * x_count}"
+            f"E = {e} exceeds 2|A|^2 + 4|X| = {2 * a.size**2 + 4 * x_count}"
         )
     return x_count
 
 
-def cs_product_lower_bound(A: IntSet, B: IntSet) -> float:
+def cs_product_lower_bound(A, B) -> float:
     """The Cauchy-Schwarz floor |A|^2|B|^2 / E(A,B) for |A.B|; re-checked."""
-    A, B = _energy_sets(A, B)
-    rep = energy(A, B)
-    return cs_floor(len(A), len(B), rep.energy, rep.product_count)
+    rep = energy(A, B)  # its diag_bound is 2|A||B|
+    return cs_floor(rep.diag_bound // 2, 1, rep.energy, rep.product_count)
 
 
 def cs_floor(size_a: int, size_b: int, e: int, n_prod: int) -> float:
@@ -540,46 +540,44 @@ def cs_floor(size_a: int, size_b: int, e: int, n_prod: int) -> float:
     return size_a**2 * size_b**2 / e
 
 
-def cs_energy_split(A: IntSet, B: IntSet) -> tuple[float, bool]:
+def cs_energy_split(A, B) -> tuple[float, bool]:
     """sqrt(E(A) * E(B)) and whether E(A,B) is below it (exact check).
 
     The three product sides are reduced to numbers first; then the quotient
     windows build each set's keys once and serve all three checks.
     """
-    A, B = _energy_sets(A, B)
-    e_ab, e_a, e_b = (_product_energy(X, Y)[0] for X, Y in ((A, B), (A, A), (B, B)))
-    aa, bb, ab = _quotient_dots(A, B)[0]
-    _check_quotient_side(e_ab, A, B, ab)
-    _check_quotient_side(e_a, A, A, aa)
-    _check_quotient_side(e_b, B, B, bb)
+    a, b = _energy_sets(A, B)
+    e_ab, e_a, e_b = (_product_energy(x, y)[0] for x, y in ((a, b), (a, a), (b, b)))
+    aa, bb, ab = _quotient_dots(a, b)[0]
+    _check_quotient_side(e_ab, a, b, ab)
+    _check_quotient_side(e_a, a, a, aa)
+    _check_quotient_side(e_b, b, b, bb)
     ok = e_ab * e_ab <= e_a * e_b
     return sqrt(e_a * e_b), ok
 
 
-def random_energy_subset(A: IntSet, seed: int) -> IntSet:
+def random_energy_subset(A, seed: int) -> list[int]:
     """A random subset A' with E(A') <= 4|A'|^2 and |A'| >= |A|^3 / (2 E(A)).
 
     Keeps each element independently with probability |A|^2 / E(A) and
     retries until both certified inequalities hold; a positive fraction of
     draws succeeds in expectation, so exhausting SUBSET_MAX_DRAWS signals a bug.
     """
-    A, _ = _energy_sets(A, None)
+    a = int_array(A)
     if seed < 0:
         raise PreconditionError("needs seed >= 0")
-    e_a = energy(A).energy
-    n = len(A)
+    e_a = energy(a).energy
+    n = a.size
     p = min(1.0, n * n / e_a)
     rng = np.random.default_rng(seed)
-    arr = np.array(A, dtype=object)
     for _ in range(SUBSET_MAX_DRAWS):
-        mask = rng.random(n) < p
-        sub = [int(v) for v in arr[mask]]
-        if not sub:
+        sub = a[rng.random(n) < p]
+        if not sub.size:
             continue
         e_sub = energy(sub).energy
         # integer forms of E' <= 4|A'|^2 and |A'| >= |A|^3 / (2 E(A))
-        if e_sub <= 4 * len(sub) ** 2 and 2 * e_a * len(sub) >= n**3:
-            return sub
+        if e_sub <= 4 * sub.size**2 and 2 * e_a * sub.size >= n**3:
+            return sub.tolist()
     raise RetriesExhaustedError(
         f"no qualifying subset in {SUBSET_MAX_DRAWS} draws at p = {p:.4g}"
     )

@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .energy import cs_floor, energy, offdiag_tuples
 from .errors import BUDGETS, BudgetError, InternalCheckError, PreconditionError, check_budget
-from .progressions import ArithmeticProgression, int_array, intset
-from .reduction import DirectBound, Reduced, large_a_energy_bound, reduce, trimmed_set
+from .progressions import ArithmeticProgression, int_array
+from .reduction import DirectBound, Reduced, large_a_energy_bound, reduce
 from .primestats import NkQuery, ShiuQuery, nk_last_prime_extension, nk_set, shiu_mean
 from .sieve import mertens_sum, progression_table
 from .smirnov import (
@@ -168,7 +168,8 @@ def cmd_ap_product(a: int, d: int, L: int, seed: int = 0, threads: int = 1) -> E
     # L comes from outside: refuse before the elements are built, on the
     # budget the energy kernel enforces once they exist
     check_budget("kernel_pairs", n * n)
-    A = [x for x in ap.elements() if x != 0]
+    A = ap.a + ap.d * int_array(np.arange(L), ap.a, ap.last, ap.d)
+    A = A[A != 0]
     rep = energy(A)
     e, n_prod = rep.energy, rep.product_count
     bound_rhs = large_a_energy_bound(ap, subset_size=len(A)) if a > 0 and gcd(a, d) == 1 else None
@@ -194,9 +195,9 @@ def cmd_ap_product(a: int, d: int, L: int, seed: int = 0, threads: int = 1) -> E
 
 def cmd_energy(values, seed: int = 0, threads: int = 1) -> ExperimentReport:
     t0 = time.perf_counter()
-    A = intset(values)
+    A = int_array(values)
     zeros_removed = int(0 in A)
-    A = [x for x in A if x != 0]
+    A = A[A != 0]
     rep = energy(A)
     row = {
         "size": len(A),
@@ -267,7 +268,7 @@ def _omega_trim_row(A, ap) -> dict:
     except BudgetError:
         return skipped
     cut = log(log(hull_hi)) + log(log(hull_hi)) ** (2 / 3)
-    kept = len(trimmed_set(pos, table, cut))
+    kept = int(np.count_nonzero(table.omega_array[table.positions(pos)] <= cut))
     return {
         "step": "omega-trim",
         "omega_cutoff": cut,

@@ -19,7 +19,7 @@ from math import gcd, isqrt, log
 import numpy as np
 
 from .errors import BUDGETS, InternalCheckError, PreconditionError, check_budget
-from .progressions import ArithmeticProgression, IntSet, intset
+from .progressions import ArithmeticProgression, _set_integers, int_array
 from .sieve import (
     FactorizationTable,
     mertens_sum,
@@ -50,6 +50,7 @@ class NkQuery:
     elements: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        _set_integers(self, "k")
         if self.k < 0:
             raise PreconditionError("k must be >= 0")
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
@@ -57,10 +58,9 @@ class NkQuery:
         if (self.ap is None) == (self.elements is None):
             raise PreconditionError("give exactly one of ap or elements")
 
-    def domain(self) -> IntSet:
-        if self.ap is not None:
-            return self.ap.elements()
-        return intset(self.elements)
+    def domain(self) -> np.ndarray:
+        """The progression's elements or the explicit set, by ``int_array``."""
+        return int_array(self.elements if self.ap is None else self.ap.elements())
 
 
 def _loglog(p: np.ndarray) -> np.ndarray:
@@ -68,7 +68,7 @@ def _loglog(p: np.ndarray) -> np.ndarray:
     return np.fromiter(map(log, map(log, p.tolist())), np.float64, p.size)
 
 
-def nk_set(q: NkQuery, table: FactorizationTable) -> IntSet:
+def nk_set(q: NkQuery, table: FactorizationTable) -> list[int]:
     """Members of the query's domain that are square-free with omega = k and
     whose j-th smallest prime factor clears log log p_j >= alpha*j - beta.
 
@@ -80,7 +80,8 @@ def nk_set(q: NkQuery, table: FactorizationTable) -> IntSet:
     if ap and ap.last < table.hi:  # a progression the table covers: int64 is exact
         vals = np.arange(ap.a, ap.last + 1, ap.d, dtype=np.int64)
     else:
-        vals = [n for n in q.domain() if n >= 1]
+        vals = q.domain()
+        vals = vals[vals >= 1]
     pos = table.positions(vals)
     pos = pos[(table.square_divisor_array[pos] == 1) & (table.omega_array[pos] == q.k)]
     if q.k and pos.size:
@@ -160,6 +161,7 @@ class ShiuQuery:
     z: float
 
     def __post_init__(self):
+        _set_integers(self, "x", "y", "k", "a")
         if not 0 < self.y <= self.x:
             raise PreconditionError("need 0 < y <= x")
         if not 0 < self.z <= 2:

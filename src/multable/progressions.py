@@ -3,11 +3,11 @@ reduction pipeline: negation, positivity restriction, gcd normalization and
 dyadic partition.
 
 A progression is the triple (a, d, L) representing {a + i*d : 0 <= i < L}
-with d >= 1 and L >= 1, so elements are strictly increasing.  Generic
-integer sets are plain sorted, duplicate-free lists of Python ints
-(``intset``) or one sorted array (``int_array``), int64 only where no sum or
-difference of two elements overflows.  Progression arithmetic is exact; the
-energy module guards its fixed-width fast paths separately.
+with d >= 1 and L >= 1, so elements are strictly increasing.  Any iterable
+of integers is a set: the library reads it once, with ``int_array``, into
+one sorted, duplicate-free array, int64 only where no sum or difference of
+two elements overflows; only results are lists.  Progression arithmetic is
+exact; the energy module guards its fixed-width products separately.
 """
 
 from __future__ import annotations
@@ -20,15 +20,28 @@ import numpy as np
 
 from .errors import PreconditionError
 
-IntSet = list[int]
+
+def _integers(values) -> np.ndarray:
+    """``values`` in their order as one flat array: as numpy reads them when
+    that gives signed integers (an integer array is not copied), else Python
+    ints in an object array; anything but integers is refused."""
+    v = np.asarray(values)
+    if v.dtype.kind != "i" or v.ndim != 1:  # past int64, an iterable, or not integers
+        try:
+            v = np.fromiter(map(index, values), dtype=object)
+        except TypeError:
+            raise PreconditionError("needs integers") from None
+    return v
 
 
-def intset(values) -> IntSet:
-    """Integers as a sorted, duplicate-free list of Python ints, or PreconditionError."""
+def _set_integers(obj, *names: str) -> None:
+    """Turn the named fields of the frozen dataclass ``obj`` into Python ints,
+    so nothing wraps as numpy scalars would; anything else is refused."""
     try:
-        return sorted(set(map(index, values)))
+        for name in names:
+            object.__setattr__(obj, name, index(getattr(obj, name)))
     except TypeError:
-        raise PreconditionError("needs integers") from None
+        raise PreconditionError(f"{', '.join(names)} must be integers") from None
 
 
 def int_array(values, *bounds: int) -> np.ndarray:
@@ -36,16 +49,11 @@ def int_array(values, *bounds: int) -> np.ndarray:
     they and every one of ``bounds`` (a progression's ends and step) lie below
     2^62 in magnitude, so a sum or difference of two fits, else Python ints in
     an object array; anything but integers is refused.  A strictly increasing
-    array is not sorted again."""
-    v = np.array(values)
-    if v.dtype.kind != "i" or v.ndim != 1:  # past int64, an iterable, or not integers
-        try:
-            v = np.fromiter(map(index, values), dtype=object)
-        except TypeError:
-            raise PreconditionError("needs integers") from None
+    array is not sorted again, and never returned itself."""
+    v = _integers(values)
     v = v if (v[1:] > v[:-1]).all() else np.unique(v)
     fits = all(-(1 << 62) < x < 1 << 62 for x in (*bounds, *v[:1], *v[-1:]))
-    return v.astype(np.int64 if fits else object, copy=False)
+    return v.astype(np.int64 if fits else object, copy=v is values)
 
 
 @dataclass(frozen=True)
@@ -57,11 +65,7 @@ class ArithmeticProgression:
     L: int
 
     def __post_init__(self):
-        try:  # Python ints, so nothing wraps as numpy scalars would
-            for name in ("a", "d", "L"):
-                object.__setattr__(self, name, index(getattr(self, name)))
-        except TypeError:
-            raise PreconditionError("a, d and L must be integers") from None
+        _set_integers(self, "a", "d", "L")
         if self.d < 1:
             raise PreconditionError(f"common difference must be >= 1, got {self.d}")
         if self.L < 1:
@@ -71,7 +75,7 @@ class ArithmeticProgression:
     def last(self) -> int:
         return self.a + (self.L - 1) * self.d
 
-    def elements(self) -> IntSet:
+    def elements(self) -> list[int]:
         """All L elements in increasing order."""
         return list(range(self.a, self.a + self.L * self.d, self.d))
 

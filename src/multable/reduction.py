@@ -30,7 +30,7 @@ from math import gcd
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .progressions import ArithmeticProgression, IntSet, int_array
+from .progressions import ArithmeticProgression, int_array
 from .sieve import hull_table
 
 # "L large" has no content at desk scale; the universal bound needs none.
@@ -127,12 +127,6 @@ def _hull_prefix(B, d: int) -> int:
     return max(1, int(np.searchsorted(B, B[0] + d * (-(-B[0] // d) - 1))))
 
 
-def trimmed_set(A: IntSet, table, T: float) -> IntSet:
-    """Elements of A with at most T distinct prime factors (table-backed)."""
-    A = int_array(A)
-    return A[table.omega_array[table.positions(A)] <= T].tolist()
-
-
 @dataclass
 class ReductionStep:
     step: str
@@ -146,7 +140,7 @@ class ReductionStep:
 class DirectBound:
     """A subset of the original set with a certified energy upper bound."""
 
-    subset: IntSet
+    subset: list[int]
     energy_value: float
 
 
@@ -154,7 +148,7 @@ class DirectBound:
 class Reduced:
     """Square-free core B inside progression P_prime; m * B lies in the input."""
 
-    B: IntSet
+    B: list[int]
     P_prime: ArithmeticProgression
     m: int
 
@@ -166,7 +160,7 @@ class ReductionTrace:
     outcome: DirectBound | Reduced | None = None
 
 
-def reduce(A: IntSet, ap: ArithmeticProgression, delta) -> ReductionTrace:
+def reduce(A, ap: ArithmeticProgression, delta) -> ReductionTrace:
     """Run the five-step pipeline on (A, ap) with density at least delta."""
     delta = Fraction(delta)
     A = original = int_array(A, ap.a, ap.last, ap.d)

@@ -29,7 +29,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .errors import BUDGETS, PreconditionError, check_budget
-from .progressions import ArithmeticProgression, int_array
+from .progressions import ArithmeticProgression, _integers, int_array
 
 _STRIDE_SPLIT = 1 << 10  # primes below this are sieved by stride
 _PAIR_BATCH = 1 << 22  # max (position, prime) pairs held at once
@@ -79,10 +79,11 @@ class FactorizationTable:
         return i
 
     def positions(self, values) -> np.ndarray:
-        """Index of each value among the table's elements, as an int64 array;
-        ``PreconditionError`` if any value is not an element."""
+        """Index of each value among the table's elements, in the order given,
+        as an int64 array; ``PreconditionError`` if any value is not an
+        element, or not an integer."""
         try:
-            v = np.asarray(values, dtype=np.int64)
+            v = _integers(values).astype(np.int64, copy=False)
         except OverflowError:
             raise PreconditionError("value outside int64 is not an element of the table") from None
         pos, rem = np.divmod(v - self.lo, self.d)

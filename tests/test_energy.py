@@ -23,7 +23,10 @@ from multable.energy import (
 )
 from multable.errors import BUDGETS, BudgetError, PreconditionError
 import multable.experiments as ex
+from multable.primestats import NkQuery, nk_set
 from multable.progressions import ArithmeticProgression as AP
+from multable.progressions import int_array
+from multable.sieve import build_table
 from test_progressions import dilate
 from test_sieve import divisors
 
@@ -93,8 +96,8 @@ def _triangle(op, t, diagonal):
 
 def _whole_product_counts(A, B):
     """Sorted distinct products and their counts over ordered pairs, from one
-    sort of all products (the triangle i <= j for one set)."""
-    a, b = en._kernel_arrays(A, B)
+    sort of all products (the triangle i <= j for one set), on Python ints."""
+    a, b = np.array(A, dtype=object), np.array(B, dtype=object)
     if A != B:
         return np.unique(np.multiply.outer(a, b).ravel(), return_counts=True)
     vals, cnts = np.unique(_triangle(np.multiply, a, diagonal=True), return_counts=True)
@@ -131,7 +134,7 @@ def _windowed(windows):
 def _windowed_keys(sets, bits):
     """Each set's quotient keys and counts over all windows, joined."""
     per_set = [([], []) for _ in sets]
-    for qs in en._quotient_windows(sets, bits):
+    for qs in en._quotient_windows([int_array(S) for S in sets], bits):
         for (keys, counts), (k, c) in zip(per_set, qs):
             keys += k.tolist()
             counts += c.tolist()
@@ -168,7 +171,8 @@ def test_energy_examples():
 
 
 def test_energy_histogram():
-    hist = dict(zip(*_windowed(en._product_windows([1, 2, 3], [1, 2, 3]))))
+    a = int_array([1, 2, 3])
+    hist = dict(zip(*_windowed(en._product_windows(a, a))))
     assert hist == {1: 1, 2: 2, 3: 2, 4: 1, 6: 2, 9: 1}
     assert sum(c * c for c in hist.values()) == 15
 
@@ -189,6 +193,26 @@ def test_numpy_input_matches_lists():
     assert offdiag_tuples(np.array([1, 2, 3, 6])) == offdiag_tuples([1, 2, 3, 6])
     assert random_energy_subset(np.arange(1, 30), 3) == random_energy_subset(list(range(1, 30)), 3)
     assert ex.cmd_energy(np.array([0, 2, 3])).results == ex.cmd_energy([0, 2, 3]).results
+
+
+FORMS = range(5, 305, 7)  # one set of integers in every form a caller may hold it
+
+
+def _set_results(values):
+    """Every public result the energy module and nk_set give for one set."""
+    rep = energy(values)
+    table = build_table(1, FORMS[-1] + 1)
+    return (
+        rep, rep.kernel, energy(values, values), energy_bruteforce(values),
+        product_set(values, values), offdiag_tuples(values), cs_energy_split(values, values),
+        random_energy_subset(values, 3), nk_set(NkQuery(0.0, 0.0, 2, elements=values), table),
+    )
+
+
+@pytest.mark.parametrize("values", [tuple(FORMS), FORMS, set(FORMS), np.array(FORMS, dtype=np.int64)],
+                         ids=["tuple", "range", "set", "ndarray"])
+def test_input_forms_give_identical_results(values):
+    assert _set_results(values) == _set_results(list(FORMS))
 
 
 def test_bruteforce_matches_seeded_random():
@@ -388,8 +412,8 @@ def test_pair_budget(monkeypatch):
     assert product_set(small, small) == _product_merge(small, small)
     for call in (
         # each quotient side on its own: |B|^2 pairs, though |A||B| fits
-        lambda: en._quotient_dots(large, None),
-        lambda: en._quotient_dots([1, 2], big),
+        lambda: en._quotient_dots(int_array(large), None),
+        lambda: en._quotient_dots(int_array([1, 2]), int_array(big)),
         lambda: energy(large),
         lambda: energy(big),
         lambda: energy([1, 2], large),
@@ -451,7 +475,8 @@ def test_energy_matches_bruteforce_across_key_routes(A, B):
 @given(any_key_sets)
 def test_energy_histogram_counts_ordered_pairs(A):
     want = Counter(a * b for a in A for b in A)
-    assert dict(zip(*_windowed(en._product_windows(A, A)))) == want
+    a = int_array(A)
+    assert dict(zip(*_windowed(en._product_windows(a, a)))) == want
     assert energy(A).product_count == len(want)
 
 
@@ -487,9 +512,10 @@ def test_float_quotient_triangle_matches_nxn(A):
 
 def test_quotient_counts_peak_below_one_nxn_array():
     # 1024 x 1024 float64 is 8 MiB; the triangle rows, sorted in place, stay below it
+    A = int_array(range(1, 1025))
     tracemalloc.start()
     try:
-        en._quotient_dots(list(range(1, 1025)), None)
+        en._quotient_dots(A, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -532,7 +558,8 @@ def test_windowed_counts_match_whole_triangle(A, B, cap):
         mp.setattr(en, "WINDOW_PAIRS", cap)
         for X, Y in ((A, A), (A, B)):
             want = _whole_product_counts(X, Y)
-            assert _windowed(en._product_windows(X, Y)) == (want[0].tolist(), want[1].tolist())
+            got = _windowed(en._product_windows(int_array(X), int_array(Y)))
+            assert got == (want[0].tolist(), want[1].tolist())
         # windows follow the fractions' values, which packed keys do not
         # sort by, so the keys are compared as a histogram; no key may recur
         bits = max(-A[0], A[-1], -B[0], B[-1]).bit_length()
@@ -563,10 +590,10 @@ def test_windows_partition_pairs_by_exact_value(A, B, cap):
     bits = max(-A[0], A[-1], -B[0], B[-1]).bit_length()
     ts = [sorted(S, key=abs) for S in (A, B)]
     cases = [
-        (lambda X=X, Y=Y: en._product_windows(X, Y),
+        (lambda X=X, Y=Y: en._product_windows(int_array(X), int_array(Y)),
          [{(i, j): X[i] * Y[j] for i in range(len(X)) for j in range(i if X == Y else 0, len(Y))}])
         for X, Y in ((A, A), (A, B))
-    ] + [(lambda: en._quotient_windows([A, B], bits),
+    ] + [(lambda: en._quotient_windows([int_array(A), int_array(B)], bits),
           [{(i, j): math.floor(Fraction(abs(t[i]), abs(t[j])) * 2**bits)
             for i in range(len(t)) for j in range(i + 1, len(t))} for t in ts])]
     for run, values in cases:

@@ -196,6 +196,21 @@ def test_shiu_examples():
             ShiuQuery(100, 50, k, a, 1.0)
 
 
+def test_queries_take_integers_only():
+    # a float would reach range() as a TypeError, or run as a float modulus
+    for args in ((10**4 + 0.5, 5000, 1, 0), (10**4, 5000.0, 1, 0), (10**4, 5000, 1.0, 0),
+                 (10**4, 5000, 3, "1")):
+        with pytest.raises(PreconditionError):
+            ShiuQuery(*args, 1.0)
+    q = ShiuQuery(np.int64(10**4), 5000, 3, np.int64(1), 1.0)
+    assert all(type(v) is int for v in (q.x, q.y, q.k, q.a))
+    assert shiu_mean(q) == shiu_mean(ShiuQuery(10**4, 5000, 3, 1, 1.0))
+    for k in (2.0, 2.5, "2"):
+        with pytest.raises(PreconditionError):
+            NkQuery(0.0, 0.0, k, elements=(6, 10))
+    assert type(NkQuery(0.0, 0.0, np.int64(2), elements=(6, 10)).k) is int
+
+
 def _shiu_exact_over_hull(q):
     """The exact window sum read from a table over all of [x - y, x)."""
     lo = max(q.x - q.y, 1)

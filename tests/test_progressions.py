@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from multable.errors import PreconditionError
 from multable.progressions import ArithmeticProgression as AP
-from multable.progressions import int_array, intset
+from multable.progressions import int_array
 
 
 def dilate(s, m):
@@ -81,15 +81,6 @@ def test_dyadic_partition_exhaustive():
             assert hi - lo <= lo
 
 
-def test_intset_normalizes():
-    assert intset([3, 1, 2, 3, 1]) == [1, 2, 3]
-    got = intset(np.array([2**40, 3, 3]))
-    assert got == [3, 2**40] and all(type(x) is int for x in got)
-    for values in ([1.5], [2.0], ["3"], np.array([1.0]), 7):
-        with pytest.raises(PreconditionError):
-            intset(values)
-
-
 def test_bad_parameters():
     with pytest.raises(PreconditionError):
         AP(1, 0, 5)
@@ -116,9 +107,11 @@ def test_int_array_guard():
     assert int_array([]).dtype == np.int64
     A = np.arange(5)
     assert int_array(A) is not A and int_array(A).tolist() == A.tolist()
-    assert int_array({3, 1, 2}).tolist() == [1, 2, 3]  # any iterable, like intset
+    assert int_array({3, 1, 2}).tolist() == [1, 2, 3]  # any iterable
+    got = int_array(np.array([2**40, 3, 3])).tolist()
+    assert got == [3, 2**40] and all(type(x) is int for x in got)
     A = int_array(np.array([2**63], dtype=np.uint64))
     assert A.dtype == object and type(A[0]) is int  # not an np.uint64 that wraps
-    for values in ([1.5, 2], [2.0], ["3"], np.array([1.0]), [[1, 2]]):
+    for values in ([1.5], [1.5, 2], [2.0], ["3"], np.array([1.0]), [[1, 2]], 7):
         with pytest.raises(PreconditionError):
             int_array(values)

@@ -11,8 +11,10 @@ RETIRED = [
     ("multable.primestats", "reciprocal_sum_lower"),
     ("multable.sieve", "count_large_square_divisible"),
     ("multable.progressions", "dilate"),
+    ("multable.progressions", "intset"),
     ("multable.reduction", "largest_square_class"),
     ("multable.reduction", "squarefree_reduce"),
+    ("multable.reduction", "trimmed_set"),
 ]
 
 

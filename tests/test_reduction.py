@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import compress
 from math import gcd
+from operator import index
 
 import numpy as np
 import pytest
@@ -15,12 +16,20 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from multable import cli
-from multable.energy import cs_energy_split, energy, offdiag_tuples, product_set
+from multable.energy import (
+    cs_energy_split,
+    energy,
+    energy_bruteforce,
+    offdiag_tuples,
+    product_set,
+    random_energy_subset,
+)
 from multable.errors import BudgetError, InternalCheckError, PreconditionError
 from multable.experiments import cmd_reduce
+from multable.primestats import NkQuery, nk_set
 from multable.progressions import ArithmeticProgression
 from multable.progressions import ArithmeticProgression as AP
-from multable.progressions import IntSet, int_array, intset
+from multable.progressions import int_array
 from multable.reduction import (
     EXTREMAL_FLAG_FACTOR,
     DirectBound,
@@ -32,7 +41,6 @@ from multable.reduction import (
     _squarefree_reduce,
     large_a_energy_bound,
     reduce,
-    trimmed_set,
 )
 from multable.sieve import build_table, hull_table, progression_table
 from test_progressions import dilate
@@ -52,7 +60,14 @@ def squarefree_core(A, ap, delta):
 
 
 # The list pipeline the array pipeline replaced, kept verbatim as the oracle
-# for whole traces; only the names are prefixed.
+# for whole traces; only the names are prefixed.  Its sets are sorted lists.
+
+IntSet = list[int]
+
+
+def intset(values) -> IntSet:
+    """Integers as a sorted, duplicate-free list of Python ints."""
+    return sorted(set(map(index, values)))
 
 
 def list_largest_square_class(A: IntSet, T: int) -> tuple[IntSet, int, IntSet]:
@@ -359,14 +374,20 @@ def test_squarefree_reduce_hypothesis_error():
         squarefree_core(ap.elements(), ap, 1)
 
 
-def test_trimmed_set(table_1e6):
+def omega_cut(A, table, T) -> list[int]:
+    """The elements of A with at most T distinct prime factors, read from
+    the table's arrays as the omega-trim row of ``cmd_reduce`` counts them."""
+    return [n for n, w in zip(A, table.omega_array[table.positions(A)].tolist()) if w <= T]
+
+
+def test_omega_cut_on_table_arrays(table_1e6):
     A = list(range(1, 21))
-    assert trimmed_set(A, table_1e6, 2) == A
-    assert trimmed_set(A, table_1e6, 1) == [1, 2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]
-    assert trimmed_set([30], table_1e6, 2) == []
+    assert omega_cut(A, table_1e6, 2) == A
+    assert omega_cut(A, table_1e6, 1) == [1, 2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]
+    assert omega_cut([30], table_1e6, 2) == []
 
 
-def test_trimmed_set_over_progression_table_matches_hull():
+def test_omega_cut_over_progression_table_matches_hull():
     rnd = random.Random(9)
     for _ in range(20):
         ap = AP(rnd.randrange(1, 10**5), rnd.choice([1, 2, 3, 6, 35]), rnd.randrange(1, 2000))
@@ -374,10 +395,10 @@ def test_trimmed_set_over_progression_table_matches_hull():
         hull = build_table(ap.a, ap.last + 1, factor_lists=False)
         T = rnd.choice([0, 1, 2, 2.5, 3])
         want = [n for n in A if omega(hull, n) <= T]
-        assert trimmed_set(A, progression_table(ap, factor_lists=False), T) == want
-        assert trimmed_set(A, hull, T) == want
+        assert omega_cut(A, progression_table(ap, factor_lists=False), T) == want
+        assert omega_cut(A, hull, T) == want
     with pytest.raises(PreconditionError):
-        trimmed_set([4], progression_table(AP(1, 2, 10)), 2)
+        progression_table(AP(1, 2, 10)).positions([4])
 
 
 def test_reduce_even_progression():
@@ -560,8 +581,8 @@ def test_refusals_at_the_int64_edge(x):
     assert refused(hull_table, sorted([5, x])) is big
     assert refused(square_class, sorted([2, x]), 2) is (big if x < 2**63 else PreconditionError)
     table = progression_table(AP(1, 1, 100), factor_lists=False)
-    assert refused(trimmed_set, [x], table, 2) is PreconditionError
-    assert refused(trimmed_set, [3, x], table, 2) is PreconditionError
+    assert refused(table.positions, [x]) is PreconditionError
+    assert refused(table.positions, [3, x]) is PreconditionError
 
 
 def test_cmd_reduce_memory_bounded():
@@ -591,15 +612,22 @@ def test_reduce_with_a_step_past_int64(a):
         assert cli.main(["reduce", str(a), str(2**63), "1"]) == code
 
 
-@pytest.mark.parametrize("A", [[1.5, 2], [2.0, 3], ["1", "2"], [[1], [2]], np.array([2.0, 3.0])])
+@pytest.mark.parametrize("A", [[1.5, 2], [2.0, 3], ["1", "2"], [[1], [2]], np.array([2.0, 3.0]),
+                               ["3"], np.array([2.0])])
 def test_non_integer_elements_refused(A):
     # floats are not truncated, nor strings parsed, into a subset of ap or a set
-    for f in (energy, product_set, cs_energy_split):
+    for f in (energy, energy_bruteforce, product_set, cs_energy_split):
         with pytest.raises(PreconditionError):
             f(A, [5])
+        with pytest.raises(PreconditionError):
+            f([5], A)
+    for call in (lambda: offdiag_tuples(A), lambda: random_energy_subset(A, 0),
+                 lambda: nk_set(NkQuery(0.0, 0.0, 1, elements=A), build_table(1, 10))):
+        with pytest.raises(PreconditionError):
+            call()
     with pytest.raises(PreconditionError):
         reduce(A, AP(1, 1, 3), Fraction(1, 3))
     with pytest.raises(PreconditionError):
         square_class(A, 2)
     with pytest.raises(PreconditionError):
-        trimmed_set(A, progression_table(AP(1, 1, 10), factor_lists=False), 2)
+        progression_table(AP(1, 1, 10), factor_lists=False).positions(A)

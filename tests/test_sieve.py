@@ -248,6 +248,11 @@ def test_progression_table_lookups():
     for bad in ([8], [57], [-3], [2**70], [7, 17, 18]):
         with pytest.raises(PreconditionError):
             t.positions(bad)
+    # the caller's order, with repeats; floats and strings are not read as integers
+    assert t.positions(np.array([47, 7, 47])).tolist() == [4, 0, 4]
+    for bad in ([7.5], ["7"], np.array([7.0])):
+        with pytest.raises(PreconditionError):
+            t.positions(bad)
     for bad in (8, 57, -3):
         with pytest.raises(PreconditionError):
             omega(t, bad)
