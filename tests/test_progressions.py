@@ -81,6 +81,16 @@ def test_dyadic_partition_exhaustive():
             assert hi - lo <= lo
 
 
+def test_intset_normalizes():
+    # a set given in any order, with repeats, reads as its sorted elements
+    assert int_array([3, 1, 2, 3, 1]).tolist() == [1, 2, 3]
+    got = int_array(np.array([2**40, 3, 3])).tolist()
+    assert got == [3, 2**40] and all(type(x) is int for x in got)
+    for values in ([1.5], [2.0], ["3"], np.array([1.0]), 7):
+        with pytest.raises(PreconditionError):
+            int_array(values)
+
+
 def test_bad_parameters():
     with pytest.raises(PreconditionError):
         AP(1, 0, 5)
