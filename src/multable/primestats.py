@@ -41,7 +41,10 @@ def totient(n: int) -> int:
 
 @dataclass(frozen=True)
 class NkQuery:
-    """Parameters (alpha, beta, k) over a progression or an explicit set."""
+    """Parameters (alpha, beta, k) over a progression or an explicit set.
+
+    ``elements`` is kept as ``int_array`` reads it, a sorted tuple of
+    distinct Python ints, so a query hashes and compares by its set."""
 
     alpha: float
     beta: float
@@ -57,6 +60,8 @@ class NkQuery:
             raise PreconditionError("alpha, beta must be finite")
         if (self.ap is None) == (self.elements is None):
             raise PreconditionError("give exactly one of ap or elements")
+        if self.elements is not None:
+            object.__setattr__(self, "elements", tuple(int_array(self.elements).tolist()))
 
     def domain(self) -> np.ndarray:
         """The progression's elements or the explicit set, by ``int_array``."""

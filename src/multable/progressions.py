@@ -34,14 +34,19 @@ def _integers(values) -> np.ndarray:
     return v
 
 
-def _set_integers(obj, *names: str) -> None:
-    """Turn the named fields of the frozen dataclass ``obj`` into Python ints,
-    so nothing wraps as numpy scalars would; anything else is refused."""
+def _integer(name: str, v) -> int:
+    """``v`` as a Python int, so nothing wraps as numpy scalars would or
+    rounds as floats would; anything else is refused."""
     try:
-        for name in names:
-            object.__setattr__(obj, name, index(getattr(obj, name)))
+        return index(v)
     except TypeError:
-        raise PreconditionError(f"{', '.join(names)} must be integers") from None
+        raise PreconditionError(f"{name} must be an integer") from None
+
+
+def _set_integers(obj, *names: str) -> None:
+    """Turn the named fields of the frozen dataclass ``obj`` into Python ints."""
+    for name in names:
+        object.__setattr__(obj, name, _integer(name, getattr(obj, name)))
 
 
 def int_array(values, *bounds: int) -> np.ndarray:

@@ -22,28 +22,36 @@ differently at a few integers (8 from 13 to 200,000 with numpy 2.4 on
 x86-64).
 
 Monte Carlo draws batch i from its own SFC64 stream seeded with
-SeedSequence((seed, i)), so results are bit-identical under any parallel
-schedule.  Each batch is drawn, sorted and tested in consecutive chunks of
-about MC_CHUNK uniforms from its one generator, which yields the bits of one
-whole-batch draw, so memory grows as max(n, MC_CHUNK) and not with the batch
+SeedSequence((seed, i)) and counts the rows that clear the boundary in an
+integer.  The batches run on one worker thread per CPU the process may use
+(its affinity mask, which taskset or a cpuset limits), at most one per batch;
+the counts add up to the same total in any order, so estimates are
+bit-identical at any worker count.  Each batch is drawn, sorted and tested in
+consecutive chunks from its one generator, which yields the bits of one
+whole-batch draw.  The workers share MC_CHUNK uniforms between them, so
+memory grows as workers * max(n, MC_CHUNK // workers) and not with the batch
 or the sample count.  This stream replaced 0.1.0's Philox keyed (seed, batch):
 Monte Carlo estimates differ from 0.1.0 at the same seed, exact values do not.
+The exact recursion runs on one thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetError, PreconditionError, check_budget
+from .progressions import _integer
 
 PRECISION_WARN_AT = 200
 MC_MIN_SAMPLES = 10**4
 MC_BATCH = 1 << 14
-MC_CHUNK = 1 << 17  # uniforms drawn, sorted and tested at once: 1 MiB of float64
+MC_CHUNK = 1 << 17  # uniforms drawn, sorted and tested at once by all workers: 1 MiB of float64
 SANDWICH_C = 8.0  # C of volume_sandwich's hypotheses beta >= C alpha, C <= w
 
 # Cephes lgam: log sqrt(2 pi) and the Stirling-series coefficients used for
@@ -80,6 +88,14 @@ def log_gamma_int(k: int) -> float:
     return q + s / x
 
 
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _require_finite(**values: float) -> None:
     bad = [name for name, v in values.items() if not math.isfinite(v)]
     if bad:
@@ -112,6 +128,7 @@ class SmirnovBoundary:
     @classmethod
     def from_line(cls, n: int, u: float, w: float) -> "SmirnovBoundary":
         """c_j = clamp((j - u) / (n + w - u)): the line count <= (n+w-u)t + u."""
+        n = _integer("n", n)
         _require_finite(u=u, w=w)
         if n + w - u <= 0:
             raise PreconditionError("needs n + w - u > 0")
@@ -122,6 +139,7 @@ class SmirnovBoundary:
     def from_region(cls, n: int, N: float, alpha: float, beta: float) -> "SmirnovBoundary":
         """c_j = clamp((alpha j - beta) / N); constraints below 0 are vacuous,
         boundaries clamped at 1 force emptiness."""
+        n = _integer("n", n)
         _require_finite(N=N, alpha=alpha, beta=beta)
         if N <= 0:
             raise PreconditionError("needs N > 0")
@@ -181,39 +199,80 @@ def noncrossing_probability_exact(b: SmirnovBoundary) -> float:
     return float(F[n, n + 1])
 
 
+def _batch_hits(c: np.ndarray, seed: int, i: int, size: int,
+                buf: np.ndarray, above: np.ndarray) -> int:
+    """How many of batch i's ``size`` rows clear c.  The rows come from the
+    batch's own generator, len(buf) at a time into the reused buffers."""
+    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, i))))
+    hits = 0
+    # consecutive fills of one generator give the bits of one whole-batch fill
+    for lo in range(0, size, len(buf)):
+        k = min(len(buf), size - lo)
+        u, ok = buf[:k], above[:k]
+        gen.random(out=u)
+        u.sort(axis=1)
+        np.greater_equal(u, c, out=ok)
+        hits += int(ok.all(axis=1).sum())
+    return hits
+
+
 def noncrossing_probability_mc(
     b: SmirnovBoundary, samples: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo estimate and binomial standard error of the non-crossing
     probability.  Batch i of MC_BATCH rows draws from SFC64 seeded with
-    SeedSequence((seed, i)), so the result is independent of scheduling and
-    thread count.  The batch is filled, sorted and tested a chunk of
-    max(1, MC_CHUNK // n) rows at a time, in one reused float64 buffer and
-    one bool buffer: at most 9 max(n, MC_CHUNK) bytes, whatever the batch or
-    sample count.  Refuses past the ``mc_uniforms`` budget of samples * n
-    uniforms before any is drawn."""
+    SeedSequence((seed, i)).
+
+    The batches run on min(CPUs in the process's affinity mask, batches)
+    workers: the calling thread and one started thread per further worker,
+    so a one-batch call starts none.  Each worker counts its hits in an
+    integer, so the estimate and its error are bit-identical at any worker
+    count; an exception in a worker stops the others' claims and re-raises
+    here.  A worker fills, sorts and tests max(1, MC_CHUNK // workers // n)
+    rows at a time, in one reused float64 buffer and one bool buffer: at
+    most 9 workers max(n, MC_CHUNK // workers) bytes in all, whatever the
+    batch or sample count.  Refuses past the ``mc_uniforms`` budget of
+    samples * n uniforms before any is drawn."""
+    samples, seed = _integer("samples", samples), _integer("seed", seed)
     if samples < MC_MIN_SAMPLES:
         raise PreconditionError(f"needs at least {MC_MIN_SAMPLES} samples")
     if seed < 0:
         raise PreconditionError("needs seed >= 0")
     check_budget("mc_uniforms", samples * b.n)
     c = np.asarray(b.c, dtype=np.float64)
-    rows = max(1, min(MC_BATCH, samples, MC_CHUNK // b.n))
-    buf = np.empty((rows, b.n))
-    above = np.empty((rows, b.n), dtype=bool)
-    hits = 0
-    for i, start in enumerate(range(0, samples, MC_BATCH)):
-        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, i))))
-        stop = min(start + MC_BATCH, samples)
-        # consecutive fills of one generator give the bits of one whole-batch fill
-        for lo in range(start, stop, rows):
-            k = min(rows, stop - lo)
-            u, ok = buf[:k], above[:k]
-            gen.random(out=u)
-            u.sort(axis=1)
-            np.greater_equal(u, c, out=ok)
-            hits += int(ok.all(axis=1).sum())
-    est = hits / samples
+    batches = -(-samples // MC_BATCH)
+    workers = min(_cpus(), batches)
+    rows = max(1, min(MC_BATCH, samples, MC_CHUNK // workers // b.n))
+    # every worker's buffers come from the calling thread's heap, which
+    # reuses them after the call; a started thread's heap would keep them
+    bufs = [(np.empty((rows, b.n)), np.empty((rows, b.n), dtype=bool)) for _ in range(workers)]
+    todo = iter(range(batches))
+    claim = threading.Lock()
+    hits = [0] * workers
+    failed: list[BaseException] = []
+
+    def work(w: int) -> None:
+        buf, above = bufs[w]
+        try:
+            while not failed:
+                with claim:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                size = min(MC_BATCH, samples - i * MC_BATCH)
+                hits[w] += _batch_hits(c, seed, i, size, buf, above)
+        except BaseException as e:
+            failed.append(e)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if failed:
+        raise failed[0]
+    est = sum(hits) / samples
     return est, math.sqrt(est * (1.0 - est) / samples)
 
 
@@ -228,6 +287,7 @@ def check_line(u: float, w: float) -> None:
 def q_n(u: float, w: float, n: int) -> float:
     """Probability that the empirical count stays below (n+w-u)t + u, i.e.
     the exact value approximated by 1 - exp(-2uw/n) up to O((u+w)/n)."""
+    n = _integer("n", n)
     check_line(u, w)
     check_budget("exact_n", n)
     return noncrossing_probability_exact(SmirnovBoundary.from_line(n, u, w))
@@ -240,6 +300,7 @@ def region_volume(n: int, N: float, alpha: float, beta: float) -> float:
     scaling the box to [0, 1] turns the sorted coordinates into uniform
     order statistics.  Returns 0 for an empty region.
     """
+    n = _integer("n", n)
     _require_finite(N=N, alpha=alpha, beta=beta)
     if alpha * n - beta > N:
         return 0.0
@@ -281,6 +342,7 @@ def volume_sandwich(n: int, N: float, alpha: float, beta: float) -> SandwichRepo
     needs factor <= 1 (``lower_applicable``).  Callers assert containment
     only when the flags hold; otherwise the report is informational.
     """
+    n = _integer("n", n)
     if n < 1:
         raise PreconditionError("needs n >= 1")
     if alpha <= 0:

@@ -279,6 +279,16 @@ def test_cmd_smirnov_and_mertens():
     assert 0.20 <= row["difference"] <= 0.30
 
 
+def test_cmd_smirnov_takes_integers_only():
+    # n = 10.5 used to answer for n = 11, and samples = 1e5 raised a bare TypeError
+    for kw in ({"n": 10.5, "u": 2, "w": 2}, {"n": 10, "u": 2, "w": 2, "samples": 1e5},
+               {"c": [0.3], "samples": 10**4, "seed": 1.0}):
+        with pytest.raises(PreconditionError):
+            cmd_smirnov(**kw)
+    assert (cmd_smirnov(n=np.int64(10), u=2, w=2).results
+            == cmd_smirnov(n=10, u=2, w=2).results)
+
+
 def test_cmd_shiu():
     row = cmd_shiu(11, 10, 1, 0, 2.0).results[0]
     assert row["exact"] == 23.0

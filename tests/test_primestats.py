@@ -211,6 +211,23 @@ def test_queries_take_integers_only():
     assert type(NkQuery(0.0, 0.0, np.int64(2), elements=(6, 10)).k) is int
 
 
+def test_nk_query_hashes_and_compares_by_its_set():
+    # elements is stored as a sorted tuple of Python ints, whatever the caller
+    # passed: a list was unhashable, and == on two ndarrays was ambiguous
+    q = NkQuery(0.0, 1.0, 2, elements=[6, 10, 15])
+    assert q.elements == (6, 10, 15) and all(type(v) is int for v in q.elements)
+    assert hash(q) == hash(NkQuery(0.0, 1.0, 2, elements=(6, 10, 15)))
+    a = NkQuery(0.0, 1.0, 2, elements=np.array([6, 10, 15]))
+    b = NkQuery(0.0, 1.0, 2, elements=np.array([15, 10, 6, 10]))
+    assert a == b == q and hash(a) == hash(b)
+    assert a != NkQuery(0.0, 1.0, 2, elements=[6, 10])
+    assert len({a, b, q}) == 1
+    assert NkQuery(0.0, 1.0, 2, elements=[2**70, 3]).elements == (3, 2**70)
+    for bad in ([6, 10.5], ["6"], np.array([6.0])):
+        with pytest.raises(PreconditionError):
+            NkQuery(0.0, 1.0, 2, elements=bad)
+
+
 def _shiu_exact_over_hull(q):
     """The exact window sum read from a table over all of [x - y, x)."""
     lo = max(q.x - q.y, 1)

@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 import random
 import tracemalloc
@@ -10,6 +11,7 @@ from multable import smirnov
 from multable.errors import BUDGETS, BudgetError, PreconditionError
 from multable.smirnov import (
     MC_BATCH,
+    MC_MIN_SAMPLES,
     SmirnovBoundary,
     log_gamma_int,
     volume_sandwich,
@@ -185,8 +187,10 @@ def _whole_batch_mc(b, samples, seed):
 def test_mc_chunks_keep_the_stream(monkeypatch, samples, rows):
     # a chunk of one row, of 3 rows (3 does not divide MC_BATCH), and the
     # default MC_CHUNK // 30 = 4369 rows; both sample counts end in a partial
-    # chunk, and MC_BATCH + 17 also in a partial batch
+    # chunk, and MC_BATCH + 17 also in a partial batch.  One worker holds
+    # the whole chunk
     b = SmirnovBoundary.from_line(30, 3.0, 4.0)
+    monkeypatch.setattr(smirnov, "_cpus", lambda: 1)
     if rows is not None:
         monkeypatch.setattr(smirnov, "MC_CHUNK", rows * b.n)
     assert noncrossing_probability_mc(b, samples, 12345) == _whole_batch_mc(b, samples, 12345)
@@ -205,9 +209,105 @@ def test_mc_memory_bounded():
     assert peak < 8 << 20, f"traced peak {peak} bytes"
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+@pytest.mark.parametrize("samples", [MC_BATCH + 17, 3 * MC_BATCH + 5])
+def test_mc_workers_keep_the_stream(monkeypatch, cpus, samples):
+    # 2 and 4 batches, each ending in a partial one, on up to min(cpus,
+    # batches) workers: the same bits as one whole-batch draw per batch
+    b = SmirnovBoundary.from_line(30, 3.0, 4.0)
+    monkeypatch.setattr(smirnov, "_cpus", lambda: cpus)
+    assert noncrossing_probability_mc(b, samples, 12345) == _whole_batch_mc(b, samples, 12345)
+
+
+class _CountingThread(threading.Thread):
+    starts = 0
+
+    def start(self):
+        type(self).starts += 1
+        super().start()
+
+
+@pytest.mark.parametrize("samples", [MC_MIN_SAMPLES, MC_BATCH, MC_BATCH + 1, 3 * MC_BATCH])
+def test_mc_starts_a_thread_per_extra_batch_at_most(monkeypatch, samples):
+    # the calling thread is a worker, so a one-batch call starts none, and
+    # no call starts more threads than it has batches; 64 CPUs are pretended,
+    # never used
+    monkeypatch.setattr(smirnov, "_cpus", lambda: 64)
+    monkeypatch.setattr(threading, "Thread", _CountingThread)
+    monkeypatch.setattr(_CountingThread, "starts", 0)
+    b = B([0.2, 0.5])
+    assert noncrossing_probability_mc(b, samples, 5) == _whole_batch_mc(b, samples, 5)
+    batches = -(-samples // MC_BATCH)
+    assert _CountingThread.starts == batches - 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("bad", [0, 2])
+def test_mc_worker_exception_reaches_the_caller(monkeypatch, cpus, bad):
+    # the first batch or the last one fails, on whichever worker claims it:
+    # the calling thread or, with more than one worker, maybe a started one
+    real = smirnov._batch_hits
+
+    def batch_hits(c, seed, i, *args):
+        if i == bad:
+            raise ZeroDivisionError(f"batch {i}")
+        return real(c, seed, i, *args)
+
+    monkeypatch.setattr(smirnov, "_cpus", lambda: cpus)
+    monkeypatch.setattr(smirnov, "_batch_hits", batch_hits)
+    with pytest.raises(ZeroDivisionError, match=f"batch {bad}"):
+        noncrossing_probability_mc(B([0.2, 0.5]), 3 * MC_BATCH, seed=1)
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+def test_mc_workers_share_the_chunk(monkeypatch, cpus):
+    # three batches on min(cpus, 3) workers: together they hold about one
+    # chunk (1.2 MB of buffers); a chunk each would pass the second bound.
+    # The first bound is test_mc_memory_bounded's
+    b = SmirnovBoundary.from_line(200, 5.0, 5.0)
+    monkeypatch.setattr(smirnov, "_cpus", lambda: cpus)
+    noncrossing_probability_mc(b, MC_MIN_SAMPLES, seed=3)  # the first draw imports modules
+    tracemalloc.start()
+    try:
+        got = noncrossing_probability_mc(b, 3 * MC_BATCH, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == _whole_batch_mc(b, 3 * MC_BATCH, 3)
+    assert peak < 8 << 20, f"traced peak {peak} bytes"
+    assert peak < 2 * 9 * smirnov.MC_CHUNK, f"traced peak {peak} bytes"
+
+
 def test_mc_rejects_negative_seed():
     with pytest.raises(PreconditionError):
         noncrossing_probability_mc(B([0.2, 0.5]), 10**4, seed=-1)
+
+
+def test_entry_points_take_integers_only():
+    # a float n used to answer for its ceiling (from_line, q_n) or run
+    # ceil(n) points beside a factor computed with n itself (volume_sandwich)
+    with pytest.raises(PreconditionError):
+        SmirnovBoundary.from_line(10.5, 2.0, 2.0)
+    with pytest.raises(PreconditionError):
+        SmirnovBoundary.from_region(10.5, 30.0, 1.0, 9.0)
+    for n in (10.5, "10"):
+        with pytest.raises(PreconditionError):
+            q_n(2, 2, n)
+    with pytest.raises(PreconditionError):
+        volume_sandwich(10.5, 30.0, 1.0, 9.0)
+    for n in (10.5, 3.0):  # 3.0 * 1.0 - 0 > 1: an empty region, refused all the same
+        with pytest.raises(PreconditionError):
+            region_volume(n, 1.0, 1.0, 0.0)
+    b = B([0.2, 0.5])
+    for samples, seed in ((1e5, 0), (10**4 + 0.5, 0), ("10000", 0), (10**4, 0.0), (10**4, "1")):
+        with pytest.raises(PreconditionError):
+            noncrossing_probability_mc(b, samples, seed)
+    # numpy integers are integers
+    assert SmirnovBoundary.from_line(np.int64(10), 2.0, 2.0) == SmirnovBoundary.from_line(10, 2.0, 2.0)
+    assert q_n(2, 2, np.int32(10)) == q_n(2, 2, 10)
+    assert volume_sandwich(np.int64(10), 30.0, 1.0, 9.0) == volume_sandwich(10, 30.0, 1.0, 9.0)
+    assert (noncrossing_probability_mc(b, np.int64(10**4), np.uint8(7))
+            == noncrossing_probability_mc(b, 10**4, 7))
 
 
 def test_qn_examples():
