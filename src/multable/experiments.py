@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .energy import cs_floor, energy, offdiag_tuples
 from .errors import BUDGETS, BudgetError, InternalCheckError, PreconditionError, check_budget
-from .progressions import ArithmeticProgression, int_array
+from .progressions import ArithmeticProgression, _integer, int_array
 from .reduction import DirectBound, Reduced, large_a_energy_bound, reduce
 from .primestats import NkQuery, ShiuQuery, nk_last_prime_extension, nk_set, shiu_mean
 from .sieve import mertens_sum, progression_table
@@ -323,6 +323,7 @@ def cmd_smirnov(
     if c is not None:
         b = SmirnovBoundary.from_values(c)
     elif n is not None and u is not None and w is not None:
+        n = _integer("n", n)  # before the budget compares it
         check_budget("exact_n", n)
         b = SmirnovBoundary.from_line(n, u, w)
     else:

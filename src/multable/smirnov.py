@@ -32,7 +32,11 @@ whole-batch draw.  The workers share MC_CHUNK uniforms between them, so
 memory grows as workers * max(n, MC_CHUNK // workers) and not with the batch
 or the sample count.  This stream replaced 0.1.0's Philox keyed (seed, batch):
 Monte Carlo estimates differ from 0.1.0 at the same seed, exact values do not.
-The exact recursion runs on one thread.
+
+The exact recursion's weights depend on the boundary alone, so workers
+compute them ahead in blocks of steps, on the same CPUs, while the
+extended-precision sums run one step after another in step order: exact
+values are bit-identical at any worker count too.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .progressions import _integer
 PRECISION_WARN_AT = 200
 MC_MIN_SAMPLES = 10**4
 MC_BATCH = 1 << 14
-MC_CHUNK = 1 << 17  # uniforms drawn, sorted and tested at once by all workers: 1 MiB of float64
+MC_CHUNK = 1 << 17  # values all workers hold at once: Monte Carlo uniforms, exact weights
 SANDWICH_C = 8.0  # C of volume_sandwich's hypotheses beta >= C alpha, C <= w
 
 # Cephes lgam: log sqrt(2 pi) and the Stirling-series coefficients used for
@@ -94,6 +98,52 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _on_workers(workers: int, tasks: int, run, then=None) -> None:
+    """Run tasks 0..tasks-1 on ``workers`` workers: the calling thread is
+    worker 0 and each further worker a started thread, so one worker starts
+    none.  A worker claims the next task i under one lock and calls
+    run(w, i), w being its own number; then(w, i), if given, follows once
+    every task before i has finished its own.  After the first exception no
+    task is claimed and no worker waits; it re-raises here once all return."""
+    lock = threading.Condition(threading.Lock())
+    todo = iter(range(tasks))
+    finished = 0  # tasks whose ``then`` has run
+    failed: list[BaseException] = []
+
+    def work(w: int) -> None:
+        nonlocal finished
+        try:
+            while True:
+                with lock:
+                    i = None if failed else next(todo, None)
+                if i is None:
+                    return
+                run(w, i)
+                if then is None:
+                    continue
+                with lock:
+                    lock.wait_for(lambda: finished == i or failed)
+                    if failed:
+                        return
+                then(w, i)
+                with lock:
+                    finished += 1
+                    lock.notify_all()
+        except BaseException as e:
+            with lock:
+                failed.append(e)
+                lock.notify_all()
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if failed:
+        raise failed[0]
 
 
 def _require_finite(**values: float) -> None:
@@ -147,13 +197,113 @@ class SmirnovBoundary:
         return cls(tuple(np.clip((alpha * j - beta) / N, 0.0, 1.0).tolist()))
 
 
+def _blocks(carr: np.ndarray, share: int) -> tuple[list[list[tuple[int, int, int, int]]], int]:
+    """Cut the steps r with c_r > 0 into pieces (r0, r1, a, b): steps r0..r1,
+    each with its weights for m = r0 + 1 + a .. r0 + b laid out in one
+    (r1 - r0 + 1, b - a, r1) array that pads the steps' own (n + 1 - r, r).
+    A piece takes consecutive whole steps while that array stays within
+    ``share`` and pads no more lanes than the steps use; a step of more than
+    ``share`` weights is cut into pieces of max(1, share // r) values of m.
+    A block takes consecutive pieces while their lanes stay within
+    ``share``, and at least one.  Returns the blocks and the most lanes one
+    of them holds."""
+    n = carr.size - 2
+    pieces = []
+    r0 = n + 1 - int(np.count_nonzero(carr[1:-1]))  # c is non-decreasing: zeros lead
+    while r0 <= n:
+        rows = n + 1 - r0
+        if rows * r0 > share:
+            cut = max(1, share // r0)
+            pieces += [(r0, r0, a, min(a + cut, rows)) for a in range(0, rows, cut)]
+            r0 += 1
+            continue
+        r1, used = r0, rows * r0
+        while r1 < n:
+            lanes, more = (r1 + 2 - r0) * rows * (r1 + 1), used + (n - r1) * (r1 + 1)
+            if lanes > share or lanes > 2 * more:
+                break
+            r1, used = r1 + 1, more
+        pieces.append((r0, r1, 0, rows))
+        r0 = r1 + 1
+    blocks, held, most = [], 0, 0
+    for piece in pieces:
+        r0, r1, a, b = piece
+        lanes = (r1 + 1 - r0) * (b - a) * r1
+        if blocks and held + lanes <= share:
+            blocks[-1].append(piece)
+            held += lanes
+        else:
+            blocks.append([piece])
+            held = lanes
+        most = max(most, held)
+    return blocks, most
+
+
+def _block_weights(carr: np.ndarray, lgam: np.ndarray, lgam_nan: np.ndarray,
+                   block: list[tuple[int, int, int, int]], logs: np.ndarray,
+                   wide: np.ndarray) -> None:
+    """The binomial weights of a block's pieces, one after another from the
+    start of ``wide``, widened to extended precision.  In a piece's array,
+    step r's weights for m are row m of its (n + 1 - r, r) matrix; the other
+    lanes hold nan or numbers nothing reads.  The float64 ``logs`` holds the
+    exponents, and the terms added to them fill the bytes of ``wide``.
+    lgam[k] = log (k-1)!, and lgam_nan[n + k] = lgam[k] for k >= 2 and nan
+    for k <= 1."""
+    n = carr.size - 2
+    ints = np.arange(n + 1)
+    counts = ints.astype(np.float64)  # 0..r-1 in each step's lanes
+    term = wide.view(np.float64)
+    o = 0
+    # the error state is per thread, so each worker sets its own
+    with np.errstate(all="ignore"):
+        for r0, r1, a, b in block:
+            shape = (r1 + 1 - r0, b - a, r1)
+            lanes = shape[0] * shape[1] * shape[2]
+            steps = ints[r0 : r1 + 1, None]
+            x = carr[r0 : r1 + 1, None] / carr[r0 + 1 + a : r0 + 1 + b]
+            # binomial pmf over counts 0..r-1, log-space for stability near
+            # x = 1: logs = (lcomb + log(x) counts) + log1p(-x) (r - counts),
+            # in that order.  Lanes past a step's own counts take nan from
+            # lgam_nan, which exp passes at full speed (inf or an underflow
+            # would not)
+            lcomb = lgam[steps + 1] - lgam[1 : r1 + 1] - lgam_nan[n + 1 + steps - ints[:r1]]
+            piece = logs[o : o + lanes].reshape(shape)
+            np.multiply(np.log(x)[:, :, None], counts[:r1], out=piece)
+            piece += lcomb[:, None, :]
+            np.multiply(np.log1p(-x)[:, :, None], (steps - counts[:r1])[:, None, :],
+                        out=term[o : o + lanes].reshape(shape))
+            o += lanes
+        logs = logs[:o]
+        logs += term[:o]
+        # exp stays in float64 (a longdouble exp would change the weights' bits)
+        np.exp(logs, out=logs)
+    np.copyto(wide[:o], logs)
+
+
 def noncrossing_probability_exact(b: SmirnovBoundary) -> float:
     """P(U_(j) >= c_j for all j) for n iid uniforms, by the conditioning
     recursion; O(n^3) work, extended-precision accumulation.
 
     Warns above n = 200 (binomial weights start losing digits) and refuses
-    above the ``exact_n`` budget.  The callers that build a boundary from n
-    check that budget before they build it.
+    above the ``exact_n`` budget, both before any work starts.  The callers
+    that build a boundary from n check that budget before they build it.
+
+    Step r's binomial weights depend on the boundary alone, so they are
+    computed ahead, in blocks of consecutive steps of at most MC_CHUNK //
+    CPUs weights, padding included (a larger step is cut into blocks of its
+    own).  The blocks run on min(CPUs in the process's affinity mask,
+    blocks) workers: the calling thread and one started thread per further
+    worker, so a one-block call (n up to 57 on 2 CPUs) starts none.  A
+    worker computes a block's weights, waits until the block before it has
+    added up its steps, then adds up its own in step order.  Every weight
+    goes through the same float64 operations and every sum is the same
+    extended-precision dot, so the value is bit-identical at any worker
+    count; an exception in a worker re-raises here.  The calling thread
+    allocates every buffer: the table of G, 8 (n + 1)(n + 2) bytes, and 24
+    bytes a weight for each worker's block, 24 max(MC_CHUNK, workers n)
+    bytes (3 MiB) at most in all; each worker adds NumPy's iterator buffer,
+    about 128 KiB.  At n = 400 the traced peak is 4.5 MiB on 1 CPU, 4.6 MiB
+    on 2 and 4.9 MiB on 4.
     """
     n = b.n
     check_budget("exact_n", n)
@@ -162,41 +312,43 @@ def noncrossing_probability_exact(b: SmirnovBoundary) -> float:
     # carr[m] = c_m for 1 <= m <= n, with the sentinel c_{n+1} = 1 (full scale)
     carr = np.concatenate([[0.0], np.asarray(b.c, dtype=np.float64), [1.0]])
     lgam = np.array([log_gamma_int(k) for k in range(n + 2)])  # lgam[k] = log (k-1)!
-    # F[r, m] = G(r, c_m) for r < m <= n+1
-    F = np.zeros((n + 1, n + 2), dtype=np.longdouble)
-    F[0, :] = 1.0
-    # the binomial weights of one step: their logs in two float64 buffers,
-    # then widened to extended precision in a third; the largest step holds
-    # (n + 1 - r) * r <= (n + 2)^2 / 4 weights
-    size = (n + 2) ** 2 // 4
-    lbuf, tbuf = np.empty(size), np.empty(size)
-    wbuf = np.empty(size, dtype=np.longdouble)
-    for r in range(1, n + 1):
-        cr = carr[r]
-        if cr == 0.0:
-            F[r, r + 1 :] = 1.0
-            continue
-        x = cr / carr[r + 1 :]
-        # binomial pmf over counts 0..r-1, log-space for stability near x = 1
-        rr = np.arange(r, dtype=np.float64)
-        lcomb = lgam[r + 1] - lgam[1 : r + 1] - lgam[r + 1 : 1 : -1]
-        shape = (x.size, r)
-        logs = lbuf[: x.size * r].reshape(shape)
-        term = tbuf[: x.size * r].reshape(shape)
-        # logs = (lcomb + log(x) rr) + log1p(-x) (r - rr), in that order
-        with np.errstate(divide="ignore"):
-            np.outer(np.log(x), rr, out=logs)
-            np.outer(np.log1p(-x), r - rr, out=term)
-        logs += lcomb
-        logs += term
-        # exp stays in float64 (a longdouble exp would change the weights'
-        # bits); np.dot adds each row's products in index order in one
-        # extended-precision accumulator
-        np.exp(logs, out=logs)
-        w = wbuf[: x.size * r].reshape(shape)
-        np.copyto(w, logs)
-        np.dot(w, F[:r, r], out=F[r, r + 1 :])
-    return float(F[n, n + 1])
+    lgam_nan = np.concatenate([np.full(n + 2, np.nan), lgam[2:]])
+    # G(r, c_m) for r < m <= n + 1, column by column: G[col[m] + r]; a step
+    # with c_r = 0 has G(r, c_m) = 1, as row 0 has
+    col = np.arange(n + 2) * np.arange(-1, n + 1) // 2
+    G = np.empty((n + 1) * (n + 2) // 2, dtype=np.longdouble)
+    zeros = n - int(np.count_nonzero(carr[1:-1]))
+    for r in range(zeros + 1):
+        G[col[r + 1 :] + r] = 1.0
+    cpus = _cpus()
+    blocks, most = _blocks(carr, MC_CHUNK // cpus)
+    workers = min(cpus, len(blocks))
+    # every buffer comes from the calling thread's heap, which reuses it
+    # after the call; a started thread's heap would keep it
+    bufs = [(np.empty(most), np.empty(most, dtype=np.longdouble)) for _ in range(workers)]
+    row = np.empty(n, dtype=np.longdouble)  # the sums run one block at a time
+
+    def weights(w: int, i: int) -> None:
+        _block_weights(carr, lgam, lgam_nan, blocks[i], *bufs[w])
+
+    def sums(w: int, i: int) -> None:
+        wide = bufs[w][1]
+        o = 0
+        for r0, r1, a, b in blocks[i]:
+            shape = (r1 + 1 - r0, b - a, r1)
+            piece = wide[o : o + shape[0] * shape[1] * shape[2]].reshape(shape)
+            o += piece.size
+            for r in range(r0, r1 + 1):
+                t = max(0, r - r0 - a)  # the first lane with m > r
+                cells = col[r0 + 1 + a + t : r0 + 1 + b] + r
+                # np.dot adds each row's products in index order in one
+                # extended-precision accumulator
+                out = row[: cells.size]
+                np.dot(piece[r - r0, t:, :r], G[col[r] : col[r] + r], out=out)
+                G[cells] = out
+
+    _on_workers(workers, len(blocks), weights, sums)
+    return float(G[-1])
 
 
 def _batch_hits(c: np.ndarray, seed: int, i: int, size: int,
@@ -246,32 +398,13 @@ def noncrossing_probability_mc(
     # every worker's buffers come from the calling thread's heap, which
     # reuses them after the call; a started thread's heap would keep them
     bufs = [(np.empty((rows, b.n)), np.empty((rows, b.n), dtype=bool)) for _ in range(workers)]
-    todo = iter(range(batches))
-    claim = threading.Lock()
     hits = [0] * workers
-    failed: list[BaseException] = []
 
-    def work(w: int) -> None:
-        buf, above = bufs[w]
-        try:
-            while not failed:
-                with claim:
-                    i = next(todo, None)
-                if i is None:
-                    return
-                size = min(MC_BATCH, samples - i * MC_BATCH)
-                hits[w] += _batch_hits(c, seed, i, size, buf, above)
-        except BaseException as e:
-            failed.append(e)
+    def count(w: int, i: int) -> None:
+        size = min(MC_BATCH, samples - i * MC_BATCH)
+        hits[w] += _batch_hits(c, seed, i, size, *bufs[w])
 
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
-    for t in threads:
-        t.start()
-    work(0)
-    for t in threads:
-        t.join()
-    if failed:
-        raise failed[0]
+    _on_workers(workers, batches, count)
     est = sum(hits) / samples
     return est, math.sqrt(est * (1.0 - est) / samples)
 

@@ -289,6 +289,13 @@ def test_cmd_smirnov_takes_integers_only():
             == cmd_smirnov(n=10, u=2, w=2).results)
 
 
+def test_cmd_smirnov_refuses_a_string_n():
+    # the exact_n budget compared "10" > 400 and raised a bare TypeError
+    for n in ("10", "400", None):
+        with pytest.raises(PreconditionError):
+            cmd_smirnov(n=n, u=2, w=2)
+
+
 def test_cmd_shiu():
     row = cmd_shiu(11, 10, 1, 0, 2.0).results[0]
     assert row["exact"] == 23.0

@@ -1,11 +1,13 @@
 import math
 import threading
+import time
 import warnings
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from multable import smirnov
 from multable.errors import BUDGETS, BudgetError, PreconditionError
@@ -415,3 +417,169 @@ def test_sandwich_one_dimensional():
         assert r.volume == pytest.approx(want, rel=1e-12)
         if r.hypotheses_met and r.lower_applicable:
             assert r.lower <= r.volume <= r.upper
+
+
+def _serial_exact(b):
+    # the recursion as it ran on one thread, step after step, kept as the
+    # oracle for the blocked one: each weight and each sum bit for bit
+    n = b.n
+    carr = np.concatenate([[0.0], np.asarray(b.c, dtype=np.float64), [1.0]])
+    lgam = np.array([log_gamma_int(k) for k in range(n + 2)])
+    F = np.zeros((n + 1, n + 2), dtype=np.longdouble)
+    F[0, :] = 1.0
+    for r in range(1, n + 1):
+        cr = carr[r]
+        if cr == 0.0:
+            F[r, r + 1 :] = 1.0
+            continue
+        x = cr / carr[r + 1 :]
+        rr = np.arange(r, dtype=np.float64)
+        lcomb = lgam[r + 1] - lgam[1 : r + 1] - lgam[r + 1 : 1 : -1]
+        with np.errstate(divide="ignore"):
+            logs = np.outer(np.log(x), rr)
+            term = np.outer(np.log1p(-x), r - rr)
+        logs += lcomb
+        logs += term
+        np.exp(logs, out=logs)
+        np.dot(logs.astype(np.longdouble), F[:r, r], out=F[r, r + 1 :])
+    return float(F[n, n + 1])
+
+
+class _InlineThread:
+    # stands in for threading.Thread where many CPUs are pretended: the
+    # target runs at start(), in the calling thread, so no thread starts
+    def __init__(self, target, args=()):
+        self.run = lambda: target(*args)
+
+    def start(self):
+        self.run()
+
+    def join(self):
+        pass
+
+
+def _pretend_cpus(mp, cpus):
+    mp.setattr(smirnov, "_cpus", lambda: cpus)
+    if cpus > 4:
+        mp.setattr(threading, "Thread", _InlineThread)
+
+
+def _exact_quietly(b):
+    # the precision warning past n = 200 is the only warning allowed: a
+    # worker's floating-point warning would be recorded here too
+    if b.n <= smirnov.PRECISION_WARN_AT:
+        return noncrossing_probability_exact(b)
+    with pytest.warns(RuntimeWarning) as seen:
+        got = noncrossing_probability_exact(b)
+    assert [str(w.message) for w in seen] == [f"n = {b.n} > 200: precision may degrade"]
+    return got
+
+
+_BLOCKED_CASES = [
+    *(SmirnovBoundary.from_line(n, 1.5, 2.5) for n in (1, 2, 5, 64, 201, 400)),
+    SmirnovBoundary.from_line(150, 0.7, 3.0),
+    B([0.0] * 40),  # all zero: no weights at all
+    SmirnovBoundary.from_line(90, 6.5, 2.0),  # a zero prefix, c_1..c_6 = 0
+    SmirnovBoundary.from_region(80, 30.0, 0.5, 3.0),  # clamped at 1 from j = 66
+    B([0.1, 0.1, 0.4, 1.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+@pytest.mark.parametrize("b", _BLOCKED_CASES, ids=lambda b: f"n{b.n}")
+def test_exact_bits_at_any_worker_count(monkeypatch, cpus, b):
+    _pretend_cpus(monkeypatch, cpus)
+    assert _exact_quietly(b) == _serial_exact(b)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+@given(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]), min_size=1, max_size=60))
+def test_exact_bits_property(cpus, c):
+    b = B(sorted(c))
+    with pytest.MonkeyPatch.context() as mp:
+        _pretend_cpus(mp, cpus)
+        assert noncrossing_probability_exact(b) == _serial_exact(b)
+
+
+def _count_blocks(monkeypatch):
+    seen = []
+    real = smirnov._block_weights
+
+    def block_weights(*args):
+        seen.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(smirnov, "_block_weights", block_weights)
+    return seen
+
+
+@pytest.mark.parametrize("cpus, n, one_block", [
+    (2, 5, True), (2, 40, True), (2, 200, False), (3, 200, False), (64, 5, True), (64, 30, False),
+])
+def test_exact_starts_a_thread_per_extra_block_at_most(monkeypatch, cpus, n, one_block):
+    # the calling thread is a worker, so a one-block call starts none and no
+    # call starts more than blocks - 1; with 64 CPUs pretended, n = 30 makes
+    # 5 blocks, so only 4 threads start for real
+    monkeypatch.setattr(smirnov, "_cpus", lambda: cpus)
+    monkeypatch.setattr(threading, "Thread", _CountingThread)
+    monkeypatch.setattr(_CountingThread, "starts", 0)
+    blocks = _count_blocks(monkeypatch)
+    b = SmirnovBoundary.from_line(n, 1.5, 2.5)
+    assert noncrossing_probability_exact(b) == _serial_exact(b)
+    assert (len(blocks) == 1) == one_block
+    assert _CountingThread.starts == min(cpus, len(blocks)) - 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("where", [0, -1])
+def test_exact_worker_exception_reaches_the_caller(monkeypatch, cpus, where):
+    # the first or the last block fails, on whichever worker claims it, late
+    # enough that another worker already waits for its turn; the call
+    # returns with the error instead of leaving that worker waiting
+    b = SmirnovBoundary.from_line(150, 1.5, 2.5)
+    monkeypatch.setattr(smirnov, "_cpus", lambda: cpus)
+    blocks = _count_blocks(monkeypatch)
+    noncrossing_probability_exact(b)
+    assert len(blocks) > 4
+    bad = blocks[where]
+    real = smirnov._block_weights
+
+    def block_weights(*args):
+        if args[3] == bad:
+            time.sleep(0.05)
+            raise ZeroDivisionError(f"block {bad}")
+        return real(*args)
+
+    monkeypatch.setattr(smirnov, "_block_weights", block_weights)
+    outcome = []
+
+    def call():
+        try:
+            noncrossing_probability_exact(b)
+        except ZeroDivisionError as e:
+            outcome.append(e)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(30)
+    assert not caller.is_alive(), "the call did not return"
+    assert [str(e) for e in outcome] == [f"block {bad}"]
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_exact_memory_bounded(monkeypatch, cpus):
+    # half the one-thread recursion's (n + 1)(n + 2) table, plus each
+    # worker's block of weights: the one-thread recursion peaked at 3.84 MiB
+    monkeypatch.setattr(smirnov, "_cpus", lambda: cpus)
+    b = SmirnovBoundary.from_line(400, 5, 5)
+    want = _serial_exact(b)
+    with pytest.warns(RuntimeWarning):
+        noncrossing_probability_exact(b)  # the first call imports and warms up
+        tracemalloc.start()
+        try:
+            got = noncrossing_probability_exact(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert got == want
+    assert peak < 5 << 20, f"traced peak {peak} bytes"
