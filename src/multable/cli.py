@@ -1,9 +1,10 @@
 """Command line front end.
 
 One experiment per invocation; reports go to stdout (or --out) as JSON or
-CSV.  Exit codes: 0 success (also when the reader closes the pipe early),
-2 precondition violation or malformed value, 3 budget exceeded, 4 internal
-assertion failure.
+CSV.  Each subcommand is the ``experiments.command`` declaration of the
+same name.  Exit codes: 0 success (also when the reader closes the pipe
+early), 2 precondition violation or malformed value, 3 budget exceeded, 4
+internal assertion failure.
 """
 
 from __future__ import annotations
@@ -14,14 +15,6 @@ import sys
 
 from . import experiments as ex
 from .errors import BudgetError, InternalCheckError, PreconditionError
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,76 +38,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     global_flags(parser, defaults=True)
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    # every dest is a keyword of the subcommand's cmd_* function
-    def add_parser(name, run, **kw):
-        p = sub.add_parser(name, **kw)
+    for name, (help, args, run) in ex.COMMANDS.items():
+        p = sub.add_parser(name, help=help)
         global_flags(p, defaults=False)
+        for flag, kw in args:
+            p.add_argument(flag, **kw)
         p.set_defaults(run=run)
-        return p
-
-    p = add_parser("table", ex.cmd_table, help="exact |[N].[N]| and its normalized ratio")
-    p.add_argument("N", type=int)
-
-    p = add_parser("ap-product", ex.cmd_ap_product, help="product set and energy of a progression")
-    p.add_argument("a", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("L", type=int)
-
-    p = add_parser("energy", ex.cmd_energy, help="multiplicative energy of an explicit set")
-    p.add_argument("--set", dest="values", type=_int_list, required=True,
-                   help="comma-separated integers, all in one argument; Linux caps one argument "
-                        "at 128 KiB, about 20,000 small integers, so call energy() in-process for "
-                        "larger sets")
-
-    p = add_parser("reduce", ex.cmd_reduce, help="run the reduction pipeline")
-    p.add_argument("a", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("L", type=int)
-    p.add_argument("--delta", default="1",
-                   help="density in (0, 1] as a fraction, e.g. 3/10")
-
-    p = add_parser("nk", ex.cmd_nk, help="constrained square-free counts N_k")
-    p.add_argument("a", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("L", type=int)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--witness", action="store_true",
-                   help="also count last-prime-extension witnesses")
-
-    p = add_parser("smirnov", ex.cmd_smirnov, help="order-statistic boundary probability")
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("--c", type=_float_list, default=None, help="comma-separated boundary values")
-    p.add_argument("-u", type=float, default=None)
-    p.add_argument("-w", type=float, default=None)
-    p.add_argument("--samples", type=int, default=0, help="Monte Carlo samples (0 = exact only)")
-
-    p = add_parser("mertens", ex.cmd_mertens, help="sum of prime reciprocals up to x")
-    p.add_argument("x", type=int)
-
-    p = add_parser("shiu", ex.cmd_shiu, help="short-interval mean of z^omega(n) vs envelope")
-    p.add_argument("x", type=int)
-    p.add_argument("y", type=int)
-    p.add_argument("-k", type=int, default=1)
-    p.add_argument("-a", type=int, default=0)
-    p.add_argument("-z", type=float, default=1.0)
-
     return parser
-
-
-def _dispatch(args) -> ex.ExperimentReport:
-    if args.seed < 0:
-        raise PreconditionError("--seed must be non-negative")
-    kwargs = {k: v for k, v in vars(args).items() if k not in ("cmd", "run", "format", "out")}
-    return args.run(**kwargs)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    kwargs = {k: v for k, v in vars(args).items() if k not in ("cmd", "run", "format", "out")}
     try:
-        report = _dispatch(args)
+        report = args.run(**kwargs)
     except PreconditionError as e:
         print(f"precondition violation: {e}", file=sys.stderr)
         return 2

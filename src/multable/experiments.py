@@ -1,19 +1,22 @@
 """Experiment commands with machine-readable reports.
 
-Each command wraps library operations, records the exact inputs it ran
-with, and returns an ``ExperimentReport`` whose result rows are fully
-reproducible from (command, parameters, seed); wall time and version land
-in the provenance block only.  Normalizations use the multiplication-table
-exponent theta = 1 - (1 + log log 4)/log 4 and natural logarithms
-throughout.
+Each command is declared once, by ``@command`` over a body that wraps
+library operations; it records the exact inputs it ran with, and returns an
+``ExperimentReport`` whose result rows are fully reproducible from (command,
+parameters, seed); wall time and version land in the provenance block only.
+Normalizations use the multiplication-table exponent
+theta = 1 - (1 + log log 4)/log 4 and natural logarithms throughout.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import inspect
 import io
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -114,6 +117,57 @@ def _finish(
     return ExperimentReport(command=command, params=params, results=results, provenance=provenance)
 
 
+# name -> (help, argparse (flag, keywords) pairs, command); one subcommand each
+COMMANDS: dict[str, tuple] = {}
+
+
+def command(name: str, help: str, *args: tuple[str, dict]):
+    """Declare the command ``name``: ``args`` are argparse's (flag, keywords)
+    pairs, each dest a parameter of the body, which returns (params, results)
+    or (params, results, kernel).  The command takes the body's parameters,
+    then ``seed`` and ``threads`` (default 0); it reads them and every
+    ``type=int`` argument as Python ints, refuses a negative seed and a
+    non-number ``type=float`` argument (None where the default is None), and
+    reports the body's result with its wall time."""
+    declared = {kw.get("dest", flag.lstrip("-")): kw for flag, kw in args}
+    ints = {"seed", "threads"} | {k for k, kw in declared.items() if kw.get("type") is int}
+    floats = {k for k, kw in declared.items() if kw.get("type") is float}
+    nullable = {k for k, kw in declared.items() if kw.get("default", 0) is None}
+
+    def declare(body):
+        sig = inspect.signature(body)
+        extra = [inspect.Parameter(k, inspect.Parameter.POSITIONAL_OR_KEYWORD, default=0)
+                 for k in ("seed", "threads") if k not in sig.parameters]
+        full = sig.replace(parameters=[*sig.parameters.values(), *extra])
+
+        @functools.wraps(body)
+        def run(*a, **kw):
+            bound = full.bind(*a, **kw)
+            bound.apply_defaults()
+            kw = bound.arguments
+            for k, v in kw.items():
+                if v is None and k in nullable:
+                    continue
+                if k in ints:
+                    kw[k] = _integer(k, v)
+                elif k in floats and not isinstance(v, numbers.Real):
+                    raise PreconditionError(f"{k} must be a number")
+            if kw["seed"] < 0:
+                raise PreconditionError("seed must be non-negative")
+            seed, threads = kw["seed"], kw.pop("threads")
+            if "seed" not in sig.parameters:
+                del kw["seed"]
+            t0 = time.perf_counter()
+            params, results, *kernel = body(**kw)
+            return _finish(name, params, results, seed, threads, t0, *kernel)
+
+        run.__signature__ = full
+        COMMANDS[name] = (help, args, run)
+        return run
+
+    return declare
+
+
 def table_count(N: int) -> int:
     """|[N].[N]| exactly, by a sweep over value windows [v, v + W).
 
@@ -152,16 +206,18 @@ def normalized_ratio(N: int, count: int) -> float | None:
     return count * log(N) ** TWO_THETA * log(log(N)) ** 1.5 / (N * N)
 
 
-def cmd_table(N: int, seed: int = 0, threads: int = 1) -> ExperimentReport:
-    t0 = time.perf_counter()
+@command("table", "exact |[N].[N]| and its normalized ratio", ("N", {"type": int}))
+def cmd_table(N: int):
     count = table_count(N)
     row = {"N": N, "count": count, "normalized_ratio": normalized_ratio(N, count)}
-    params = {"N": N, "two_theta": TWO_THETA}
-    return _finish("table", params, [row], seed, threads, t0)
+    return {"N": N, "two_theta": TWO_THETA}, [row]
 
 
-def cmd_ap_product(a: int, d: int, L: int, seed: int = 0, threads: int = 1) -> ExperimentReport:
-    t0 = time.perf_counter()
+_AP_ARGS = (("a", {"type": int}), ("d", {"type": int}), ("L", {"type": int}))
+
+
+@command("ap-product", "product set and energy of a progression", *_AP_ARGS)
+def cmd_ap_product(a: int, d: int, L: int):
     ap = ArithmeticProgression(a, d, L)
     zeros_removed = int(0 in ap)
     n = L - zeros_removed
@@ -189,12 +245,22 @@ def cmd_ap_product(a: int, d: int, L: int, seed: int = 0, threads: int = 1) -> E
             n_prod * log(L) ** TWO_THETA / (L * L) if L >= 2 else None
         ),
     }
-    params = {"a": a, "d": d, "L": L, "two_theta": TWO_THETA}
-    return _finish("ap-product", params, [row], seed, threads, t0, kernel=rep.kernel)
+    return {"a": a, "d": d, "L": L, "two_theta": TWO_THETA}, [row], rep.kernel
 
 
-def cmd_energy(values, seed: int = 0, threads: int = 1) -> ExperimentReport:
-    t0 = time.perf_counter()
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
+@command("energy", "multiplicative energy of an explicit set", ("--set", {
+    "dest": "values", "type": _int_list, "required": True,
+    "help": "comma-separated integers, all in one argument; Linux caps one argument at 128 KiB, "
+            "about 20,000 small integers, so call energy() in-process for larger sets"}))
+def cmd_energy(values):
     A = int_array(values)
     zeros_removed = int(0 in A)
     A = A[A != 0]
@@ -205,13 +271,12 @@ def cmd_energy(values, seed: int = 0, threads: int = 1) -> ExperimentReport:
         "energy": rep.energy,
         "diag_bound": rep.diag_bound,
     }
-    return _finish("energy", {"size": len(A)}, [row], seed, threads, t0, kernel=rep.kernel)
+    return {"size": len(A)}, [row], rep.kernel
 
 
-def cmd_reduce(
-    a: int, d: int, L: int, delta: str = "1", seed: int = 0, threads: int = 1
-) -> ExperimentReport:
-    t0 = time.perf_counter()
+@command("reduce", "run the reduction pipeline", *_AP_ARGS,
+         ("--delta", {"default": "1", "help": "density in (0, 1] as a fraction, e.g. 3/10"}))
+def cmd_reduce(a: int, d: int, L: int, delta: str = "1", seed: int = 0):
     # L comes from outside: refuse before the L elements are built
     check_budget("reduce_L", L)
     try:
@@ -223,8 +288,6 @@ def cmd_reduce(
     ap = ArithmeticProgression(a, d, L)
     idx = np.arange(L)
     if dlt != 1:
-        if seed < 0:
-            raise PreconditionError("needs seed >= 0")
         idx = np.sort(np.random.default_rng(seed).choice(L, size=math.ceil(dlt * L), replace=False))
     A = ap.a + ap.d * int_array(idx, ap.a, ap.last, ap.d)  # ascending, as idx is
     trace = reduce(A, ap, dlt)
@@ -251,8 +314,7 @@ def cmd_reduce(
             "P_prime": f"({out.P_prime.a},{out.P_prime.d},{out.P_prime.L})",
         })
     rows.append(_omega_trim_row(A, ap))
-    params = {"a": a, "d": d, "L": L, "delta": str(dlt)}
-    return _finish("reduce", params, rows, seed, threads, t0)
+    return {"a": a, "d": d, "L": L, "delta": str(dlt)}, rows
 
 
 def _omega_trim_row(A, ap) -> dict:
@@ -277,12 +339,11 @@ def _omega_trim_row(A, ap) -> dict:
     }
 
 
-def cmd_nk(
-    alpha: float, beta: float, k: int,
-    a: int, d: int, L: int,
-    witness: bool = False, seed: int = 0, threads: int = 1,
-) -> ExperimentReport:
-    t0 = time.perf_counter()
+@command("nk", "constrained square-free counts N_k", *_AP_ARGS,
+         ("--alpha", {"type": float, "required": True}), ("--beta", {"type": float, "required": True}),
+         ("-k", {"type": int, "required": True}),
+         ("--witness", {"action": "store_true", "help": "also count last-prime-extension witnesses"}))
+def cmd_nk(alpha: float, beta: float, k: int, a: int, d: int, L: int, witness: bool = False):
     ap = ArithmeticProgression(a, d, L)
     table = progression_table(ap.positive_part() or ap)  # no positive element: refused
     q = NkQuery(alpha, beta, k, ap=ap)
@@ -302,20 +363,17 @@ def cmd_nk(
     }
     if witness:
         row["witness_count"] = nk_last_prime_extension(q, len(members))
-    return _finish("nk", {"alpha": alpha, "beta": beta, "k": k, "a": a, "d": d, "L": L},
-                   [row], seed, threads, t0)
+    return {"alpha": alpha, "beta": beta, "k": k, "a": a, "d": d, "L": L}, [row]
 
 
-def cmd_smirnov(
-    n: int | None = None,
-    c: list[float] | None = None,
-    u: float | None = None,
-    w: float | None = None,
-    samples: int = 0,
-    seed: int = 0,
-    threads: int = 1,
-) -> ExperimentReport:
-    t0 = time.perf_counter()
+@command("smirnov", "order-statistic boundary probability",
+         ("-n", {"type": int, "default": None}),
+         ("--c", {"type": _float_list, "default": None, "help": "comma-separated boundary values"}),
+         ("-u", {"type": float, "default": None}),
+         ("-w", {"type": float, "default": None}),
+         ("--samples", {"type": int, "default": 0, "help": "Monte Carlo samples (0 = exact only)"}))
+def cmd_smirnov(n: int | None = None, c: list[float] | None = None, u: float | None = None,
+                w: float | None = None, samples: int = 0, seed: int = 0):
     if (u is None) != (w is None):
         raise PreconditionError("give u and w together")
     if u is not None:
@@ -323,7 +381,6 @@ def cmd_smirnov(
     if c is not None:
         b = SmirnovBoundary.from_values(c)
     elif n is not None and u is not None and w is not None:
-        n = _integer("n", n)  # before the budget compares it
         check_budget("exact_n", n)
         b = SmirnovBoundary.from_line(n, u, w)
     else:
@@ -342,19 +399,22 @@ def cmd_smirnov(
         row["mc_stderr"] = se
     params = {"n": b.n, "c": list(b.c) if c is not None else None,
               "u": u, "w": w, "samples": samples}
-    return _finish("smirnov", params, [row], seed, threads, t0)
+    return params, [row]
 
 
-def cmd_mertens(x: int, seed: int = 0, threads: int = 1) -> ExperimentReport:
-    t0 = time.perf_counter()
+@command("mertens", "sum of prime reciprocals up to x", ("x", {"type": int}))
+def cmd_mertens(x: int):
     v = mertens_sum(x)
     row = {"x": x, "sum": v, "loglog_x": log(log(x)), "difference": v - log(log(x))}
-    return _finish("mertens", {"x": x}, [row], seed, threads, t0)
+    return {"x": x}, [row]
 
 
-def cmd_shiu(x: int, y: int, k: int, a: int, z: float, seed: int = 0, threads: int = 1) -> ExperimentReport:
-    t0 = time.perf_counter()
+@command("shiu", "short-interval mean of z^omega(n) vs envelope",
+         ("x", {"type": int}), ("y", {"type": int}),
+         ("-k", {"type": int, "default": 1}), ("-a", {"type": int, "default": 0}),
+         ("-z", {"type": float, "default": 1.0}))
+def cmd_shiu(x: int, y: int, k: int, a: int, z: float):
     exact, bound = shiu_mean(ShiuQuery(x, y, k, a, z))
     row = {"x": x, "y": y, "k": k, "a": a, "z": z,
            "exact": exact, "bound": bound, "ratio": exact / bound}
-    return _finish("shiu", {"x": x, "y": y, "k": k, "a": a, "z": z}, [row], seed, threads, t0)
+    return {"x": x, "y": y, "k": k, "a": a, "z": z}, [row]

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib
 import io
@@ -302,6 +303,42 @@ def test_cmd_shiu():
     assert row["ratio"] > 0
 
 
+# each command with valid arguments, and its integer and float arguments
+COMMAND_CASES = {
+    "table": (cmd_table, {"N": 10}, ("N",), ()),
+    "ap-product": (cmd_ap_product, {"a": 1, "d": 2, "L": 5}, ("a", "d", "L"), ()),
+    "energy": (cmd_energy, {"values": [1, 2, 3]}, (), ()),
+    "reduce": (cmd_reduce, {"a": 1, "d": 3, "L": 64, "delta": "1/2", "seed": 5}, ("a", "d", "L"), ()),
+    "nk": (cmd_nk, {"alpha": 0.0, "beta": 1.0, "k": 2, "a": 101, "d": 1, "L": 100, "witness": True},
+           ("k", "a", "d", "L"), ("alpha", "beta")),
+    "smirnov": (cmd_smirnov, {"n": 20, "u": 2.0, "w": 3.0, "samples": 10**4, "seed": 3},
+                ("n", "samples"), ("u", "w")),
+    "mertens": (cmd_mertens, {"x": 1000}, ("x",), ()),
+    "shiu": (cmd_shiu, {"x": 11, "y": 10, "k": 1, "a": 0, "z": 2.0}, ("x", "y", "k", "a"), ("z",)),
+}
+
+
+@pytest.mark.parametrize("name", COMMAND_CASES)
+def test_commands_refuse_what_the_cli_refuses(name):
+    # an in-process call is held to the CLI's types: an integer argument or
+    # seed given as a str or a float, a float argument given as a str, and a
+    # negative seed are preconditions, not TypeErrors or reports
+    fn, kw, ints, floats = COMMAND_CASES[name]
+    kw = {"seed": 0, "threads": 0, **kw}
+    bad = [{k: f(kw[k])} for k in (*ints, "seed", "threads") for f in (str, float)]
+    bad += [{k: str(kw[k])} for k in floats] + [{"seed": -1}]
+    for change in bad:
+        with pytest.raises(PreconditionError):
+            fn(**{**kw, **change})
+    # numpy integers are read as ints, so the report is the same
+    wide = fn(**{**kw, **{k: np.int64(kw[k]) for k in (*ints, "seed", "threads")}})
+    payloads = [json.loads(rep.to_json()) for rep in (fn(**kw), wide)]
+    for payload in payloads:
+        del payload["provenance"]["wall_time_ms"]
+    assert payloads[0] == payloads[1]
+    assert fn(**kw).command == name
+
+
 def test_csv_output():
     text = cmd_table(4).to_csv()
     lines = text.strip().splitlines()
@@ -478,6 +515,67 @@ def test_cli_rejects_negative_seed(capsys):
     assert cli.main(["reduce", "1", "1", "100", "--delta", "1/2", "--seed", "-1"]) == 2
     assert cli.main(["reduce", "1", "1", "100", "--seed", "-1"]) == 2
     assert cli.main(["--seed", "-1", "table", "10"]) == 2
+
+
+S = argparse.SUPPRESS
+# each subcommand's help flag and suppressed copies of the global flags
+SUB_GLOBALS = [
+    (("-h", "--help"), "help", S, False, 0, None),
+    (("--seed",), "seed", S, False, None, "int"),
+    (("--threads",), "threads", S, False, None, "int"),
+    (("--format",), "format", S, False, None, None),
+    (("--out",), "out", S, False, None, None),
+]
+AP_POSITIONALS = [((), v, None, True, None, "int") for v in ("a", "d", "L")]
+# every parser in --help order, each action as (option strings, dest,
+# default, required, nargs, type name)
+CLI_SURFACE = [
+    ("multable", [
+        (("-h", "--help"), "help", S, False, 0, None),
+        (("--seed",), "seed", 0, False, None, "int"),
+        (("--threads",), "threads", 0, False, None, "int"),
+        (("--format",), "format", "json", False, None, None),
+        (("--out",), "out", None, False, None, None),
+        ((), "cmd", None, True, "A...", None),
+    ]),
+    ("multable table", SUB_GLOBALS + [((), "N", None, True, None, "int")]),
+    ("multable ap-product", SUB_GLOBALS + AP_POSITIONALS),
+    ("multable energy", SUB_GLOBALS + [(("--set",), "values", None, True, None, "_int_list")]),
+    ("multable reduce", SUB_GLOBALS + AP_POSITIONALS + [(("--delta",), "delta", "1", False, None, None)]),
+    ("multable nk", SUB_GLOBALS + AP_POSITIONALS + [
+        (("--alpha",), "alpha", None, True, None, "float"),
+        (("--beta",), "beta", None, True, None, "float"),
+        (("-k",), "k", None, True, None, "int"),
+        (("--witness",), "witness", False, False, 0, None),
+    ]),
+    ("multable smirnov", SUB_GLOBALS + [
+        (("-n",), "n", None, False, None, "int"),
+        (("--c",), "c", None, False, None, "_float_list"),
+        (("-u",), "u", None, False, None, "float"),
+        (("-w",), "w", None, False, None, "float"),
+        (("--samples",), "samples", 0, False, None, "int"),
+    ]),
+    ("multable mertens", SUB_GLOBALS + [((), "x", None, True, None, "int")]),
+    ("multable shiu", SUB_GLOBALS + [
+        ((), "x", None, True, None, "int"),
+        ((), "y", None, True, None, "int"),
+        (("-k",), "k", 1, False, None, "int"),
+        (("-a",), "a", 0, False, None, "int"),
+        (("-z",), "z", 1.0, False, None, "float"),
+    ]),
+]
+
+
+def test_cli_surface_is_pinned():
+    # no flag, default, type or subcommand changes without this list changing
+    root = cli.build_parser()
+    sub = next(a for a in root._actions if isinstance(a, argparse._SubParsersAction))
+    surface = [
+        (p.prog, [(tuple(a.option_strings), a.dest, a.default, a.required, a.nargs,
+                   getattr(a.type, "__name__", None)) for a in p._actions])
+        for p in (root, *sub.choices.values())
+    ]
+    assert surface == CLI_SURFACE
 
 
 def test_cli_reduce_budget(monkeypatch, capsys):
