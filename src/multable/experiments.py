@@ -26,11 +26,11 @@ import numpy as np
 
 from . import __version__
 from .energy import cs_floor, energy, offdiag_tuples
-from .errors import BUDGETS, BudgetError, InternalCheckError, PreconditionError, check_budget
+from .errors import BUDGETS, InternalCheckError, PreconditionError, check_budget
 from .progressions import ArithmeticProgression, _integer, int_array
 from .reduction import DirectBound, Reduced, large_a_energy_bound, reduce
 from .primestats import NkQuery, ShiuQuery, nk_last_prime_extension, nk_set, shiu_mean
-from .sieve import mertens_sum, progression_table
+from .sieve import hull_table, mertens_sum, progression_table
 from .smirnov import (
     SmirnovBoundary,
     check_line,
@@ -55,14 +55,14 @@ class ExperimentReport:
     results: list[dict]
     provenance: dict = field(default_factory=dict)
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         payload = {
             "command": self.command,
             "params": self.params,
             "results": self.results,
             "provenance": self.provenance,
         }
-        return json.dumps(payload, indent=indent, default=str, allow_nan=False)
+        return json.dumps(payload, indent=2, default=str, allow_nan=False)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -322,15 +322,13 @@ def _omega_trim_row(A, ap) -> dict:
     prime factors, at the cutoff loglog(a+dL) + loglog(a+dL)^(2/3)."""
     pos = A[np.searchsorted(A, 0, side="right"):]
     hull_hi = ap.last + 1
-    skipped = {"step": "omega-trim", "note": "skipped (hull outside sieve budget)"}
-    if not pos.size or hull_hi < 16:
-        return skipped
-    try:  # A lies in ap, so its positive members lie in ap's positive part
-        table = progression_table(ap.positive_part(), factor_lists=False)
-    except BudgetError:
-        return skipped
+    if not pos.size or hull_hi < 16 or max(ap.positive_part().L, isqrt(ap.last)) > BUDGETS["sieve"]:
+        # keyed to ap, not to A's hull, so a sparse draw skips as its progression does
+        return {"step": "omega-trim", "note": "skipped (hull outside sieve budget)"}
+    # A lies in ap, so the hull of its positive members fits wherever ap's positive part does
+    table, at = hull_table(pos, factor_lists=False)
     cut = log(log(hull_hi)) + log(log(hull_hi)) ** (2 / 3)
-    kept = int(np.count_nonzero(table.omega_array[table.positions(pos)] <= cut))
+    kept = int(np.count_nonzero(table.omega_array[at] <= cut))
     return {
         "step": "omega-trim",
         "omega_cutoff": cut,

@@ -82,6 +82,7 @@ def nk_set(q: NkQuery, table: FactorizationTable) -> list[int]:
     the domain must be an element of the table.
     """
     ap = q.ap and q.ap.positive_part()
+    # sending this fork through domain() as well made the primes nk jobs 1.05-1.36x slower
     if ap and ap.last < table.hi:  # a progression the table covers: int64 is exact
         vals = np.arange(ap.a, ap.last + 1, ap.d, dtype=np.int64)
     else:

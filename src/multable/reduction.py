@@ -77,44 +77,6 @@ def _square_class(A: np.ndarray, T: int) -> tuple[np.ndarray, int, np.ndarray]:
     return B0, math.isqrt(best_sq), B
 
 
-def _squarefree_reduce(A: np.ndarray, ap: ArithmeticProgression, delta: Fraction) -> tuple:
-    """Extract the largest same-square-divisor class of sorted A; divide it out.
-
-    Returns arrays (B0, t, B): B0 are the elements of A sharing largest
-    square divisor t^2 with t <= ceil(3/delta), and B = B0 / t^2 is
-    square-free.  Requires the room hypothesis a + dL < (delta^2 / 9) L^2 and
-    d <= L; under it |B0| >= delta^2 L / 18, which is re-checked exactly.
-    """
-    L = ap.L
-    _check_subset(A, ap)
-    if ap.a <= 0 or gcd(ap.a, ap.d) != 1:
-        raise PreconditionError("requires a > 0 and gcd(a, d) = 1")
-    if len(A) < delta * L:
-        raise PreconditionError(f"|A| = {len(A)} below delta * L = {delta * L}")
-    if ap.d > L:
-        raise PreconditionError(f"needs d <= L, got d = {ap.d}, L = {L}")
-    if ap.a + ap.d * L >= delta * delta / 9 * L * L:
-        raise PreconditionError(
-            f"a + dL = {ap.a + ap.d * L} not below (delta^2/9) L^2 = "
-            f"{float(delta * delta / 9 * L * L):.4g}; route to the extremal bound instead"
-        )
-
-    T = math.ceil(Fraction(3) / delta)
-    B0, t, B = _square_class(A, T)
-    if 18 * len(B0) < delta * delta * L:
-        raise InternalCheckError(
-            f"pigeonhole class size {len(B0)} below delta^2 L / 18 = "
-            f"{float(delta * delta * L / 18):.4g}"
-        )
-    return B0, t, B
-
-
-def _check_subset(A: np.ndarray, ap: ArithmeticProgression) -> None:
-    """PreconditionError unless the sorted array A is a nonempty subset of ap."""
-    if not A.size or A[0] < ap.a or A[-1] > ap.last or np.any((A - ap.a) % ap.d):
-        raise PreconditionError("A must be a nonempty subset of ap")
-
-
 def _within(values: np.ndarray, original: np.ndarray) -> bool:
     """Whether every element of the sorted array ``values`` is in ``original``."""
     at = np.searchsorted(original, values)
@@ -164,7 +126,8 @@ def reduce(A, ap: ArithmeticProgression, delta) -> ReductionTrace:
     """Run the five-step pipeline on (A, ap) with density at least delta."""
     delta = Fraction(delta)
     A = original = int_array(A, ap.a, ap.last, ap.d)
-    _check_subset(A, ap)
+    if not A.size or A[0] < ap.a or A[-1] > ap.last or np.any((A - ap.a) % ap.d):
+        raise PreconditionError("A must be a nonempty subset of ap")
     if len(A) < delta * ap.L:
         raise PreconditionError(f"|A| = {len(A)} below delta * L = {float(delta * ap.L)}")
 
@@ -261,7 +224,11 @@ def reduce(A, ap: ArithmeticProgression, delta) -> ReductionTrace:
             A3, P3,
             "square-free pigeonhole lacks room at this scale; universal bound",
         )
-    B0, t, B = _squarefree_reduce(A3, P3, d3)
+    # the lemma: under the room bound and d <= L some class keeps |B0| >= delta^2 L / 18
+    B0, t, B = _square_class(A3, math.ceil(3 / d3))
+    if 18 * len(B0) < d3 * d3 * P3.L:
+        floor = float(d3 * d3 * P3.L / 18)
+        raise InternalCheckError(f"pigeonhole class size {len(B0)} below delta^2 L / 18 = {floor:.4g}")
     note5 = f"t={t}, |B0|={len(B0)}" + band
     keep = _hull_prefix(B, P3.d)
     if keep < len(B):

@@ -72,6 +72,8 @@ class FactorizationTable:
         self.square_divisor_array = square_divisor
         self._factors = factors
 
+    # scalar twin of positions, kept for prime_factors: through positions a
+    # call took 10.5 us instead of 1.0, and summaries make one per element
     def _index(self, n: int) -> int:
         i, r = divmod(n - self.lo, self.d)
         if r or not self.lo <= n < self.hi:
@@ -273,8 +275,8 @@ def hull_table(values, factor_lists: bool = True) -> tuple[FactorizationTable, n
     v = int_array(values)
     step = int(np.gcd.reduce(np.diff(v))) or 1
     hull = ArithmeticProgression(int(v[0]), step, int(v[-1] - v[0]) // step + 1)
-    table = progression_table(hull, factor_lists)
-    return table, table.positions(v)
+    table = progression_table(hull, factor_lists)  # refuses first: positivity, budget
+    return table, ((v - v[0]) // step).astype(np.int64, copy=False)  # members by construction
 
 
 def prime_flags(ap: ArithmeticProgression) -> np.ndarray:

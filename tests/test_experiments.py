@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,8 @@ from multable.energy import cs_product_lower_bound, energy_bruteforce, product_s
 import multable.experiments as ex
 from multable import cli
 from multable.errors import BUDGETS, BudgetError, InternalCheckError, PreconditionError
+from multable.progressions import ArithmeticProgression as AP
+from multable.progressions import int_array
 from multable.experiments import (
     THETA,
     TWO_LOG2_MINUS_1,
@@ -263,6 +266,28 @@ def test_cmd_reduce_omega_trim_sieves_elements_not_hull():
     assert row["note"] == f"{kept}/{L // 2} kept at omega <= loglog + loglog^(2/3)"
 
 
+def test_omega_trim_row_at_the_sieve_edge(monkeypatch):
+    # the row answers exactly where the progression's positive part fits the
+    # sieve budget, both in length and in isqrt of its last element; A's own
+    # hull, however short, does not decide
+    monkeypatch.setitem(BUDGETS, "sieve", 100)
+    skipped = {"step": "omega-trim", "note": "skipped (hull outside sieve budget)"}
+
+    def row(ap, count=None):
+        return ex._omega_trim_row(int_array(ap.elements()[:count]), ap)
+
+    for ap in (AP(10141, 1, 60), AP(-5, 1, 106), AP(1, 3, 100)):  # isqrt(10200) = 100; 100 positives
+        got = row(ap)
+        pos = [n for n in ap.elements() if n > 0]
+        cut = math.log(math.log(ap.last + 1)) + math.log(math.log(ap.last + 1)) ** (2 / 3)
+        kept = sum(1 for n in pos if len(factorize(n)) <= cut)
+        assert got["omega_cutoff"] == cut and got["retained_fraction"] == kept / len(pos), ap
+    for ap in (AP(10142, 1, 60), AP(-5, 1, 107)):  # isqrt(10201) = 101; 101 positives
+        assert row(ap) == skipped, ap
+        # a sparse draw whose own hull fits the budget skips with its progression
+        assert row(ap, 30) == skipped, ap
+
+
 def test_cmd_nk_reports_asymptotic_k():
     rep = cmd_nk(0.0, 1.0, 2, a=101, d=1, L=100, witness=True)
     row = rep.results[0]
@@ -316,6 +341,20 @@ COMMAND_CASES = {
     "mertens": (cmd_mertens, {"x": 1000}, ("x",), ()),
     "shiu": (cmd_shiu, {"x": 11, "y": 10, "k": 1, "a": 0, "z": 2.0}, ("x", "y", "k", "a"), ("z",)),
 }
+
+
+def test_every_result_field_has_a_stated_route():
+    # README's table gives each result key its second route, or why it needs
+    # none; one run of every command, and of reduce's other outcome, must
+    # show exactly the keys it lists
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Result fields", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"^\| `([\w-]+)` \| `(\w+)` \|", section, re.M))
+    runs = [(name, fn(**kw)) for name, (fn, kw, _, _) in COMMAND_CASES.items()]
+    runs.append(("reduce", cmd_reduce(3, 1, 100)))  # Reduced, where the case above is DirectBound
+    seen = {(name, key) for name, rep in runs for row in rep.results for key in row}
+    assert sorted(seen - listed) == []
+    assert sorted(listed - seen) == []
 
 
 @pytest.mark.parametrize("name", COMMAND_CASES)

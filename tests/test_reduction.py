@@ -38,7 +38,6 @@ from multable.reduction import (
     ReductionTrace,
     _hull_prefix,
     _square_class,
-    _squarefree_reduce,
     large_a_energy_bound,
     reduce,
 )
@@ -53,10 +52,9 @@ def square_class(A, T):
     return B0.tolist(), t, B.tolist()
 
 
-def squarefree_core(A, ap, delta):
-    """``_squarefree_reduce`` on the array of A, its arrays as lists."""
-    B0, t, B = _squarefree_reduce(int_array(A, ap.a, ap.last, ap.d), ap, Fraction(delta))
-    return B0.tolist(), t, B.tolist()
+def squarefree_core(A, delta):
+    """Step 5 of ``reduce``: ``_square_class`` at T = ceil(3/delta), its arrays as lists."""
+    return square_class(A, math.ceil(3 / Fraction(delta)))
 
 
 # The list pipeline the array pipeline replaced, kept verbatim as the oracle
@@ -355,7 +353,7 @@ def test_squarefree_reduce_valid_instance():
     ap = AP(1, 1, 2000)
     A = sorted(rnd.sample(ap.elements(), 900))
     delta = Fraction(9, 20)
-    B0, t, B = squarefree_core(A, ap, delta)
+    B0, t, B = squarefree_core(A, delta)
     assert 18 * len(B0) >= delta * delta * ap.L
     assert all(square_part(b) == 1 for b in B)
     assert set(dilate(B, t * t)) == set(B0) <= set(A)
@@ -364,14 +362,8 @@ def test_squarefree_reduce_valid_instance():
 def test_squarefree_reduce_squarefree_input():
     ap = AP(1, 1, 3000)
     A = [n for n in ap.elements() if square_part(n) == 1]
-    B0, t, B = squarefree_core(A, ap, Fraction(1, 2))
+    B0, t, B = squarefree_core(A, Fraction(1, 2))
     assert t == 1 and B0 == B == A
-
-
-def test_squarefree_reduce_hypothesis_error():
-    ap = AP(10**6, 1, 50)
-    with pytest.raises(PreconditionError):
-        squarefree_core(ap.elements(), ap, 1)
 
 
 def omega_cut(A, table, T) -> list[int]:
@@ -605,8 +597,6 @@ def test_reduce_with_a_step_past_int64(a):
     assert _outcome(reduce, [a], ap, 1) == _outcome(list_reduce, [a], ap, 1)
     if a:  # -1 is mirrored to 1; 0 has no positive side
         assert reduce([a], ap, 1).outcome.subset == [a]
-    with pytest.raises(PreconditionError):
-        squarefree_core([a], ap, 1)
     code = 0 if a else 2
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["reduce", str(a), str(2**63), "1"]) == code

@@ -500,6 +500,21 @@ def test_hull_table():
         hull_table([0, 3])
 
 
+def test_hull_positions_match_table_positions():
+    # hull_table reads each value's index off the hull it builds; the
+    # range-checked lookup of the same values must agree
+    rnd = random.Random(32)
+    cases = [[7], [2**40 + 15], list(range(5, 60)), [6, 10, 22, 58], [30, 60, 150, 900]]
+    for _ in range(200):
+        step = rnd.choice([1, 2, 3, 6, 30, 997])
+        start = step * rnd.randrange(1, 10**4) + rnd.choice([0, 1])  # sharing a factor with step or not
+        idx = sorted(rnd.sample(range(2000), rnd.randrange(1, 40)))
+        cases.append([start + step * i for i in idx])
+    for values in cases:
+        table, at = hull_table(values, factor_lists=False)
+        assert at.dtype == np.int64 and at.tolist() == table.positions(values).tolist(), values
+
+
 def test_hull_past_the_sieve_budget():
     # a few elements with a long hull: the hull, not the set, is sieved, so
     # the table's callers refuse before anything of its size is allocated
