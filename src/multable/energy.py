@@ -66,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError, RetriesExhaustedError, check_budget
-from .progressions import int_array
+from .progressions import _integer, exact_dtype, int_array
 from .sieve import hull_table
 
 WINDOW_PAIRS = 1 << 20  # max pairs the kernel holds at once: its memory
@@ -118,7 +118,7 @@ def _kernel_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
         raise PreconditionError("needs nonempty sets")
     check_budget("kernel_pairs", a.size * b.size)
     (a0, a1), (b0, b1) = a[[0, -1]].tolist(), b[[0, -1]].tolist()
-    if max(1, -a0, a1) * max(1, -b0, b1) >= 1 << 62:
+    if exact_dtype(max(1, -a0, a1) * max(1, -b0, b1)) is object:
         check_budget("object_pairs", a.size * b.size)
         a, b = a.astype(object, copy=False), b.astype(object, copy=False)
     return a, b
@@ -148,11 +148,11 @@ def _product_cut(rows: _Rows, x: int) -> np.ndarray:
                    rows.lo, rows.hi)
 
 
-def _quotient_cut(rows: _Rows, x: int, bits: int) -> np.ndarray:
+def _quotient_cut(rows: _Rows, x: int, bits: int, dtype) -> np.ndarray:
     """Per row t_i over the later t_j of the |s| order, the first j with
     |t_i/t_j| < x/2^bits, that is |t_j| > |t_i| 2^bits / x, for an integer
-    x >= 1, on the |t| as exact integers: |t| << bits < 2^62 for bits <= 31."""
-    m = np.abs(rows.coef).astype(np.int64 if bits <= 31 else object)
+    x >= 1, on the |t| in ``dtype``, exact below 2^(2 bits) > |t| << bits."""
+    m = np.abs(rows.coef).astype(dtype)
     return np.clip(np.searchsorted(m, (m << bits) // x + 1), rows.lo, rows.hi)
 
 
@@ -321,18 +321,17 @@ def _quotient_windows(sets: list[np.ndarray], bits: int):
 
     For bits <= FLOAT_KEY_BITS the key is the float64 value of t_i/t_j
     (exact, see the module docstring).  Otherwise it is the reduced p/q with
-    q > 0 packed as p*2^bits + q, in int64 when bits <= 31.  All sets share
-    the windows, so a key is counted in the same window for each.
+    q > 0 packed as p*2^bits + q.  Keys and cuts, below 2^(2 bits), take its
+    ``exact_dtype``.  All sets share the windows: a key is in one for each.
     """
     for S in sets:
         check_budget("kernel_pairs", len(S) * len(S))
+    dt = exact = exact_dtype((1 << 2 * bits) - 1)
     if bits <= FLOAT_KEY_BITS:
         dt, op = np.float64, np.divide
     else:
-        dt = np.int64
-        if bits > 31:
+        if dt is object:
             check_budget("object_pairs", max(len(S) * (len(S) - 1) // 2 for S in sets))
-            dt = object
 
         def op(p, q, out):
             g = np.gcd(p, q) * np.sign(q)  # divides p/q to lowest terms with q > 0
@@ -342,7 +341,8 @@ def _quotient_windows(sets: list[np.ndarray], bits: int):
     # row i is t_i over the later t_j, whose |t_j| grow, so |t_i/t_j| falls
     # along it; windows are cut on the cell floor(|t_i/t_j| 2^bits) in [0, 2^bits]
     families = [_Rows(t, t, np.arange(1, t.size + 1), t.size, np.ones(t.size, dtype=bool)) for t in ts]
-    for _, _, starts, stops in _windows(families, partial(_quotient_cut, bits=bits), 0, (1 << bits) + 1):
+    cut = partial(_quotient_cut, bits=bits, dtype=exact)
+    for _, _, starts, stops in _windows(families, cut, 0, (1 << bits) + 1):
         yield [_sorted_counts(_pair_values(part, op)) for part in zip(families, starts, stops)]
 
 
@@ -563,7 +563,7 @@ def random_energy_subset(A, seed: int) -> list[int]:
     retries until both certified inequalities hold; a positive fraction of
     draws succeeds in expectation, so exhausting SUBSET_MAX_DRAWS signals a bug.
     """
-    a = int_array(A)
+    a, seed = int_array(A), _integer("seed", seed)
     if seed < 0:
         raise PreconditionError("needs seed >= 0")
     e_a = energy(a).energy

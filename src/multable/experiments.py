@@ -224,7 +224,7 @@ def cmd_ap_product(a: int, d: int, L: int):
     # L comes from outside: refuse before the elements are built, on the
     # budget the energy kernel enforces once they exist
     check_budget("kernel_pairs", n * n)
-    A = ap.a + ap.d * int_array(np.arange(L), ap.a, ap.last, ap.d)
+    A = ap.array()
     A = A[A != 0]
     rep = energy(A)
     e, n_prod = rep.energy, rep.product_count
@@ -286,10 +286,10 @@ def cmd_reduce(a: int, d: int, L: int, delta: str = "1", seed: int = 0):
     if not 0 < dlt <= 1:
         raise PreconditionError(f"delta must be in (0, 1], got {delta}")
     ap = ArithmeticProgression(a, d, L)
-    idx = np.arange(L)
+    idx = None
     if dlt != 1:
         idx = np.sort(np.random.default_rng(seed).choice(L, size=math.ceil(dlt * L), replace=False))
-    A = ap.a + ap.d * int_array(idx, ap.a, ap.last, ap.d)  # ascending, as idx is
+    A = ap.array(idx)
     trace = reduce(A, ap, dlt)
     rows = [
         {

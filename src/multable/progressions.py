@@ -6,8 +6,8 @@ A progression is the triple (a, d, L) representing {a + i*d : 0 <= i < L}
 with d >= 1 and L >= 1, so elements are strictly increasing.  Any iterable
 of integers is a set: the library reads it once, with ``int_array``, into
 one sorted, duplicate-free array, int64 only where no sum or difference of
-two elements overflows; only results are lists.  Progression arithmetic is
-exact; the energy module guards its fixed-width products separately.
+two elements overflows (``exact_dtype``); only results are lists.  The
+energy kernel's products and quotient keys take their dtype by that rule.
 """
 
 from __future__ import annotations
@@ -49,16 +49,19 @@ def _set_integers(obj, *names: str) -> None:
         object.__setattr__(obj, name, _integer(name, getattr(obj, name)))
 
 
+def exact_dtype(*values: int):
+    """int64 when every value is below 2^62 in magnitude, so sums and differences
+    of two fit, else object.  The sieve's int64 tables stay below 2^48 by budget."""
+    return np.int64 if all(-(1 << 62) < x < 1 << 62 for x in values) else object
+
+
 def int_array(values, *bounds: int) -> np.ndarray:
-    """The integers ``values`` as one sorted, duplicate-free array: int64 when
-    they and every one of ``bounds`` (a progression's ends and step) lie below
-    2^62 in magnitude, so a sum or difference of two fits, else Python ints in
-    an object array; anything but integers is refused.  A strictly increasing
-    array is not sorted again, and never returned itself."""
+    """The integers ``values`` as one sorted, duplicate-free array in the
+    ``exact_dtype`` of its ends and ``bounds``; non-integers are refused.  A
+    strictly increasing array is not sorted again, nor returned itself."""
     v = _integers(values)
     v = v if (v[1:] > v[:-1]).all() else np.unique(v)
-    fits = all(-(1 << 62) < x < 1 << 62 for x in (*bounds, *v[:1], *v[-1:]))
-    return v.astype(np.int64 if fits else object, copy=v is values)
+    return v.astype(exact_dtype(*bounds, *v[:1], *v[-1:]), copy=v is values)
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,13 @@ class ArithmeticProgression:
     def elements(self) -> list[int]:
         """All L elements in increasing order."""
         return list(range(self.a, self.a + self.L * self.d, self.d))
+
+    def array(self, idx=None) -> np.ndarray:
+        """The elements a + d*i at the sorted indices ``idx`` (all when None), in
+        their ``exact_dtype``; np.arange(a, last + 1, d) would count in floats."""
+        dtype = exact_dtype(self.a, self.last, self.d)
+        v = np.arange(self.L, dtype=dtype) if idx is None else np.array(idx, dtype=dtype)
+        return np.add(np.multiply(v, self.d, out=v), self.a, out=v)
 
     def __contains__(self, n: int) -> bool:
         if (n - self.a) % self.d:

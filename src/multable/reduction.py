@@ -15,9 +15,9 @@ Every step keeps exact rational density bookkeeping, and the outcome is
 either ``DirectBound`` (a subset together with a proven upper bound on its
 multiplicative energy) or ``Reduced`` (a square-free set B, its enclosing
 progression, and the dilation factor m with m*B inside the original set).
-At desk scale the asymptotic pigeonhole arguments can run out of room
-(singleton blocks, tight hulls); those paths fall back to DirectBound,
-which is valid unconditionally, and the trace notes say so.
+At desk scale the asymptotic pigeonhole arguments can run out of room (a
+singleton block, a small L); those paths fall back to DirectBound, which is
+valid unconditionally, and the trace notes say so.
 """
 
 from __future__ import annotations
@@ -236,8 +236,10 @@ def reduce(A, ap: ArithmeticProgression, delta) -> ReductionTrace:
         B = B[:keep]
     span = int(B[-1] - B[0]) // P3.d + 1
     P5 = ArithmeticProgression(int(B[0]), P3.d, span)
+    # room and a > dL give 2L < delta^2 L^2/9, so L > 18/delta^2 > T^2 = ceil(3/delta)^2
+    # and B[0] >= a/T^2 > d; _hull_prefix keeps b < B[0] + d(ceil(B[0]/d) - 1): d*span < B[0]
     if P5.a <= P5.d * P5.L:
-        return direct(A3, P3, "square-free hull too tight; universal bound")
+        raise InternalCheckError("square-free hull lost the a > dL guarantee")
     m = sign * g * t * t
     if not _within((B * m)[::sign], original):
         raise InternalCheckError("dilated square-free core escapes the original set")

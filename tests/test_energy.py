@@ -659,8 +659,9 @@ def test_cross_energy_key_match_peak():
 
 
 def test_random_energy_subset_rejects_negative_seed():
-    with pytest.raises(PreconditionError):
-        random_energy_subset([1, 2, 3, 4], seed=-1)
+    for seed in (-1, 1.5, "3"):  # and seeds that are not integers
+        with pytest.raises(PreconditionError):
+            random_energy_subset([1, 2, 3, 4], seed=seed)
 
 
 def test_energy_at_float_key_bound():

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,20 @@ def test_cmd_nk_reports_asymptotic_k():
     row = rep.results[0]
     assert row["asymptotic_k"] < 0  # negative at desk scale
     assert row["witness_count"] <= row["count"]
+
+
+def test_cmd_nk_long_nonpositive_prefix_memory_bounded():
+    # a 10^12-element non-positive prefix is never built: the query costs
+    # what its 99 positive elements cost
+    tracemalloc.start()
+    try:
+        row = cmd_nk(0.0, 0.0, 1, a=-10**12, d=1, L=10**12 + 100).results[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ref = cmd_nk(0.0, 0.0, 1, a=1, d=1, L=99).results[0]
+    assert (row["count"], row["members_preview"]) == (ref["count"], ref["members_preview"])
+    assert peak < 1 << 20, f"traced peak {peak} bytes"
 
 
 def test_cmd_smirnov_and_mertens():

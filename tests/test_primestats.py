@@ -352,3 +352,33 @@ def test_mertens_exponent_tracks_log_power():
     for z in (0.5, 1.0, 2.0):
         ratio = (z * s) / (z * math.log(math.log(10**7)))
         assert abs(ratio - 1.0) <= 0.1
+
+
+def test_nk_query_refusals():
+    ap = AP(1, 1, 10)
+    for kw in (
+        dict(alpha=0.0, beta=0.0, k=-1, ap=ap),
+        dict(alpha=math.nan, beta=0.0, k=1, ap=ap),
+        dict(alpha=0.0, beta=0.0, k=1),
+        dict(alpha=0.0, beta=0.0, k=1, ap=ap, elements=[1, 2]),
+    ):
+        with pytest.raises(PreconditionError):
+            NkQuery(**kw)
+
+
+def test_last_prime_extension_refusals_and_k0():
+    with pytest.raises(PreconditionError):
+        nk_last_prime_extension(NkQuery(0.0, 0.0, 1, elements=[6, 10]), 2)
+    # gcd(a, d) > 1; dL > a; L >= 16 with a > L sqrt(log L)
+    for ap in (AP(4, 2, 2), AP(3, 1, 5), AP(1000, 1, 16)):
+        with pytest.raises(PreconditionError):
+            nk_last_prime_extension(NkQuery(0.0, 0.0, 1, ap=ap), 10)
+    # k = 0: the one member is 1, when the progression holds it
+    assert nk_last_prime_extension(NkQuery(0.0, 0.0, 0, ap=AP(1, 1, 1)), 1) == 1
+    assert nk_last_prime_extension(NkQuery(0.0, 0.0, 0, ap=AP(17, 1, 16)), 0) == 0
+
+
+def test_shiu_window_from_zero():
+    # x = y: the window [0, 100) starts at 0, and its first member is 1
+    exact, _ = shiu_mean(ShiuQuery(100, 100, 1, 0, 1.0))
+    assert exact == 99.0

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from multable.errors import PreconditionError
 from multable.progressions import ArithmeticProgression as AP
-from multable.progressions import int_array
+from multable.progressions import exact_dtype, int_array
 
 
 def dilate(s, m):
@@ -125,3 +125,44 @@ def test_int_array_guard():
     for values in ([1.5], [1.5, 2], [2.0], ["3"], np.array([1.0]), [[1, 2]], 7):
         with pytest.raises(PreconditionError):
             int_array(values)
+
+
+def test_exact_dtype_edge():
+    lim = 2**62
+    assert exact_dtype() is np.int64
+    assert exact_dtype(0, lim - 1, -(lim - 1), np.int64(lim - 1)) is np.int64
+    for x in (lim, -lim, 2**63, 10**30):
+        assert exact_dtype(1, x) is object
+
+
+# first terms, steps and lengths that put the ends on both sides of 0 and past 2^62
+_AP_STARTS = st.one_of(st.integers(-50, 50), st.integers(-(2**70), 2**70),
+                       st.sampled_from((2**62 - 3, -(2**62) + 1, 2**63 - 1, -(2**63))))
+_AP_STEPS = st.one_of(st.integers(1, 7), st.integers(1, 2**64), st.sampled_from((2**60, 2**62 - 1)))
+
+
+@given(_AP_STARTS, _AP_STEPS, st.integers(1, 40), st.data())
+def test_array_matches_elements(a, d, L, data):
+    ap = AP(a, d, L)
+    A = ap.array()
+    assert A.tolist() == ap.elements() and all(type(x) is int for x in A.tolist())
+    assert A.dtype == exact_dtype(ap.a, ap.last, ap.d)
+    idx = sorted(data.draw(st.sets(st.integers(0, L - 1))))
+    assert ap.array(idx).tolist() == A[idx].tolist()
+    assert ap.array(np.array(idx, dtype=np.int64)).dtype == A.dtype
+
+
+def test_array_edges():
+    # np.arange(1, 2**61 + 2, 2**60) counts its length in floats and has 2 elements
+    assert AP(1, 2**60, 3).array().tolist() == [1, 2**60 + 1, 2**61 + 1]
+    A = AP(5, 2**63 + 1, 1).array()  # one element, its step past int64
+    assert A.dtype == object and A.tolist() == [5]
+    lim = 2**62
+    # the dtype flips exactly where the first term, the last one or the step reaches 2^62
+    for ap, dtype in (
+        (AP(lim - 1, 1, 1), np.int64), (AP(lim, 1, 1), object),
+        (AP(-(lim - 1), 1, 1), np.int64), (AP(-lim, 1, 1), object),
+        (AP(lim - 3, 1, 3), np.int64), (AP(lim - 3, 1, 4), object),
+        (AP(0, lim - 1, 1), np.int64), (AP(0, lim, 1), object),
+    ):
+        assert ap.array().dtype == dtype and ap.array().tolist() == ap.elements(), ap

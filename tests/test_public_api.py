@@ -1,4 +1,6 @@
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -37,3 +39,17 @@ def test_retired_members_stay_gone():
     assert not hasattr(FactorizationTable, "largest_square_divisor")
     assert "with_histogram" not in inspect.signature(energy).parameters
     assert "histogram" not in EnergyReport.__dataclass_fields__
+
+
+def test_int64_rule_written_once():
+    # the int64-or-exact bound lives in progressions.exact_dtype; a second
+    # spelling of it (2^62, or the 31-bit key width) anywhere else fails here
+    rule = re.compile(r"1\s*<<\s*62|2\s*\*\*\s*62|bits\s*[<>]=?\s*31")
+    src = Path(multable.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        if path.name == "progressions.py":  # exact_dtype itself is the one place
+            text = re.sub(r"\ndef exact_dtype\(.*?(?=\ndef )", "\n", text, flags=re.S)
+        found += [f"{path.name}: {m.group()}" for m in rule.finditer(text)]
+    assert not found

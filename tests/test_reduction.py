@@ -621,3 +621,15 @@ def test_non_integer_elements_refused(A):
         square_class(A, 2)
     with pytest.raises(PreconditionError):
         progression_table(AP(1, 1, 10), factor_lists=False).positions(A)
+
+
+def test_reduce_trims_the_square_free_hull():
+    # the n in [804, 1606] whose largest square divisor is exactly 4: the
+    # class t = 2 divides to B in [201, 401], and its hull from B[0] = 201
+    # keeps b < 201 + (201 - 1), so the largest, 401, is trimmed
+    A = [n for n in range(804, 1607) if square_part(n) == 4]
+    ap, delta = AP(1, 1, 1606), Fraction(122, 1606)
+    trace = reduce(A, ap, delta)
+    assert trace.steps[-1].note == "t=2, |B0|=122, trimmed 1 for the hull guarantee"
+    assert isinstance(trace.outcome, Reduced) and trace.outcome.m == 4
+    assert _outcome(reduce, A, ap, delta) == _outcome(list_reduce, A, ap, delta)

@@ -583,3 +583,25 @@ def test_exact_memory_bounded(monkeypatch, cpus):
             tracemalloc.stop()
     assert got == want
     assert peak < 5 << 20, f"traced peak {peak} bytes"
+
+
+def test_region_and_sandwich_edges():
+    # p = 0 below the emptiness test: the line alpha j - beta reaches N only at j = n
+    assert region_volume(5, 5.0, 1.0, 0.0) == 0.0
+    assert volume_sandwich(5, 1.0, 1.0, 0.0).volume == 0.0
+    # n = 400 > PRECISION_WARN_AT; 1000^400 / 400! is past the float range
+    with pytest.warns(RuntimeWarning), pytest.raises(BudgetError):
+        region_volume(400, 1e3, 1.0, 1.0)
+    with pytest.warns(RuntimeWarning):
+        r = volume_sandwich(400, 1e3, 1.0, 10.0)
+    assert r.volume == r.lower == r.upper == math.inf
+
+
+def test_boundary_constructors_and_mc_refusals():
+    for call in (
+        lambda: SmirnovBoundary.from_line(3, 10.0, 1.0),  # n + w - u <= 0
+        lambda: SmirnovBoundary.from_region(3, 0.0, 1.0, 1.0),  # N <= 0
+        lambda: noncrossing_probability_mc(B([0.5]), 100, 0),  # below MC_MIN_SAMPLES
+    ):
+        with pytest.raises(PreconditionError):
+            call()
