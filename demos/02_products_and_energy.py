@@ -14,7 +14,7 @@ the same length behave very differently:
 
 from math import log
 
-from multable.energy import cs_product_lower_bound, energy, product_set, random_energy_subset
+from multable.energy import energy, product_set, random_energy_subset
 from multable.progressions import ArithmeticProgression as AP
 from multable.reduction import large_a_energy_bound
 
@@ -27,10 +27,9 @@ cases = {
 }
 
 for name, A in cases.items():
-    e = energy(A).energy
+    rep = energy(A)  # checks the Cauchy-Schwarz floor against |A.A| exactly
     pa = len(product_set(A, A))
-    floor = cs_product_lower_bound(A, A)
-    print(f"{name:>18}: |A|={len(A):>3} E(A)={e:>8} |A.A|={pa:>5} CS floor={floor:8.1f}")
+    print(f"{name:>18}: |A|={len(A):>3} E(A)={rep.energy:>8} |A.A|={pa:>5} CS floor={rep.cs_floor:8.1f}")
 
 print("\nenergy cap for progressions with a coprime large first term:")
 for a in (10**3, 10**5, 10**9):

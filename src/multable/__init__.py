@@ -15,7 +15,6 @@ from .sieve import (
 from .energy import (
     EnergyReport,
     cs_energy_split,
-    cs_product_lower_bound,
     energy,
     energy_bruteforce,
     offdiag_tuples,
@@ -59,7 +58,6 @@ __all__ = [
     "build_table",
     "volume_sandwich",
     "cs_energy_split",
-    "cs_product_lower_bound",
     "energy",
     "energy_bruteforce",
     "large_a_energy_bound",

@@ -82,20 +82,22 @@ SUBSET_MAX_DRAWS = 1000  # draws of random_energy_subset before it gives up
 @dataclass
 class EnergyReport:
     """Exact energy, the trivial 2|A||B| cap ``diag_bound`` on tuples that
-    reuse a pair, the number of distinct products |A.B|, and ``kernel``: the
-    dtype each side ran in and how many windows it used.
+    reuse a pair, the number of distinct products |A.B|, the Cauchy-Schwarz
+    floor |A|^2|B|^2 / E on |A.B|, ``cs_floor``, and ``kernel``: the dtype
+    each side ran in and how many windows it used.
 
     ``product_count`` is the number of distinct products the product side
     counted and has no second route of its own, because it needs none: on
     every call the quotient side checks those counts' sum of r(x)^2
     exactly, and a lost product, or a product class wrongly split or
-    merged, changes that sum.  ``cs_floor`` also checks |A|^2|B|^2 <=
-    E |A.B| exactly, in integers.
+    merged, changes that sum.  Every call also checks |A|^2|B|^2 <=
+    E |A.B| exactly, in integers, before ``cs_floor`` is returned.
     """
 
     energy: int
     diag_bound: int
     product_count: int
+    cs_floor: float
     kernel: dict = field(default_factory=dict)
 
 
@@ -404,14 +406,18 @@ def energy(A, B=None) -> EnergyReport:
     value; the quotient-side sum (same-set: sum of r_{A/A}^2; cross: dot of
     r_{A/A} with r_{B/B}) is recomputed on every call and must match
     exactly.  The product side is reduced to its numbers before the
-    quotient keys are built.
+    quotient keys are built.  Then Cauchy-Schwarz, |A|^2|B|^2 <= E |A.B|,
+    is checked in integers, and its floor on |A.B| reported as ``cs_floor``.
     """
     a, b = _energy_sets(A, B)
     e, count, kernel = _product_energy(a, b)
     (aa, _, ab), keys = _quotient_dots(a, None if a is b else b)
     _check_quotient_side(e, a, b, aa if a is b else ab)
-    return EnergyReport(energy=e, diag_bound=2 * a.size * b.size, product_count=count,
-                        kernel=kernel | keys)
+    pairs = a.size * b.size
+    if pairs * pairs > e * count:
+        raise InternalCheckError(f"Cauchy-Schwarz: |A|^2|B|^2 = {pairs * pairs} > E |A.B| = {e * count}")
+    return EnergyReport(energy=e, diag_bound=2 * pairs, product_count=count,
+                        cs_floor=pairs * pairs / e, kernel=kernel | keys)
 
 
 def energy_bruteforce(A, B=None) -> int:
@@ -524,20 +530,6 @@ def offdiag_tuples(A, energy_value: int | None = None) -> int:
             f"E = {e} exceeds 2|A|^2 + 4|X| = {2 * a.size**2 + 4 * x_count}"
         )
     return x_count
-
-
-def cs_product_lower_bound(A, B) -> float:
-    """The Cauchy-Schwarz floor |A|^2|B|^2 / E(A,B) for |A.B|; re-checked."""
-    rep = energy(A, B)  # its diag_bound is 2|A||B|
-    return cs_floor(rep.diag_bound // 2, 1, rep.energy, rep.product_count)
-
-
-def cs_floor(size_a: int, size_b: int, e: int, n_prod: int) -> float:
-    """|A|^2|B|^2 / E(A,B) from the sizes, the energy and |A.B|, after the
-    exact integer check that it does not exceed |A.B|."""
-    if size_a**2 * size_b**2 > e * n_prod:
-        raise InternalCheckError("Cauchy-Schwarz product bound violated")
-    return size_a**2 * size_b**2 / e
 
 
 def cs_energy_split(A, B) -> tuple[float, bool]:

@@ -25,7 +25,7 @@ from math import gcd, isqrt, log
 import numpy as np
 
 from . import __version__
-from .energy import cs_floor, energy, offdiag_tuples
+from .energy import energy, offdiag_tuples
 from .errors import BUDGETS, InternalCheckError, PreconditionError, check_budget
 from .progressions import ArithmeticProgression, _integer, int_array
 from .reduction import DirectBound, Reduced, large_a_energy_bound, reduce
@@ -238,7 +238,7 @@ def cmd_ap_product(a: int, d: int, L: int):
         "zeros_removed": zeros_removed,
         "product_count": n_prod,
         "energy": e,
-        "cs_lower_bound": cs_floor(len(A), len(A), e, n_prod),
+        "cs_lower_bound": rep.cs_floor,
         "energy_upper_bound": bound_rhs,
         "offdiag_tuples": tuples,
         "normalized_ratio": (
@@ -376,6 +376,8 @@ def cmd_smirnov(n: int | None = None, c: list[float] | None = None, u: float | N
         raise PreconditionError("give u and w together")
     if u is not None:
         check_line(u, w)  # both forms: the line approximation needs them
+    if c is not None and n is not None:
+        raise PreconditionError("give either c or (n, u, w), not both")
     if c is not None:
         b = SmirnovBoundary.from_values(c)
     elif n is not None and u is not None and w is not None:

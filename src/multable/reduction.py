@@ -118,7 +118,6 @@ class Reduced:
 @dataclass
 class ReductionTrace:
     steps: list[ReductionStep] = field(default_factory=list)
-    dilation_factor: int = 1
     outcome: DirectBound | Reduced | None = None
 
 
@@ -156,7 +155,6 @@ def reduce(A, ap: ArithmeticProgression, delta) -> ReductionTrace:
     A2 = A1 // g
     d2 = Fraction(len(A2), P2.L)
     trace.steps.append(ReductionStep("GcdNormalize", d1, d2, P2.L, f"g={g}"))
-    trace.dilation_factor = sign * g
 
     def direct(subset_norm: np.ndarray, prog: ArithmeticProgression, why: str) -> ReductionTrace:
         bound = large_a_energy_bound(prog, subset_size=len(subset_norm))
@@ -245,6 +243,5 @@ def reduce(A, ap: ArithmeticProgression, delta) -> ReductionTrace:
         raise InternalCheckError("dilated square-free core escapes the original set")
     d5 = Fraction(len(B), P5.L)
     trace.steps.append(ReductionStep("SquarefreeReduce", d3, d5, P5.L, note5))
-    trace.dilation_factor = m
     trace.outcome = Reduced(B=B.tolist(), P_prime=P5, m=m)
     return trace

@@ -18,7 +18,6 @@ import pytest
 
 from multable.energy import (
     cs_energy_split,
-    cs_product_lower_bound,
     energy,
     energy_bruteforce,
     random_energy_subset,
@@ -73,7 +72,7 @@ def test_criterion_02_cauchy_schwarz_inequalities():
         for _ in range(1000):
             A = sorted(rnd.sample(range(1, 10**5), rnd.randrange(1, 41)))
             B = sorted(rnd.sample(range(1, 10**5), rnd.randrange(1, 41)))
-            cs_product_lower_bound(A, B)  # exact integer check inside
+            energy(A, B)  # exact integer Cauchy-Schwarz check inside
             _, ok = cs_energy_split(A, B)
             assert ok
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from multable.energy import (
     cs_energy_split,
-    cs_product_lower_bound,
     energy,
     energy_bruteforce,
     offdiag_tuples,
@@ -236,18 +235,19 @@ def test_energy_dilation_invariance(A, m):
 @given(nonzero_sets, nonzero_sets)
 def test_cauchy_schwarz_pair(A, B):
     # lower bound on the product set, exact integer comparison inside
-    cs_product_lower_bound(A, B)
+    rep = energy(A, B)
+    assert rep.cs_floor == (len(A) * len(B)) ** 2 / rep.energy
     rhs, ok = cs_energy_split(A, B)
     assert ok
     assert energy(A, B).energy <= rhs + 1e-9
 
 
 def test_cs_examples():
-    assert cs_product_lower_bound([1, 2, 3], [1, 2, 3]) == pytest.approx(81 / 15)
-    assert cs_product_lower_bound([1], [1]) == 1.0
+    assert energy([1, 2, 3]).cs_floor == 81 / 15
+    assert energy([1], [1]).cs_floor == 1.0
     g = [2, 4, 8, 16]
     assert energy(g).energy == 44
-    assert cs_product_lower_bound(g, g) == pytest.approx(256 / 44)
+    assert energy(g, g).cs_floor == 256 / 44
     assert len(product_set(g, g)) == 7
     rhs, ok = cs_energy_split([1, 2, 3], [1, 2, 3])
     assert ok and rhs == 15.0

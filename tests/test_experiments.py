@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multable.energy import cs_product_lower_bound, energy_bruteforce, product_set
+from multable.energy import energy_bruteforce, product_set
 import multable.experiments as ex
 from multable import cli
 from multable.errors import BUDGETS, BudgetError, InternalCheckError, PreconditionError
@@ -130,7 +130,7 @@ def test_cmd_ap_product_matches_library():
         row = cmd_ap_product(a, d, L).results[0]
         assert row["energy"] == energy_bruteforce(A)
         assert row["product_count"] == len(_product_merge(A, A))
-        assert row["cs_lower_bound"] == cs_product_lower_bound(A, A)
+        assert row["cs_lower_bound"] == len(A) ** 4 / energy_bruteforce(A)
         if a > 0:
             assert row["offdiag_tuples"] == _offdiag_counter(A)
     # an all-negative progression has no column and no square root to take
@@ -171,6 +171,21 @@ def test_quotient_check_guards_product_count(monkeypatch):
         with pytest.raises(InternalCheckError):
             run()
         assert calls[:2] == [np.multiply, np.multiply]
+
+
+def test_energy_checks_cauchy_schwarz(monkeypatch):
+    # |A|^2|B|^2 <= E |A.B| in integers on every energy call: a product
+    # count of 1 against E([1, 2, 3]) = 15 fails it, in energy and ap-product
+    product_energy = en._product_energy
+
+    def one_product(a, b):
+        e, _, kernel = product_energy(a, b)
+        return e, 1, kernel
+
+    monkeypatch.setattr(en, "_product_energy", one_product)
+    for run in (lambda: en.energy([1, 2, 3]), lambda: cmd_ap_product(1, 1, 3)):
+        with pytest.raises(InternalCheckError, match="Cauchy-Schwarz"):
+            run()
 
 
 def test_pair_budget_counts_nonzero_elements(monkeypatch):
@@ -330,6 +345,16 @@ def test_cmd_smirnov_takes_integers_only():
             == cmd_smirnov(n=10, u=2, w=2).results)
 
 
+def test_cmd_smirnov_refuses_n_with_c():
+    # n beside c used to be dropped, and the answer was for n = len(c)
+    for kw in ({"n": 50, "c": [0.1, 0.2]}, {"n": 50, "c": [0.1, 0.2], "samples": 10**4}):
+        with pytest.raises(PreconditionError, match="not both"):
+            cmd_smirnov(**kw)
+    assert cli.main(["smirnov", "-n", "50", "--c", "0.1,0.2"]) == 2
+    # u and w beside c stay allowed: the line approximation uses them
+    assert cmd_smirnov(c=[0.1, 0.2], u=2.0, w=3.0).results[0]["n"] == 2
+
+
 def test_cmd_smirnov_refuses_a_string_n():
     # the exact_n budget compared "10" > 400 and raised a bare TypeError
     for n in ("10", "400", None):
@@ -370,6 +395,48 @@ def test_every_result_field_has_a_stated_route():
     seen = {(name, key) for name, rep in runs for row in rep.results for key in row}
     assert sorted(seen - listed) == []
     assert sorted(listed - seen) == []
+
+
+# README's "derived from" fields, each recomputed from its row and params
+DERIVED = {
+    ("table", "normalized_ratio"): lambda r, p: (
+        r["count"] * math.log(r["N"]) ** p["two_theta"] * math.log(math.log(r["N"])) ** 1.5 / (r["N"] * r["N"])),
+    ("ap-product", "cs_lower_bound"): lambda r, p: (r["L"] - r["zeros_removed"]) ** 4 / r["energy"],
+    ("ap-product", "normalized_ratio"): lambda r, p: (
+        r["product_count"] * math.log(r["L"]) ** p["two_theta"] / (r["L"] * r["L"])),
+    ("energy", "diag_bound"): lambda r, p: 2 * r["size"] ** 2,
+    ("smirnov", "deviation_stat"): lambda r, p: (
+        abs(r["exact"] - r["line_approx"]) * r["n"] / (p["u"] + p["w"])),
+    ("smirnov", "mc_stderr"): lambda r, p: (
+        math.sqrt(r["mc_estimate"] * (1.0 - r["mc_estimate"]) / p["samples"])),
+    ("mertens", "difference"): lambda r, p: r["sum"] - r["loglog_x"],
+    ("shiu", "ratio"): lambda r, p: r["exact"] / r["bound"],
+}
+
+
+def test_derived_fields_follow_their_formulas():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Result fields", 1)[1].split("\n## ", 1)[0]
+    derived = set(re.findall(r"^\| `([\w-]+)` \| `(\w+)` \| derived from", section, re.M))
+    assert sorted(derived) == sorted(DERIVED)
+    checked = set()
+    for name, (fn, kw, _, _) in COMMAND_CASES.items():
+        rep = fn(**kw)
+        for (command, key), formula in DERIVED.items():
+            if command == name:
+                for row in rep.results:
+                    assert row[key] == formula(row, rep.params), (command, key)
+                    checked.add((command, key))
+    assert checked == DERIVED.keys()
+
+
+def test_cli_internal_check_exits_4(monkeypatch, capsys):
+    def broken(N):
+        raise InternalCheckError("forced")
+
+    monkeypatch.setattr(ex, "table_count", broken)
+    assert cli.main(["table", "10"]) == 4
+    assert "internal assertion failure: forced" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", COMMAND_CASES)

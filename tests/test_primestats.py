@@ -339,6 +339,17 @@ def test_extension_matches_is_prime_count():
         assert nk_last_prime_extension(q, members) == _witnesses_by_is_prime(q)
 
 
+@pytest.mark.parametrize("a, d, L, k, witnesses", [
+    (10001, 1, 5, 2, 2), (10001, 2, 7, 2, 2), (9973, 1, 3, 3, 0), (1000003, 1, 10, 2, 3),
+])
+def test_extension_prefix_without_a_multiple(a, d, L, k, witnesses):
+    # toy lengths skip the upper regime bound, so with a far above dL some
+    # admissible prefix divides none of the L elements
+    q = NkQuery(0.0, 100.0, k, ap=AP(a, d, L))
+    members = len(nk_set(q, progression_table(q.ap)))
+    assert nk_last_prime_extension(q, members) == _witnesses_by_is_prime(q) == witnesses
+
+
 def test_totient():
     assert [totient(n) for n in (1, 2, 6, 9, 10)] == [1, 1, 2, 6, 4]
 

@@ -6,6 +6,7 @@ import pytest
 
 import multable
 from multable.energy import EnergyReport, energy
+from multable.reduction import ReductionTrace
 from multable.sieve import FactorizationTable
 
 # names retired with no caller outside the tests, each with its home
@@ -17,6 +18,8 @@ RETIRED = [
     ("multable.reduction", "largest_square_class"),
     ("multable.reduction", "squarefree_reduce"),
     ("multable.reduction", "trimmed_set"),
+    ("multable.energy", "cs_floor"),
+    ("multable.energy", "cs_product_lower_bound"),
 ]
 
 
@@ -39,6 +42,7 @@ def test_retired_members_stay_gone():
     assert not hasattr(FactorizationTable, "largest_square_divisor")
     assert "with_histogram" not in inspect.signature(energy).parameters
     assert "histogram" not in EnergyReport.__dataclass_fields__
+    assert "dilation_factor" not in ReductionTrace.__dataclass_fields__
 
 
 def test_int64_rule_written_once():

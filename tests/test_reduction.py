@@ -183,7 +183,6 @@ def list_reduce(A: IntSet, ap: ArithmeticProgression, delta) -> ReductionTrace:
     A2 = [x // g for x in A1]
     d2 = Fraction(len(A2), P2.L)
     trace.steps.append(ReductionStep("GcdNormalize", d1, d2, P2.L, f"g={g}"))
-    trace.dilation_factor = sign * g
 
     def direct(subset_norm: IntSet, prog: ArithmeticProgression, why: str) -> ReductionTrace:
         bound = large_a_energy_bound(prog, subset_size=len(subset_norm))
@@ -265,7 +264,6 @@ def list_reduce(A: IntSet, ap: ArithmeticProgression, delta) -> ReductionTrace:
         raise InternalCheckError("dilated square-free core escapes the original set")
     d5 = Fraction(len(B), P5.L)
     trace.steps.append(ReductionStep("SquarefreeReduce", d3, d5, P5.L, note5))
-    trace.dilation_factor = m
     trace.outcome = Reduced(B=B, P_prime=P5, m=m)
     return trace
 

@@ -458,6 +458,14 @@ class _InlineThread:
         pass
 
 
+def test_cpus_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(smirnov.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(smirnov.os, "cpu_count", lambda: 3)
+    assert smirnov._cpus() == 3
+    monkeypatch.setattr(smirnov.os, "cpu_count", lambda: None)
+    assert smirnov._cpus() == 1
+
+
 def _pretend_cpus(mp, cpus):
     mp.setattr(smirnov, "_cpus", lambda: cpus)
     if cpus > 4:
