@@ -11,11 +11,11 @@ A set is any iterable of integers, read once at each public entry by
 ``int_array`` into a sorted, duplicate-free array.  Both routes count sorted
 arrays, never dicts.  All arithmetic is exact: products run in int64 only
 when they provably fit, and on Python integers (the ``object_pairs``
-budget) otherwise, so no result ever silently overflows.  A same-set energy
-counts only the products a_i*a_j with i <= j and recovers the counts over
-ordered pairs from them.  The quotient side orders each set by |s| and keys
-every pair i < j of that order on t_i/t_j, so every key lies in [-1, 1] and
-a pair {s, -s} gives -1.
+budget) otherwise, so no result ever silently overflows.  A second set equal
+to the first is read as the first, and a same-set energy counts only the
+products a_i*a_j with i <= j and recovers the counts over ordered pairs from
+them.  The quotient side orders each set by |s| and keys every pair i < j of
+that order on t_i/t_j, so every key lies in [-1, 1] and a pair {s, -s} gives -1.
 
 One windowed kernel serves both sides.  Its pairs form rows that are
 monotone in j: row i of the products is a_i*b_j over the sorted B (j >= i
@@ -101,12 +101,15 @@ class EnergyReport:
     kernel: dict = field(default_factory=dict)
 
 
-def _energy_sets(A, B) -> tuple[np.ndarray, np.ndarray]:
-    """A and B (A again when B is None) through ``int_array``; 0 is refused,
-    as the quotient side divides by every element."""
+def _read_sets(A, B, nonzero: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """A and B through ``int_array``, b being a itself when B is None or holds
+    the same integers: downstream, ``a is b`` is the one same-set test.  With
+    ``nonzero``, 0 is refused, as the quotient side divides by every element."""
     a = int_array(A)
-    b = a if B is None else int_array(B)
-    if 0 in a or 0 in b:
+    b = a if B is None or B is A else int_array(B)
+    if b is not a and np.array_equal(a, b):
+        b = a
+    if nonzero and (0 in a or 0 in b):
         raise PreconditionError("energy needs sets without 0 (drop it first)")
     return a, b
 
@@ -114,15 +117,17 @@ def _energy_sets(A, B) -> tuple[np.ndarray, np.ndarray]:
 def _kernel_arrays(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ``int_array`` sets a and b, refused when empty, as arrays in which
     every product is exact: as they are, int64, when |a*b| < 2^62 for all
-    pairs, else Python ints in object arrays.  A magnitude counts as at least
-    1, so a set {0} does not let its partner's elements pass as fitting."""
+    pairs, else Python ints in object arrays, one array still when b is a.  A
+    magnitude counts as at least 1, so a set {0} does not let its partner's
+    elements pass as fitting."""
     if not a.size or not b.size:
         raise PreconditionError("needs nonempty sets")
     check_budget("kernel_pairs", a.size * b.size)
     (a0, a1), (b0, b1) = a[[0, -1]].tolist(), b[[0, -1]].tolist()
     if exact_dtype(max(1, -a0, a1) * max(1, -b0, b1)) is object:
         check_budget("object_pairs", a.size * b.size)
-        a, b = a.astype(object, copy=False), b.astype(object, copy=False)
+        obj = a.astype(object, copy=False)
+        a, b = obj, obj if b is a else b.astype(object, copy=False)
     return a, b
 
 
@@ -285,17 +290,16 @@ def _sorted_counts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _product_windows(a: np.ndarray, b: np.ndarray):
     """Sorted distinct products x*y of the ``int_array`` sets a and b and
     their counts over ordered pairs, window by window in increasing order;
-    when a and b hold the same set, from the a_i*a_j with i <= j."""
+    when b is a, from the a_i*a_j with i <= j."""
     a, b = _kernel_arrays(a, b)
-    same = np.array_equal(a, b)
-    if same:
+    if a is b:
         sq, d = _sorted_counts(np.square(a))
-    lo = np.arange(b.size) if same else np.zeros(a.size, dtype=np.intp)
+    lo = np.arange(b.size) if a is b else np.zeros(a.size, dtype=np.intp)
     rows = _Rows(a, b, lo, b.size, np.less(a, 0))
     corners = [x * y for x in a[[0, -1]].tolist() for y in b[[0, -1]].tolist()]
     for v, w, (start,), (stop,) in _windows([rows], _product_cut, min(corners), max(corners) + 1):
         vals, cnts = _sorted_counts(_pair_values((rows, start, stop), np.multiply))
-        if same:
+        if a is b:
             # r(x) = 2c(x) - d(x): a pair i < j stands for (i, j) and (j, i), and
             # d(x) counts the i with a_i^2 = x, which is 2 when s and -s are in A
             i, k = np.searchsorted(sq, [v, w])
@@ -359,22 +363,22 @@ def _matched_dot(qa, qb) -> int:
     return int(np.dot(ca[same], cb[at[same]]))
 
 
-def _quotient_dots(A: np.ndarray, B: np.ndarray | None):
+def _quotient_dots(a: np.ndarray, b: np.ndarray):
     """sum r_A(x)^2, sum r_B(x)^2 and sum r_A(x) r_B(x) over the quotient
-    keys of the ``int_array`` sets A and B (B None: A's alone), in one key
-    width, window by window, and the kernel's route."""
-    sets = [A] if B is None else [A, B]
+    keys of the ``int_array`` sets a and b (when b is a, over a's keys
+    alone), in one key width, window by window, and the kernel's route."""
+    sets = [a] if b is a else [a, b]
     bits = int(max(max(-S[0], S[-1]) for S in sets)).bit_length()
     aa = bb = ab = windows = 0
     for qs in _quotient_windows(sets, bits):
         dtype = qs[0][0].dtype
         aa += int(np.dot(qs[0][1], qs[0][1]))
-        if B is not None:
+        if b is not a:
             bb += int(np.dot(qs[1][1], qs[1][1]))
             ab += _matched_dot(qs[0], qs[1])
         windows += 1
         del qs  # free this window before the next one is built
-    return (aa, bb, ab), {"key_route": _ROUTES[dtype.kind], "key_windows": windows}
+    return (aa, aa, aa) if b is a else (aa, bb, ab), {"key_route": _ROUTES[dtype.kind], "key_windows": windows}
 
 
 def _antipodes(S: np.ndarray) -> int:
@@ -401,18 +405,18 @@ def _check_quotient_side(e_prod: int, A: np.ndarray, B: np.ndarray, dot: int) ->
 def energy(A, B=None) -> EnergyReport:
     """Multiplicative energy of A (or of the pair A, B), via both routes.
 
-    A and B are any integers, read by ``int_array``; 0 must be absent.  The
-    product-side sum of squared representation counts is the returned
-    value; the quotient-side sum (same-set: sum of r_{A/A}^2; cross: dot of
-    r_{A/A} with r_{B/B}) is recomputed on every call and must match
-    exactly.  The product side is reduced to its numbers before the
-    quotient keys are built.  Then Cauchy-Schwarz, |A|^2|B|^2 <= E |A.B|,
+    A and B are any integers, read by ``int_array``; 0 must be absent, and a B
+    equal to A is read as A.  The product-side sum of squared representation
+    counts is the returned value; the quotient-side sum (same-set: sum of
+    r_{A/A}^2; cross: dot of r_{A/A} with r_{B/B}) is recomputed on every call
+    and must match exactly.  The product side is reduced to its numbers before
+    the quotient keys are built.  Then Cauchy-Schwarz, |A|^2|B|^2 <= E |A.B|,
     is checked in integers, and its floor on |A.B| reported as ``cs_floor``.
     """
-    a, b = _energy_sets(A, B)
+    a, b = _read_sets(A, B, nonzero=True)
     e, count, kernel = _product_energy(a, b)
-    (aa, _, ab), keys = _quotient_dots(a, None if a is b else b)
-    _check_quotient_side(e, a, b, aa if a is b else ab)
+    (_, _, ab), keys = _quotient_dots(a, b)
+    _check_quotient_side(e, a, b, ab)
     pairs = a.size * b.size
     if pairs * pairs > e * count:
         raise InternalCheckError(f"Cauchy-Schwarz: |A|^2|B|^2 = {pairs * pairs} > E |A.B| = {e * count}")
@@ -426,8 +430,7 @@ def energy_bruteforce(A, B=None) -> int:
     Compares every ordered (a1, b1) product against every (a2, b2) product,
     so the cost is (|A||B|)^2 comparisons; guarded at |A||B| <= 10^4.
     """
-    a = int_array(A)
-    b = a if B is None else int_array(B)
+    a, b = _read_sets(A, B)
     check_budget("bruteforce_pairs", a.size * b.size)
     p = np.multiply.outer(*_kernel_arrays(a, b)).ravel()
     total = 0
@@ -443,7 +446,7 @@ def product_set(A, B) -> list[int]:
     set); raises BudgetError past the ``product_set_pairs`` budget, which
     bounds the list it returns.  A k-way merge of the dilates a*B is the
     oracle for it in tests."""
-    a, b = int_array(A), int_array(B)
+    a, b = _read_sets(A, B)
     check_budget("product_set_pairs", a.size * b.size)
     out: list[int] = []
     for vals, _ in _product_windows(a, b):
@@ -538,7 +541,7 @@ def cs_energy_split(A, B) -> tuple[float, bool]:
     The three product sides are reduced to numbers first; then the quotient
     windows build each set's keys once and serve all three checks.
     """
-    a, b = _energy_sets(A, B)
+    a, b = _read_sets(A, B, nonzero=True)
     e_ab, e_a, e_b = (_product_energy(x, y)[0] for x, y in ((a, b), (a, a), (b, b)))
     aa, bb, ab = _quotient_dots(a, b)[0]
     _check_quotient_side(e_ab, a, b, ab)

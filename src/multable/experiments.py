@@ -229,6 +229,8 @@ def cmd_ap_product(a: int, d: int, L: int):
     rep = energy(A)
     e, n_prod = rep.energy, rep.product_count
     bound_rhs = large_a_energy_bound(ap, subset_size=len(A)) if a > 0 and gcd(a, d) == 1 else None
+    if bound_rhs is not None and e > bound_rhs:
+        raise InternalCheckError(f"E = {e} exceeds energy_upper_bound = {bound_rhs}")
     # offdiag_tuples sieves the progression, whose sieving primes (up to the
     # sieve budget) cover only elements below about 2^48
     factorable = a > 0 and L <= 512 and isqrt(ap.last) <= BUDGETS["sieve"]

@@ -182,8 +182,7 @@ class SmirnovBoundary:
         _require_finite(u=u, w=w)
         if n + w - u <= 0:
             raise PreconditionError("needs n + w - u > 0")
-        j = np.arange(1, n + 1, dtype=np.float64)
-        return cls(tuple(np.clip((j - u) / (n + w - u), 0.0, 1.0).tolist()))
+        return cls.from_region(n, n + w - u, 1.0, u)  # 1.0 * j is j, so the bits match
 
     @classmethod
     def from_region(cls, n: int, N: float, alpha: float, beta: float) -> "SmirnovBoundary":
@@ -426,6 +425,16 @@ def q_n(u: float, w: float, n: int) -> float:
     return noncrossing_probability_exact(SmirnovBoundary.from_line(n, u, w))
 
 
+def _scaled(n: int, N: float, v: float) -> float:
+    """(N^n / n!) v through logarithms: 0 for v <= 0, inf past the float range."""
+    if v <= 0.0:
+        return 0.0
+    try:
+        return math.exp(n * math.log(N) - math.lgamma(n + 1) + math.log(v))
+    except OverflowError:
+        return math.inf
+
+
 def region_volume(n: int, N: float, alpha: float, beta: float) -> float:
     """Volume of {0 <= x_1 <= ... <= x_n <= N, x_j >= alpha j - beta}.
 
@@ -434,18 +443,16 @@ def region_volume(n: int, N: float, alpha: float, beta: float) -> float:
     order statistics.  Returns 0 for an empty region.
     """
     n = _integer("n", n)
+    if n < 1:
+        raise PreconditionError("needs n >= 1")
     _require_finite(N=N, alpha=alpha, beta=beta)
     if alpha * n - beta > N:
         return 0.0
     check_budget("exact_n", n)
-    p = noncrossing_probability_exact(SmirnovBoundary.from_region(n, N, alpha, beta))
-    if p == 0.0:
-        return 0.0
-    log_vol = n * math.log(N) - math.lgamma(n + 1) + math.log(p)
-    try:
-        return math.exp(log_vol)
-    except OverflowError:
+    vol = _scaled(n, N, noncrossing_probability_exact(SmirnovBoundary.from_region(n, N, alpha, beta)))
+    if vol == math.inf:
         raise BudgetError("volume exceeds float range; use the normalized probability")
+    return vol
 
 
 @dataclass
@@ -485,18 +492,10 @@ def volume_sandwich(n: int, N: float, alpha: float, beta: float) -> SandwichRepo
     factor = u * w / n
     check_budget("exact_n", n)
     p = noncrossing_probability_exact(SmirnovBoundary.from_region(n, N, alpha, beta))
-    log_scale = n * math.log(N) - math.lgamma(n + 1)
-    def scaled(v: float) -> float:
-        if v <= 0.0:
-            return 0.0
-        try:
-            return math.exp(log_scale + math.log(v))
-        except OverflowError:
-            return math.inf
     return SandwichReport(
-        lower=scaled(factor) / 4,
-        upper=3 * scaled(factor),
-        volume=scaled(p),
+        lower=_scaled(n, N, factor) / 4,
+        upper=3 * _scaled(n, N, factor),
+        volume=_scaled(n, N, p),
         hypotheses_met=(beta >= SANDWICH_C * alpha) and (SANDWICH_C <= w),
         lower_applicable=factor <= 1.0,
         factor=factor,

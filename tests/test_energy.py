@@ -412,7 +412,7 @@ def test_pair_budget(monkeypatch):
     assert product_set(small, small) == _product_merge(small, small)
     for call in (
         # each quotient side on its own: |B|^2 pairs, though |A||B| fits
-        lambda: en._quotient_dots(int_array(large), None),
+        lambda: en._quotient_dots(*[int_array(large)] * 2),
         lambda: en._quotient_dots(int_array([1, 2]), int_array(big)),
         lambda: energy(large),
         lambda: energy(big),
@@ -515,7 +515,7 @@ def test_quotient_counts_peak_below_one_nxn_array():
     A = int_array(range(1, 1025))
     tracemalloc.start()
     try:
-        en._quotient_dots(A, None)
+        en._quotient_dots(A, A)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -535,6 +535,16 @@ def test_energy_peak_bounded_by_window():
     assert rep.energy == 36756784
     assert rep.kernel["product_windows"] > 1 and rep.kernel["key_windows"] > 1
     assert peak < 16 * 1024 * 1024
+
+
+def test_equal_sets_take_the_one_set_path():
+    # B equal to A is read as A itself, on both sides of the kernel: the same
+    # report, kernel included, whether B is absent, A itself or a copy
+    A = list(range(1, 2049))
+    one = energy(A)
+    assert energy(A, A) == one and energy(A, list(A)) == one
+    assert cs_energy_split(A, list(A)) == cs_energy_split(A, A)
+    assert product_set(A, list(A)) == product_set(A, A)
 
 
 # signed sets across every dtype route: products in int64 below 2^62 and in
@@ -558,7 +568,7 @@ def test_windowed_counts_match_whole_triangle(A, B, cap):
         mp.setattr(en, "WINDOW_PAIRS", cap)
         for X, Y in ((A, A), (A, B)):
             want = _whole_product_counts(X, Y)
-            got = _windowed(en._product_windows(int_array(X), int_array(Y)))
+            got = _windowed(en._product_windows(*en._read_sets(X, Y)))
             assert got == (want[0].tolist(), want[1].tolist())
         # windows follow the fractions' values, which packed keys do not
         # sort by, so the keys are compared as a histogram; no key may recur
@@ -590,7 +600,7 @@ def test_windows_partition_pairs_by_exact_value(A, B, cap):
     bits = max(-A[0], A[-1], -B[0], B[-1]).bit_length()
     ts = [sorted(S, key=abs) for S in (A, B)]
     cases = [
-        (lambda X=X, Y=Y: en._product_windows(int_array(X), int_array(Y)),
+        (lambda X=X, Y=Y: en._product_windows(*en._read_sets(X, Y)),
          [{(i, j): X[i] * Y[j] for i in range(len(X)) for j in range(i if X == Y else 0, len(Y))}])
         for X, Y in ((A, A), (A, B))
     ] + [(lambda: en._quotient_windows([int_array(A), int_array(B)], bits),

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -186,6 +187,17 @@ def test_energy_checks_cauchy_schwarz(monkeypatch):
     for run in (lambda: en.energy([1, 2, 3]), lambda: cmd_ap_product(1, 1, 3)):
         with pytest.raises(InternalCheckError, match="Cauchy-Schwarz"):
             run()
+
+
+def test_ap_product_checks_energy_upper_bound(monkeypatch, capsys):
+    # an energy forged past AP(1, 1, 3)'s energy_upper_bound, about 245, fails
+    # the check on every call, in-process and as exit 4 from the CLI
+    real = ex.energy
+    monkeypatch.setattr(ex, "energy", lambda A: dataclasses.replace(real(A), energy=10**6))
+    with pytest.raises(InternalCheckError, match="energy_upper_bound"):
+        cmd_ap_product(1, 1, 3)
+    assert cli.main(["ap-product", "1", "1", "3"]) == 4
+    assert "exceeds energy_upper_bound" in capsys.readouterr().err
 
 
 def test_pair_budget_counts_nonzero_elements(monkeypatch):

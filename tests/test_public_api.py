@@ -57,3 +57,17 @@ def test_int64_rule_written_once():
             text = re.sub(r"\ndef exact_dtype\(.*?(?=\ndef )", "\n", text, flags=re.S)
         found += [f"{path.name}: {m.group()}" for m in rule.finditer(text)]
     assert not found
+
+
+def test_same_set_rule_written_once():
+    # energy's one same-set test is ``a is b``, which the intake _read_sets
+    # sets up: np.array_equal nowhere else in energy.py, and no call in src/
+    # hands a kernel helper None for a set
+    src = Path(multable.__file__).parent
+    text = (src / "energy.py").read_text()
+    outside = re.sub(r"\ndef _read_sets\(.*?(?=\ndef )", "\n", text, flags=re.S)
+    assert "array_equal" in text and "array_equal" not in outside
+    none_arg = re.compile(r"_(?:quotient_dots|product_windows)\((?:[^()]|\([^()]*\))*\bNone\b")
+    found = [f"{path.name}: {m.group()}" for path in sorted(src.glob("*.py"))
+             for m in none_arg.finditer(path.read_text())]
+    assert not found

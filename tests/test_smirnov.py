@@ -608,7 +608,10 @@ def test_region_and_sandwich_edges():
 def test_boundary_constructors_and_mc_refusals():
     for call in (
         lambda: SmirnovBoundary.from_line(3, 10.0, 1.0),  # n + w - u <= 0
+        lambda: SmirnovBoundary.from_line(3, -1.7e308, 1.7e308),  # n + w - u past the float range
         lambda: SmirnovBoundary.from_region(3, 0.0, 1.0, 1.0),  # N <= 0
+        lambda: region_volume(0, 1.0, 1.0, -5.0),  # n < 1, refused before the empty-region answer
+        lambda: region_volume(-3, 1.0, 1.0, -5.0),
         lambda: noncrossing_probability_mc(B([0.5]), 100, 0),  # below MC_MIN_SAMPLES
     ):
         with pytest.raises(PreconditionError):
