@@ -17,7 +17,8 @@ products a_i*a_j with i <= j and recovers the counts over ordered pairs from
 them.  The quotient side orders each set by |s| and keys every pair i < j of
 that order on t_i/t_j, so every key lies in [-1, 1] and a pair {s, -s} gives -1.
 
-One windowed kernel serves both sides.  Its pairs form rows that are
+One windowed kernel serves both sides, and its writer ``_pair_values``
+also packs ``offdiag_tuples``' grid keys.  Its pairs form rows that are
 monotone in j: row i of the products is a_i*b_j over the sorted B (j >= i
 for one set), and the quotient rows are the triangle in the |s| order, row
 i being t_i over the later t_j, whose |t_j| grow, so |t_i/t_j| falls.
@@ -230,19 +231,20 @@ def _windows(families: list[_Rows], cut, bottom: int, top: int):
 
 def _pair_values(part, op) -> np.ndarray:
     """op(coef[r], run[j]) over j in [start[r], stop[r]) for every row r of
-    the (rows, start, stop) ``part``, as one array.  Rows of at least
-    SLICE_ROW pairs on average are written slice by slice; shorter ones are
-    gathered all at once, beside the output one index array of its size."""
-    rows, start, stop = part
+    the (coef, run, start, stop) ``part``, as one array in run's dtype: the
+    products, the quotient keys and ``offdiag_tuples``' grid keys.  Rows of at
+    least SLICE_ROW pairs on average are written slice by slice; shorter ones
+    are gathered all at once, beside the output one index array of its size."""
+    coef, run, start, stop = part
     k = stop - start
     nz = np.flatnonzero(k)
     k = k[nz]
     start = start[nz]
-    out = np.empty(int(k.sum()), dtype=rows.run.dtype)
+    out = np.empty(int(k.sum()), dtype=run.dtype)
     if out.size >= SLICE_ROW * nz.size:
         p = 0
-        for c, s, m in zip(rows.coef[nz], start.tolist(), k.tolist()):
-            op(c, rows.run[s : s + m], out=out[p : p + m])
+        for c, s, m in zip(coef[nz], start.tolist(), k.tolist()):
+            op(c, run[s : s + m], out=out[p : p + m])
             p += m
         return out
     # j steps by one along a row and jumps from its end to the next start
@@ -250,9 +252,9 @@ def _pair_values(part, op) -> np.ndarray:
     j[0] = start[0]
     j[np.cumsum(k[:-1])] = start[1:] - start[:-1] - k[:-1] + 1
     np.cumsum(j, out=j)
-    np.take(rows.run, j, out=out, mode="clip")  # "raise" would buffer out
+    np.take(run, j, out=out, mode="clip")  # "raise" would buffer out
     del j
-    op(np.repeat(rows.coef[nz], k), out, out=out)
+    op(np.repeat(coef[nz], k), out, out=out)
     return out
 
 
@@ -298,7 +300,7 @@ def _product_windows(a: np.ndarray, b: np.ndarray):
     rows = _Rows(a, b, lo, b.size, np.less(a, 0))
     corners = [x * y for x in a[[0, -1]].tolist() for y in b[[0, -1]].tolist()]
     for v, w, (start,), (stop,) in _windows([rows], _product_cut, min(corners), max(corners) + 1):
-        vals, cnts = _sorted_counts(_pair_values((rows, start, stop), np.multiply))
+        vals, cnts = _sorted_counts(_pair_values((a, b, start, stop), np.multiply))
         if a is b:
             # r(x) = 2c(x) - d(x): a pair i < j stands for (i, j) and (j, i), and
             # d(x) counts the i with a_i^2 = x, which is 2 when s and -s are in A
@@ -349,7 +351,8 @@ def _quotient_windows(sets: list[np.ndarray], bits: int):
     families = [_Rows(t, t, np.arange(1, t.size + 1), t.size, np.ones(t.size, dtype=bool)) for t in ts]
     cut = partial(_quotient_cut, bits=bits, dtype=exact)
     for _, _, starts, stops in _windows(families, cut, 0, (1 << bits) + 1):
-        yield [_sorted_counts(_pair_values(part, op)) for part in zip(families, starts, stops)]
+        yield [_sorted_counts(_pair_values((f.coef, f.run, s, t), op))
+               for f, s, t in zip(families, starts, stops)]
 
 
 def _matched_dot(qa, qb) -> int:
@@ -464,12 +467,14 @@ def offdiag_tuples(A, energy_value: int | None = None) -> int:
     ``offdiag_tuples([1, 2, 2**25])``).  They are sorted once by (x, y), and each
     x with at least two quotients y1 < y2 contributes the pair as one int64
     key, the ranks of y1 and y2 among the distinct quotients packed side by
-    side; a pair shared by c values of x gives c(c-1)/2 grids.  The keys of
-    all x with s quotients are gathered by one ``np.triu_indices(s, 1)``
-    into one array of exactly ``work`` entries, checked against
-    the ``offdiag_pairs`` budget before it is allocated, and counted in one sort.
-    A kept incidence shares its x with another, so there are at most
-    2 * work of them and the two ranks fit in 50 bits.
+    side; a pair shared by c values of x gives c(c-1)/2 grids.  The kernel's
+    ``_pair_values`` writes them, rank i shifted up beside the later ranks of
+    its x, into one array of exactly ``work`` keys, checked against the
+    ``offdiag_pairs`` budget before anything is allocated and counted in one
+    sort.  A kept incidence shares its x with another, so there are at most
+    2 * work of them and the two ranks fit in 50 bits.  Beside the incidences
+    the peak is at most two int64 arrays of ``work`` entries, the keys and
+    the writer's gather index: 3.9 MiB under ``tracemalloc`` for AP(1, 1, 512).
 
     For |A| up to a few thousand the asserted inequality
     E(A) <= 2|A|^2 + 4|X| is re-checked against the exact energy, or
@@ -512,17 +517,9 @@ def offdiag_tuples(A, energy_value: int | None = None) -> int:
     rank = np.unique(y[np.repeat(shared, sizes)], return_inverse=True)[1]
     bits = max(rank.size - 1, 1).bit_length()
     sizes = sizes[shared]
-    first = np.cumsum(sizes) - sizes
-    keys = np.empty(work, dtype=np.int64)
-    pos = 0
-    for s in np.unique(sizes).tolist():
-        i, j = np.triu_indices(s, 1)
-        ranks = rank[first[sizes == s][:, None] + np.arange(s)]
-        block = keys[pos : pos + len(ranks) * i.size].reshape(len(ranks), i.size)
-        np.take(ranks, i, axis=1, out=block)
-        block <<= bits
-        block |= np.take(ranks, j, axis=1)
-        pos += block.size
+    # row i is rank i beside the later ranks of its x, up to the end of its run
+    stop = np.repeat(np.cumsum(sizes), sizes)
+    keys = _pair_values((rank << bits, rank, np.arange(1, rank.size + 1), stop), np.add)
     counts = _sorted_counts(keys)[1]
     x_count = int((counts * (counts - 1) // 2).sum())
     e = energy_value
@@ -539,16 +536,17 @@ def cs_energy_split(A, B) -> tuple[float, bool]:
     """sqrt(E(A) * E(B)) and whether E(A,B) is below it (exact check).
 
     The three product sides are reduced to numbers first; then the quotient
-    windows build each set's keys once and serve all three checks.
+    windows build each set's keys once and serve all three checks.  When B
+    is read as A the three energies are one, run and checked once.
     """
     a, b = _read_sets(A, B, nonzero=True)
-    e_ab, e_a, e_b = (_product_energy(x, y)[0] for x, y in ((a, b), (a, a), (b, b)))
+    sides = [(a, a)] if b is a else [(a, b), (a, a), (b, b)]  # E(A, B), E(A), E(B)
+    es = [_product_energy(x, y)[0] for x, y in sides]
     aa, bb, ab = _quotient_dots(a, b)[0]
-    _check_quotient_side(e_ab, a, b, ab)
-    _check_quotient_side(e_a, a, a, aa)
-    _check_quotient_side(e_b, b, b, bb)
-    ok = e_ab * e_ab <= e_a * e_b
-    return sqrt(e_a * e_b), ok
+    for e, (x, y), dot in zip(es, sides, (ab, aa, bb)):
+        _check_quotient_side(e, x, y, dot)
+    e_ab, e_a, e_b = es * 3 if b is a else es
+    return sqrt(e_a * e_b), e_ab * e_ab <= e_a * e_b
 
 
 def random_energy_subset(A, seed: int) -> list[int]:

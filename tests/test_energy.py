@@ -309,7 +309,7 @@ def test_offdiag_matches_counter(A):
     assert offdiag_tuples(A) == _offdiag_counter(A)
 
 
-def test_offdiag_matches_counter_on_progressions():
+def test_offdiag_matches_counter_on_progressions(monkeypatch):
     assert offdiag_tuples([1, 2, 3, 6]) == _offdiag_counter([1, 2, 3, 6]) == 2
     progressions = [
         (720720, 60, 200),
@@ -320,9 +320,34 @@ def test_offdiag_matches_counter_on_progressions():
         # above 2^10, and a prime cofactor above sqrt of the last element
         (1031**2 * 1064017, 123852, 300),
     ]
-    for a, d, L in progressions:
-        A = AP(a, d, L).elements()
+    sets = [AP(a, d, L).elements() for a, d, L in progressions]
+    # 300 primes q from 1009 on and their doubles: x = 1 sees 600 quotients
+    # and x = 2 sees 300, so the grid keys' rows average over SLICE_ROW pairs;
+    # a one-element set has no x with two quotients, so no keys at all
+    q = [n for n in range(1009, 4002) if len(divisors(n)) == 2][:300]
+    sets += [q + [2 * n for n in q], [7]]
+    pair_values = en._pair_values
+    writes = []
+
+    def counted(part, op):
+        # the grid keys are the np.add calls; the slice path calls op once a
+        # row with pairs, the gather path once
+        if op is not np.add:
+            return pair_values(part, op)
+        writes.append(0)
+
+        def add(*args, **kw):
+            writes[-1] += 1
+            return op(*args, **kw)
+
+        return pair_values(part, add)
+
+    monkeypatch.setattr(en, "_pair_values", counted)
+    for A in sets:
         assert offdiag_tuples(A) == _offdiag_counter(A)
+    # one write each: gathered for the progressions, 599 + 299 + 300 slices
+    # (x = 1, x = 2 and each x = q, which sees 1 and 2) for the primes
+    assert writes == [1] * 5 + [1198, 0]
 
 
 def test_offdiag_budget(monkeypatch):
@@ -336,8 +361,8 @@ def test_offdiag_budget(monkeypatch):
 
 
 def test_offdiag_peak():
-    # the keys are one int64 array of exactly the work's length, 2.3 MiB here;
-    # the Counter of tuples peaked at 27 MiB
+    # the pair kernel's writer packs the 300,758 grid keys, 2.3 MiB, beside at
+    # most one index array as long; the Counter of tuples peaked at 27 MiB
     A = AP(720720, 60, 200).elements()
     e = energy(A).energy
     tracemalloc.start()
@@ -545,6 +570,26 @@ def test_equal_sets_take_the_one_set_path():
     assert energy(A, A) == one and energy(A, list(A)) == one
     assert cs_energy_split(A, list(A)) == cs_energy_split(A, A)
     assert product_set(A, list(A)) == product_set(A, A)
+
+
+def test_cs_energy_split_runs_each_distinct_energy_once(monkeypatch):
+    # on one set E(A, B) = E(A) = E(B): one product side, not three, and the
+    # same float and verdict as the three-set route gives
+    A = list(range(1, 200))
+    e = energy(A).energy
+    product_energy = en._product_energy
+    calls = []
+
+    def counted(a, b):
+        calls.append((a.size, b.size))
+        return product_energy(a, b)
+
+    monkeypatch.setattr(en, "_product_energy", counted)
+    assert cs_energy_split(A, list(A)) == (float(e), True)
+    assert calls == [(199, 199)]
+    calls.clear()
+    cs_energy_split(A, A[1:])
+    assert calls == [(199, 198), (199, 199), (198, 198)]
 
 
 # signed sets across every dtype route: products in int64 below 2^62 and in

@@ -71,3 +71,12 @@ def test_same_set_rule_written_once():
     found = [f"{path.name}: {m.group()}" for path in sorted(src.glob("*.py"))
              for m in none_arg.finditer(path.read_text())]
     assert not found
+
+
+def test_pair_writer_written_once():
+    # one writer of pairs: offdiag_tuples packs its grid keys with the
+    # kernel's _pair_values, and no module builds pairs from triu_indices
+    src = Path(multable.__file__).parent
+    assert not [path.name for path in sorted(src.glob("*.py")) if "triu_indices" in path.read_text()]
+    offdiag = re.search(r"\ndef offdiag_tuples\(.*?(?=\ndef )", (src / "energy.py").read_text(), flags=re.S)
+    assert "_pair_values(" in offdiag.group()
