@@ -33,12 +33,11 @@ BUDGETS = {
     "object_pairs": 1 << 20,  # pairs of one exact Python-int fallback
     "bruteforce_pairs": 10**4,  # |A||B| of the quadratic energy oracle
     "offdiag_pairs": 10**7,  # co-occurring quotient pairs in offdiag_tuples
-    "sieve": 1 << 24,  # elements of one sieve, and its largest sieving prime
+    "sieve": 1 << 24,  # elements of one sieve, its largest sieving prime, x of shiu_mean
     "exact_n": 400,  # points of the exact boundary recursion
     "mc_uniforms": 1 << 32,  # samples * n of one Monte Carlo call
     "table_n": 1 << 16,  # N of the multiplication-table count
     "reduce_L": 1 << 22,  # elements of one reduce
-    "reciprocal_x": 10**7,  # x of shiu_mean's window and its Mertens sum
     "dfs_nodes": 10**7,  # nodes of one walk over admissible prime tuples
 }
 

@@ -117,12 +117,12 @@ def prime_count_ap(ap: ArithmeticProgression) -> int:
     return count
 
 
-def _admissible_tuples(m: int, d: int, alpha: float, beta: float, limit: int, visit) -> None:
-    """Depth-first, call visit(product, largest prime) for each ascending m-tuple
-    of primes not dividing d with log log p_j >= alpha*j - beta and product <
-    limit (visit(1, 1) once at m = 0); BudgetError past the ``dfs_nodes`` budget."""
+def _admissible_tuples(m: int, d: int, alpha: float, beta: float, limit: int):
+    """Depth-first, yield (product, largest prime) of each ascending m-tuple of
+    primes not dividing d with log log p_j >= alpha*j - beta and product <
+    limit ((1, 1) once at m = 0); BudgetError past the ``dfs_nodes`` budget."""
     if m == 0:
-        visit(1, 1)
+        yield 1, 1
         return
     if m >= limit.bit_length():  # m distinct primes multiply to at least 2^m >= limit
         return
@@ -143,11 +143,11 @@ def _admissible_tuples(m: int, d: int, alpha: float, beta: float, limit: int, vi
             if nodes > max_nodes:
                 check_budget("dfs_nodes", nodes)
             if depth + 1 == m:
-                visit(new, p)
+                yield new, p
             else:
-                walk(depth + 1, i + 1, new)
+                yield from walk(depth + 1, i + 1, new)
 
-    walk(0, 0, 1)
+    yield from walk(0, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def shiu_mean(q: ShiuQuery) -> tuple[float, float]:
     x, y, k, a, z = q.x, q.y, q.k, q.a, q.z
     if not (k < math.sqrt(y) and math.sqrt(x) < y):
         raise PreconditionError("regime requires k < sqrt(y) and sqrt(x) < y")
-    check_budget("reciprocal_x", x)
+    check_budget("sieve", x)  # mertens_sum(x) sieves up to x: refuse before the window table
     lo = x - y
     first = lo + ((a - lo) % k)
     if first < 1:
@@ -222,31 +222,17 @@ def nk_last_prime_extension(q: NkQuery, members: int) -> int:
     if q.k == 0:
         count = 1 if 1 in ap else 0
     else:
-        count = _extension_count(q, ap)
+        count = 0
+        last_bound = q.alpha * q.k - q.beta
+        # prefixes must satisfy p_1 ... p_{k-1} < sqrt(a), exactly: prod <= isqrt(a - 1)
+        for qq, p_last in _admissible_tuples(q.k - 1, d, q.alpha, q.beta, isqrt(a - 1) + 1):
+            # the candidates p = (a + i d)/qq, i = i0 (mod qq), are the
+            # progression ((a + i0 d)/qq, step d): one sieve flags its primes
+            i0 = -a * pow(d, -1, qq) % qq
+            if i0 < L:
+                cand = ArithmeticProgression((a + i0 * d) // qq, d, len(range(i0, L, qq)))
+                p = cand.array(np.flatnonzero(prime_flags(cand)))
+                count += int((_loglog(p[p > p_last]) >= last_bound).sum())
     if count > members:
         raise InternalCheckError(f"witness count {count} exceeds |N_k| = {members}")
     return count
-
-
-def _extension_count(q: NkQuery, ap: ArithmeticProgression) -> int:
-    a, d, L = ap.a, ap.d, ap.L
-    last_bound = q.alpha * q.k - q.beta
-
-    def count_for_prefix(prefix_prod: int, p_last: int) -> int:
-        # the candidates p = (a + i d)/qq, i = i0 (mod qq), are the
-        # progression ((a + i0 d)/qq, step d): one sieve flags its primes
-        qq = prefix_prod
-        i0 = (-a * pow(d, -1, qq)) % qq if qq > 1 else 0
-        if i0 >= L:
-            return 0
-        first = (a + i0 * d) // qq
-        flags = prime_flags(ArithmeticProgression(first, d, len(range(i0, L, qq))))
-        p = first + d * np.flatnonzero(flags)
-        p = p[p > p_last]
-        return int((_loglog(p) >= last_bound).sum())
-
-    counts: list[int] = []
-    # prefixes must satisfy p_1 ... p_{k-1} < sqrt(a), exactly: prod <= isqrt(a - 1)
-    _admissible_tuples(q.k - 1, d, q.alpha, q.beta, isqrt(a - 1) + 1,
-                       lambda prod, p_last: counts.append(count_for_prefix(prod, p_last)))
-    return sum(counts)

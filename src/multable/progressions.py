@@ -89,9 +89,13 @@ class ArithmeticProgression:
 
     def array(self, idx=None) -> np.ndarray:
         """The elements a + d*i at the sorted indices ``idx`` (all when None), in
-        their ``exact_dtype``; np.arange(a, last + 1, d) would count in floats."""
+        their ``exact_dtype``.  All of them take one arange pass: its stop is a
+        + L*d, so its float length (L*d)/d is exactly L, which an inexact stop
+        such as last + 1 would not give."""
         dtype = exact_dtype(self.a, self.last, self.d)
-        v = np.arange(self.L, dtype=dtype) if idx is None else np.array(idx, dtype=dtype)
+        if idx is None:
+            return np.arange(self.a, self.a + self.L * self.d, self.d, dtype=dtype)
+        v = np.array(idx, dtype=dtype)
         return np.add(np.multiply(v, self.d, out=v), self.a, out=v)
 
     def __contains__(self, n: int) -> bool:

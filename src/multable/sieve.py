@@ -171,7 +171,7 @@ def _sieve(ap: ArithmeticProgression, primes: np.ndarray, factor_lists: bool):
         q, k = p, 1
         while a % (g := gcd(d, q)) == 0:
             m = q // g
-            first = -(a // g) * pow(d // g, -1, m) % m if d > 1 else -a % m
+            first = -(a // g) * pow(d // g, -1, m) % m
             if first >= length:
                 break
             if k == 1:
@@ -196,7 +196,7 @@ def _sieve(ap: ArithmeticProgression, primes: np.ndarray, factor_lists: bool):
             live = (a + d * pos) % (p * p) == 0 if k == 1 else (a + d * pos) // smooth[pos] % p == 0
             pos, p, k = pos[live], p[live], k + 1
 
-    cofactor = np.arange(a, a + d * length, d, dtype=np.int64)  # the elements, for now
+    cofactor = ap.array()  # the elements, for now
     omega += cofactor > smooth  # one prime above sqrt(ap.last)
     if not factor_lists:
         return omega, sqdiv, None

@@ -20,7 +20,8 @@ from multable.energy import (
     product_set,
     random_energy_subset,
 )
-from multable.errors import BUDGETS, BudgetError, PreconditionError
+from multable.errors import BUDGETS, BudgetError, InternalCheckError, PreconditionError, RetriesExhaustedError
+import multable.energy as en
 import multable.experiments as ex
 from multable.primestats import NkQuery, nk_set
 from multable.progressions import ArithmeticProgression as AP
@@ -261,6 +262,16 @@ def test_offdiag_examples():
     x = offdiag_tuples([1, 2, 3, 6])
     assert x >= 1
     assert energy([1, 2, 3, 6]).energy <= 2 * 16 + 4 * x
+
+
+def test_offdiag_refuses_energy_above_cap():
+    # E <= 2|A|^2 + 4|X| is re-checked against a caller's E(A): at the cap it
+    # holds, one above it is a failed check
+    A = [1, 2, 3, 6]
+    cap = 2 * len(A) ** 2 + 4 * offdiag_tuples(A)
+    assert offdiag_tuples(A, energy_value=cap) == 2
+    with pytest.raises(InternalCheckError, match="exceeds 2"):
+        offdiag_tuples(A, energy_value=cap + 1)
 
 
 def test_offdiag_grid_count_exact():
@@ -711,6 +722,12 @@ def test_cross_energy_key_match_peak():
         tracemalloc.stop()
     assert e == 4194310  # as matched by np.intersect1d before
     assert peak < 128 * 1024 * 1024
+
+
+def test_random_energy_subset_gives_up_after_its_draws(monkeypatch):
+    monkeypatch.setattr(en, "SUBSET_MAX_DRAWS", 0)
+    with pytest.raises(RetriesExhaustedError, match="in 0 draws"):
+        random_energy_subset([1, 2, 3], seed=0)
 
 
 def test_random_energy_subset_rejects_negative_seed():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from multable.errors import BUDGETS, BudgetError, InternalCheckError, PreconditionError
+from multable import primestats
 from multable.progressions import ArithmeticProgression as AP
 from multable.primestats import (
     NkQuery,
@@ -27,9 +28,7 @@ def reciprocal_sum(x, k, d, beta, alpha):
     """Sum of 1/(p_1 ... p_k) over the tuples the admissible-prime walk of
     ``nk --witness`` visits: ascending primes not dividing d with product < x
     and log log p_j >= alpha*j - beta."""
-    terms = []
-    _admissible_tuples(k, d, alpha, beta, x, lambda prod, _: terms.append(1.0 / prod))
-    return math.fsum(terms)
+    return math.fsum(1.0 / prod for prod, _ in _admissible_tuples(k, d, alpha, beta, x))
 
 
 def _nk_oracle(values, alpha, beta, k):
@@ -150,6 +149,14 @@ def test_prime_count_density_floor_cell():
     assert count >= d * L / (2 * totient(d) * math.log(L))
 
 
+def test_prime_count_density_floor_refuses_a_short_count(monkeypatch):
+    # the floor cell above, with a sieve that flags nothing: 0 primes is
+    # below dL / (2 phi(d) log L) and fails the check
+    monkeypatch.setattr(primestats, "prime_flags", lambda ap: np.zeros(ap.L, dtype=bool))
+    with pytest.raises(InternalCheckError, match="below density floor"):
+        prime_count_ap(AP(200003, 3, 10**4))
+
+
 def test_reciprocal_sum_examples():
     assert reciprocal_sum(10, 1, 1, 100.0, 0.0) == pytest.approx(
         1 / 2 + 1 / 3 + 1 / 5 + 1 / 7
@@ -258,6 +265,20 @@ def test_shiu_class_sum_matches_fsum():
         for z in (0.3, 0.5, 1.0, 1.7, 2.0, math.pi / 2):
             want = math.fsum(np.power(z, omegas).tolist())
             assert shiu_mean(ShiuQuery(x, y, k, a, z))[0] == want
+
+
+def test_shiu_x_limit_is_the_sieve_budget(monkeypatch):
+    # x answers up to the sieve budget that its Mertens sum sieves to, and is
+    # refused above it before the window table is built
+    exact, bound = shiu_mean(ShiuQuery(10**7 + 1, 5000, 1, 0, 1.0))
+    assert exact == 5000.0 and bound > 0  # z = 1 counts the window
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("window table built for a refused x")
+
+    monkeypatch.setattr(primestats, "progression_table", no_table)
+    with pytest.raises(BudgetError, match="sieve"):
+        shiu_mean(ShiuQuery(BUDGETS["sieve"] + 1, 5000, 1, 0, 1.0))
 
 
 def test_shiu_preconditions():

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 
 import multable
 from multable.energy import EnergyReport, energy
+from multable.progressions import ArithmeticProgression
 from multable.reduction import ReductionTrace
 from multable.sieve import FactorizationTable
 
@@ -80,3 +82,14 @@ def test_pair_writer_written_once():
     assert not [path.name for path in sorted(src.glob("*.py")) if "triu_indices" in path.read_text()]
     offdiag = re.search(r"\ndef offdiag_tuples\(.*?(?=\ndef )", (src / "energy.py").read_text(), flags=re.S)
     assert "_pair_values(" in offdiag.group()
+
+
+def test_element_builder_written_once():
+    # ArithmeticProgression.array is the one builder of a progression's
+    # elements: no np.arange with a step anywhere else in src/
+    src = Path(multable.__file__).parent
+    lines, start = inspect.getsourcelines(ArithmeticProgression.array)
+    found = [(path.name, n.lineno) for path in sorted(src.glob("*.py")) for n in ast.walk(ast.parse(path.read_text()))
+             if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "arange"
+             and (len(n.args) == 3 or any(k.arg == "step" for k in n.keywords))]
+    assert found and set(found) <= {("progressions.py", n) for n in range(start, start + len(lines))}
