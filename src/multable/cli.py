@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import experiments as ex
-from .errors import BudgetError, InternalCheckError, PreconditionError
+from .errors import BudgetError, PreconditionError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +58,7 @@ def main(argv=None) -> int:
     except BudgetError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
-    except (InternalCheckError, AssertionError) as e:
+    except AssertionError as e:  # InternalCheckError included
         print(f"internal assertion failure: {e}", file=sys.stderr)
         return 4
     text = report.to_json() if args.format == "json" else report.to_csv()

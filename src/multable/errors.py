@@ -33,7 +33,7 @@ BUDGETS = {
     "object_pairs": 1 << 20,  # pairs of one exact Python-int fallback
     "bruteforce_pairs": 10**4,  # |A||B| of the quadratic energy oracle
     "offdiag_pairs": 10**7,  # co-occurring quotient pairs in offdiag_tuples
-    "sieve": 1 << 24,  # elements of one sieve, its largest sieving prime, x of shiu_mean
+    "sieve": 1 << 24,  # elements of one sieve, its largest sieving prime, the limit of primes_upto
     "exact_n": 400,  # points of the exact boundary recursion
     "mc_uniforms": 1 << 32,  # samples * n of one Monte Carlo call
     "table_n": 1 << 16,  # N of the multiplication-table count

@@ -26,11 +26,11 @@ import numpy as np
 
 from . import __version__
 from .energy import energy, offdiag_tuples
-from .errors import BUDGETS, InternalCheckError, PreconditionError, check_budget
+from .errors import InternalCheckError, PreconditionError, check_budget
 from .progressions import ArithmeticProgression, _integer, int_array
 from .reduction import DirectBound, Reduced, large_a_energy_bound, reduce
 from .primestats import NkQuery, ShiuQuery, nk_last_prime_extension, nk_set, shiu_mean
-from .sieve import hull_table, mertens_sum, progression_table
+from .sieve import fits, hull_table, mertens_sum, progression_table
 from .smirnov import (
     SmirnovBoundary,
     check_line,
@@ -55,6 +55,11 @@ class ExperimentReport:
     results: list[dict]
     provenance: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # no report with a non-finite float is valid JSON: an internal failure
+        if not (_finite(self.params) and _finite(self.results)):
+            raise InternalCheckError(f"non-finite value in the {self.command} report")
+
     def to_json(self) -> str:
         payload = {
             "command": self.command,
@@ -74,14 +79,8 @@ class ExperimentReport:
         writer = csv.DictWriter(buf, fieldnames=fields, quoting=csv.QUOTE_MINIMAL)
         writer.writeheader()
         for row in self.results:
-            writer.writerow({k: _csv_cell(row.get(k)) for k in fields})
+            writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
         return buf.getvalue()
-
-
-def _csv_cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
 
 
 def _finite(value) -> bool:
@@ -96,27 +95,6 @@ def _finite(value) -> bool:
     return True
 
 
-def _finish(
-    command: str, params: dict, results: list[dict], seed: int, threads: int, t0: float,
-    kernel: dict | None = None,
-) -> ExperimentReport:
-    """The report, with provenance; ``kernel`` is the pair kernel's route
-    and window counts, for the commands that ran it.  A non-finite float in
-    the params or results is an internal failure: no report is valid JSON
-    with one."""
-    if not (_finite(params) and _finite(results)):
-        raise InternalCheckError(f"non-finite value in the {command} report")
-    provenance = {
-        "seed": seed,
-        "threads": threads,
-        "version": __version__,
-        "wall_time_ms": round(1000.0 * (time.perf_counter() - t0), 3),
-    }
-    if kernel is not None:
-        provenance["kernel"] = kernel
-    return ExperimentReport(command=command, params=params, results=results, provenance=provenance)
-
-
 # name -> (help, argparse (flag, keywords) pairs, command); one subcommand each
 COMMANDS: dict[str, tuple] = {}
 
@@ -128,7 +106,9 @@ def command(name: str, help: str, *args: tuple[str, dict]):
     then ``seed`` and ``threads`` (default 0); it reads them and every
     ``type=int`` argument as Python ints, refuses a negative seed and a
     non-number ``type=float`` argument (None where the default is None), and
-    reports the body's result with its wall time."""
+    reports the body's result with its provenance: seed, threads, version,
+    wall time, and the pair kernel's route and window counts when the body
+    returns them."""
     declared = {kw.get("dest", flag.lstrip("-")): kw for flag, kw in args}
     ints = {"seed", "threads"} | {k for k, kw in declared.items() if kw.get("type") is int}
     floats = {k for k, kw in declared.items() if kw.get("type") is float}
@@ -159,7 +139,15 @@ def command(name: str, help: str, *args: tuple[str, dict]):
                 del kw["seed"]
             t0 = time.perf_counter()
             params, results, *kernel = body(**kw)
-            return _finish(name, params, results, seed, threads, t0, *kernel)
+            provenance = {
+                "seed": seed,
+                "threads": threads,
+                "version": __version__,
+                "wall_time_ms": round(1000.0 * (time.perf_counter() - t0), 3),
+            }
+            if kernel:
+                provenance["kernel"] = kernel[0]
+            return ExperimentReport(name, params, results, provenance)
 
         run.__signature__ = full
         COMMANDS[name] = (help, args, run)
@@ -231,10 +219,8 @@ def cmd_ap_product(a: int, d: int, L: int):
     bound_rhs = large_a_energy_bound(ap, subset_size=len(A)) if a > 0 and gcd(a, d) == 1 else None
     if bound_rhs is not None and e > bound_rhs:
         raise InternalCheckError(f"E = {e} exceeds energy_upper_bound = {bound_rhs}")
-    # offdiag_tuples sieves the progression, whose sieving primes (up to the
-    # sieve budget) cover only elements below about 2^48
-    factorable = a > 0 and L <= 512 and isqrt(ap.last) <= BUDGETS["sieve"]
-    tuples = offdiag_tuples(A, energy_value=e) if factorable else None
+    # offdiag_tuples sieves the progression, so only where the sieve reaches
+    tuples = offdiag_tuples(A, energy_value=e) if a > 0 and L <= 512 and fits(ap) else None
     row = {
         "a": a, "d": d, "L": L,
         "zeros_removed": zeros_removed,
@@ -324,7 +310,7 @@ def _omega_trim_row(A, ap) -> dict:
     prime factors, at the cutoff loglog(a+dL) + loglog(a+dL)^(2/3)."""
     pos = A[np.searchsorted(A, 0, side="right"):]
     hull_hi = ap.last + 1
-    if not pos.size or hull_hi < 16 or max(ap.positive_part().L, isqrt(ap.last)) > BUDGETS["sieve"]:
+    if not pos.size or hull_hi < 16 or not fits(ap.positive_part()):
         # keyed to ap, not to A's hull, so a sparse draw skips as its progression does
         return {"step": "omega-trim", "note": "skipped (hull outside sieve budget)"}
     # A lies in ap, so the hull of its positive members fits wherever ap's positive part does

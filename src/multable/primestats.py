@@ -182,7 +182,7 @@ def shiu_mean(q: ShiuQuery) -> tuple[float, float]:
     x, y, k, a, z = q.x, q.y, q.k, q.a, q.z
     if not (k < math.sqrt(y) and math.sqrt(x) < y):
         raise PreconditionError("regime requires k < sqrt(y) and sqrt(x) < y")
-    check_budget("sieve", x)  # mertens_sum(x) sieves up to x: refuse before the window table
+    prime_sum = mertens_sum(x)  # past the sieve budget: refused before the window table
     lo = x - y
     first = lo + ((a - lo) % k)
     if first < 1:
@@ -195,7 +195,7 @@ def shiu_mean(q: ShiuQuery) -> tuple[float, float]:
     exact = float(sum(Fraction(c) * Fraction(v) for c, v in zip(counts.tolist(), powers) if c))
 
     k_primes = progression_table(ArithmeticProgression(k, 1, 1)).prime_factors(k)
-    prime_cut = z * mertens_sum(x) - sum(z / p for p in k_primes)
+    prime_cut = z * prime_sum - sum(z / p for p in k_primes)
     bound = (y / totient(k)) * (1.0 / log(x)) * math.exp(prime_cut)
     return exact, bound
 

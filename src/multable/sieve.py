@@ -19,7 +19,8 @@ Tables are the library's one source of prime factors, nothing trial-divides:
 ``hull_table`` sieves the shortest progression through a set.  The one
 primality sieve, ``prime_flags``, runs in index space over the elements of a
 progression too; the one prime list, ``primes_upto``, is a cache that grows
-through it.  Also here: ``mertens_sum``, the sum of 1/p over primes up to x.
+through it; ``fits`` is the sieve's reach.  Also here: ``mertens_sum``, the
+sum of 1/p over primes up to x.
 """
 
 from __future__ import annotations
@@ -107,13 +108,18 @@ class FactorizationTable:
         return self._factors
 
 
-def _sieving_primes(count: int, largest: int) -> np.ndarray:
-    """Primes up to sqrt(largest) for sieving ``count`` numbers no larger
-    than ``largest``, checked against the budget before anything is
-    allocated: the ``sieve`` budget bounds both the count and the sieving
-    primes (so ``largest`` is below about 2^48)."""
-    check_budget("sieve", count)
-    return primes_upto(isqrt(max(largest, 0)))
+def fits(ap: ArithmeticProgression) -> bool:
+    """Whether a sieve over ap's elements stays within the ``sieve`` budget,
+    at most 2^24 elements and sieving primes up to 2^24 (ap.last below about
+    2^48): where ``progression_table`` and ``prime_flags`` refuse nothing."""
+    return max(ap.L, isqrt(max(ap.last, 0))) <= BUDGETS["sieve"]
+
+
+def _sieving_primes(ap: ArithmeticProgression) -> np.ndarray:
+    """Primes up to sqrt(ap.last) for sieving ap's elements; ``BudgetError``
+    where ap does not ``fits``, before anything is allocated."""
+    check_budget("sieve", ap.L)
+    return primes_upto(isqrt(max(ap.last, 0)))
 
 
 def _offsets(a: int, d: int, primes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -246,14 +252,14 @@ def progression_table(ap: ArithmeticProgression, factor_lists: bool = True) -> F
     Sieves in index space with every prime up to sqrt(ap.last), by the smooth
     parts and in the two regimes of the module docstring; ``factor_lists``
     writes the prime factors in place (CSR), peaking at about the returned
-    arrays plus one int64 per element.  Raises ``BudgetError`` past the
-    ``sieve`` budget of elements or of sieving primes (ap.last above about 2^48).
+    arrays plus one int64 per element.  Raises ``BudgetError`` where ap
+    does not ``fits`` the sieve.
     """
     if ap.a < 1:
         raise PreconditionError(f"needs positive elements, got first element {ap.a}")
     if ap.L == 1:  # any step will do, and 1 keeps the index arithmetic in int64
         ap = ArithmeticProgression(ap.a, 1, 1)
-    primes = _sieving_primes(ap.L, ap.last)
+    primes = _sieving_primes(ap)
     return FactorizationTable(ap, *_sieve(ap, primes, factor_lists))
 
 
@@ -285,10 +291,9 @@ def prime_flags(ap: ArithmeticProgression) -> np.ndarray:
     Eratosthenes in index space: for a prime p not dividing d, the
     elements divisible by p are the indices i = -a d^-1 (mod p), one
     strided slice.  Elements below 2 are False.  An interval [lo, hi) is
-    AP(lo, 1, hi - lo).  Raises ``BudgetError`` past the ``sieve`` budget
-    of elements or of sieving primes.
+    AP(lo, 1, hi - lo).  Raises ``BudgetError`` where ap does not ``fits``.
     """
-    primes = _sieving_primes(ap.L, ap.last)
+    primes = _sieving_primes(ap)
     flags = np.zeros(ap.L, dtype=bool)
     i0 = 0 if ap.a >= 2 else min(ap.L, -(-(2 - ap.a) // ap.d))  # first element >= 2
     live = flags[i0:]

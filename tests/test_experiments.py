@@ -246,11 +246,10 @@ def test_kernel_route_in_provenance(monkeypatch):
 
 def test_report_rejects_non_finite():
     # a NaN that slipped past a check stops the run instead of printing invalid JSON
-    t0 = 0.0
     for params, rows in (({}, [{"v": float("nan")}]), ({"c": [0.5, float("inf")]}, [{"v": 1.0}])):
         with pytest.raises(InternalCheckError):
-            ex._finish("forged", params, rows, 0, 0, t0)
-    rep = ex._finish("forged", {}, [{"v": 1.0}], 0, 0, t0)
+            ex.ExperimentReport("forged", params, rows)
+    rep = ex.ExperimentReport("forged", {}, [{"v": 1.0}])
     rep.results[0]["v"] = float("nan")  # forged after the check
     with pytest.raises(ValueError):
         rep.to_json()

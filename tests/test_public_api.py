@@ -7,9 +7,11 @@ import pytest
 
 import multable
 from multable.energy import EnergyReport, energy
+from multable.errors import BUDGETS, BudgetError
 from multable.progressions import ArithmeticProgression
+from multable.progressions import ArithmeticProgression as AP
 from multable.reduction import ReductionTrace
-from multable.sieve import FactorizationTable
+from multable.sieve import FactorizationTable, fits, prime_flags, progression_table
 
 # names retired with no caller outside the tests, each with its home
 RETIRED = [
@@ -93,3 +95,31 @@ def test_element_builder_written_once():
              if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "arange"
              and (len(n.args) == 3 or any(k.arg == "step" for k in n.keywords))]
     assert found and set(found) <= {("progressions.py", n) for n in range(start, start + len(lines))}
+
+
+def test_sieve_budget_read_once():
+    # the sieve's reach is sieve.fits: no module outside sieve.py reads or
+    # checks the sieve budget itself (errors.py only defines it)
+    rule = re.compile(r"""BUDGETS\[["']sieve["']\]|check_budget\(["']sieve["']""")
+    src = Path(multable.__file__).parent
+    found = [path.name for path in sorted(src.glob("*.py"))
+             if path.name not in ("sieve.py", "errors.py") and rule.search(path.read_text())]
+    assert not found
+    assert "fits" not in multable.__all__
+
+
+def test_fits_is_where_the_sieve_refuses(monkeypatch):
+    # at a budget of 64: 64 elements fit and 65 do not, and a last element of
+    # 4224 fits (isqrt 64) and 4225 = 65^2 does not, at d = 1, d > 1 and L = 1
+    monkeypatch.setitem(BUDGETS, "sieve", 64)
+    cases = {AP(1, 1, 64): True, AP(1, 1, 65): False, AP(5, 2, 65): False,
+             AP(4161, 1, 64): True, AP(4162, 1, 64): False,
+             AP(3, 67, 64): True, AP(4, 67, 64): False, AP(4224, 9, 1): True, AP(4225, 9, 1): False}
+    for ap, fit in cases.items():
+        assert fits(ap) == fit, ap
+        for build in (lambda: progression_table(ap, factor_lists=False), lambda: prime_flags(ap)):
+            if fit:
+                build()
+            else:
+                with pytest.raises(BudgetError, match="sieve"):
+                    build()

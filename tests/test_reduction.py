@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import multable.reduction as red
 from multable import cli
 from multable.energy import (
     cs_energy_split,
@@ -631,3 +632,57 @@ def test_reduce_trims_the_square_free_hull():
     assert trace.steps[-1].note == "t=2, |B0|=122, trimmed 1 for the hull guarantee"
     assert isinstance(trace.outcome, Reduced) and trace.outcome.m == 4
     assert _outcome(reduce, A, ap, delta) == _outcome(list_reduce, A, ap, delta)
+
+
+def _second_hull_not_squarefree(monkeypatch):
+    # the check's table of the divided class reports a square divisor of 4
+    real, calls = red.hull_table, []
+
+    def hull_table(values, factor_lists=True):
+        table, at = real(values, factor_lists)
+        calls.append(None)
+        if len(calls) == 2:
+            table.square_divisor_array[at[0]] = 4
+        return table, at
+
+    monkeypatch.setattr(red, "hull_table", hull_table)
+
+
+def _longer_positive_part(monkeypatch):
+    real = AP.positive_part
+    monkeypatch.setattr(AP, "positive_part", lambda self: AP(self.a, self.d, 10 * real(self).L))
+
+
+_WHOLE = (range(1, 65), AP(1, 1, 64), 1)
+_EVENS = (range(2, 129, 2), AP(2, 2, 64), 1)  # g = 2, Reduced
+_TRIMMED = ([n for n in range(804, 1607) if square_part(n) == 4], AP(1, 1, 1606), Fraction(122, 1606))
+
+# each internal check of reduce, reached by breaking the one thing it guards:
+# (patch, input, the check's message)
+_BROKEN_GUARANTEES = {
+    "positivity": (_longer_positive_part, (range(1, 11), AP(1, 1, 10), 1), "positivity step lost"),
+    "direct-within": (lambda mp: mp.setattr(red, "_within", lambda values, original: False),
+                      ([1], AP(1, 1, 1), 1), "bounded subset escapes"),
+    "block-density": (lambda mp: mp.setattr(red, "ArithmeticProgression", lambda a, d, L: AP(a, d, 4 * L)),
+                      _WHOLE, "selected block density below half"),
+    "block-a-gt-dL": (lambda mp: mp.setattr(AP, "dyadic_index_blocks", lambda self: [(0, 0, self.L)]),
+                      _WHOLE, "dyadic block lost"),
+    "squarefree-class": (_second_hull_not_squarefree, _EVENS, "divided class is not square-free"),
+    "class-size": (lambda mp: mp.setattr(red, "_square_class", lambda A, T: (A[:1], 1, A[:1])),
+                   _EVENS, "pigeonhole class size 1 below"),
+    "hull-a-gt-dL": (lambda mp: mp.setattr(red, "_hull_prefix", lambda B, d: len(B)),
+                     _TRIMMED, "square-free hull lost"),
+    "core-within": (lambda mp: mp.setattr(red, "_within", lambda values, original: False),
+                    _EVENS, "dilated square-free core escapes"),
+}
+
+
+@pytest.mark.parametrize("name", _BROKEN_GUARANTEES)
+def test_reduce_checks_fire_when_broken(monkeypatch, name):
+    # every input here reduces cleanly unpatched; the patch breaks one
+    # guarantee, and reduce stops at the check that states it
+    patch, (A, ap, delta), message = _BROKEN_GUARANTEES[name]
+    reduce(list(A), ap, delta)
+    patch(monkeypatch)
+    with pytest.raises(InternalCheckError, match=message):
+        reduce(list(A), ap, delta)
